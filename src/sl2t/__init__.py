@@ -64,8 +64,8 @@ from .shooting import (
     State,
     build_left,
     build_right,
-    integrate_piece,
     left_terminal_batch,
+    propagate_piece,
     wronskian,
 )
 from .spectrum import (
@@ -86,7 +86,7 @@ __all__ = [
     "NumericalError", "validate", "parse_config", "load_config", "config_dict",
     "spec_digest", "phase", "piece_bounds", "piece_index_at", "weight_at", "q_at",
     # shooting
-    "State", "PieceTrajectory", "PiecewiseSolution", "integrate_piece",
+    "State", "PieceTrajectory", "PiecewiseSolution", "propagate_piece",
     "build_left", "build_right", "wronskian", "left_terminal_batch",
     # characteristic function
     "CharValue", "char_value", "char_grid", "char_batch", "piece_char",

@@ -15,13 +15,12 @@ over a whole batch of spectral parameters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .problem import ProblemSpec, piece_bounds
-from .shooting import _RTOL_FLOOR, build_left, build_right, left_terminal_batch, wronskian
+from .shooting import build_left, build_right, left_terminal_batch, wronskian
 
 __all__ = ["CharValue", "char_value", "piece_char", "char_grid", "char_batch"]
 
@@ -76,13 +75,10 @@ def char_batch(spec: ProblemSpec, lams) -> np.ndarray:
     """Canonical characteristic values for a batch of spectral parameters.
 
     Uses the left-solution-only route: the right boundary form evaluated on
-    the left solution's terminal state, rescaled by the jump products.  The
-    batch shares one adaptive step sequence, with the per-column tolerance
-    tightened to offset the stepper's aggregate error norm.
+    the left solution's terminal state, rescaled by the jump products.
     """
     arr = np.atleast_1d(np.asarray(lams, dtype=float))
-    rtol = max(spec.solver.rk_tol / math.sqrt(2.0 * arr.size), _RTOL_FLOOR)
-    u, v = left_terminal_batch(spec, arr, rtol=rtol)
+    u, v = left_terminal_batch(spec, arr)
     b1, b2 = spec.beta
     b1p, b2p = spec.beta_prime
     boundary_form = (b1p * arr + b1) * u - (b2p * arr + b2) * v

@@ -33,12 +33,18 @@ from .hilbert import (
     sample_domain_element,
     symmetry_residual,
 )
-from .problem import ConfigError, NumericalError, ProblemSpec, parse_config, piece_bounds, spec_digest
+from .problem import (
+    _SOLVER_INT_KEYS,
+    _SOLVER_KEYS,
+    ConfigError,
+    NumericalError,
+    ProblemSpec,
+    parse_config,
+    piece_bounds,
+    spec_digest,
+)
 from .shooting import build_left, build_right
 from .spectrum import eigenfunction, locate_eigenvalues, orthogonality_matrix
-
-_SOLVER_KEYS = ("rk_tol", "root_tol", "quad_nodes", "bracket_subdiv", "scan_floor_factor")
-_SOLVER_INT_KEYS = ("quad_nodes", "bracket_subdiv")
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ class PiecewisePotential:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs shared by the integrator, scan, and quadrature."""
+    """Numerical knobs shared by the propagator, scan, and quadrature."""
 
     rk_tol: float = 1e-12
     root_tol: float = 1e-11
@@ -329,6 +329,7 @@ def phase(spec: ProblemSpec, x):
 # JSON config front end
 
 _SOLVER_KEYS = ("rk_tol", "root_tol", "quad_nodes", "bracket_subdiv", "scan_floor_factor")
+_SOLVER_INT_KEYS = ("quad_nodes", "bracket_subdiv")
 
 
 def _as_number(value, path: str, errs: list[str]) -> float:
@@ -423,7 +424,7 @@ def parse_config(data) -> ProblemSpec:
                 if key not in _SOLVER_KEYS:
                     errs.append(f"solver.{key}: unknown key")
                     continue
-                if key in ("quad_nodes", "bracket_subdiv"):
+                if key in _SOLVER_INT_KEYS:
                     if isinstance(value, bool) or not isinstance(value, int):
                         errs.append(f"solver.{key}: expected an integer")
                         continue

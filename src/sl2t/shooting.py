@@ -1,8 +1,17 @@
-"""Piecewise shooting integration of the second-order equation.
+"""Piecewise shooting by 2x2 transfer matrices.
 
-Solutions of ``-u'' + q u = lam w u`` are propagated piece by piece with an
-adaptive Runge-Kutta integrator; the interface jump conditions are applied
-exactly between pieces.  Two distinguished solutions are built here:
+Solutions of ``-u'' + q u = lam w u`` are carried across each piece by the
+transfer matrix of ``(u, u')``; the interface jump conditions are applied
+exactly between pieces.  On a piece where ``q`` is constant the transfer is
+one exact step (cos/sin, cosh/sinh, or linear when ``lam w = q``).  Where
+``q`` is a polynomial of positive degree the piece is cut into a fixed,
+``lam``-independent mesh of fourth-order Magnus steps (Iserles & Norsett,
+1999), each of whose exponentials is also closed-form; the mesh is sized by
+the ``rk_tol`` solver key.  The same step serves every caller: it is
+vectorized over ``lam`` for batched terminal values and over ``x`` for
+interior queries, which start from the nearest stored mesh node.
+
+Two distinguished solutions are built here:
 
 * the *left* solution, launched at ``x = -1`` with ``u = sin(alpha)``,
   ``u' = -cos(alpha)``, which satisfies the left boundary condition by
@@ -23,30 +32,26 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial.polynomial import polyder, polyval
 
-from .problem import (
-    NumericalError,
-    ProblemSpec,
-    Side,
-    piece_bounds,
-    piece_index_at,
-)
+from .problem import ProblemSpec, Side, piece_bounds, piece_index_at
 
 __all__ = [
     "State",
     "PieceTrajectory",
     "PiecewiseSolution",
-    "integrate_piece",
+    "piece_mesh",
+    "propagate_piece",
     "build_left",
     "build_right",
     "wronskian",
 ]
 
-_RK_METHOD = "DOP853"
-#: smallest relative tolerance the stepper accepts without complaint
-_RTOL_FLOOR = 3e-14
 _EDGE_TOL = 1e-12
+_GAUSS = math.sqrt(3.0) / 6.0
+_COMMUTATOR = math.sqrt(3.0) / 12.0
+#: Magnus steps whose matrices are held at once per lam in a batch
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -60,32 +65,135 @@ class State:
         return State(cu * self.u, cv * self.v)
 
 
-def _rhs_single(spec: ProblemSpec, index0: int, lam: float):
-    coeffs = spec.q.pieces[index0]
-    lam_w = lam * spec.omega[index0] ** 2
-
-    def rhs(x, y):
-        qx = 0.0
-        for c in reversed(coeffs):
-            qx = qx * x + c
-        return (y[1], (qx - lam_w) * y[0])
-
-    return rhs
+# ---------------------------------------------------------------------------
+# the propagator
 
 
-def integrate_piece(
+def _step(coeffs, w2: float, lam, x0, h):
+    """Transfer matrix ``(a, b, c, d)`` of one Magnus step from ``x0`` to ``x0 + h``.
+
+    With ``A(x) = [[0, 1], [q(x) - lam*w2, 0]]`` sampled at the two Gauss
+    points, ``M = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]`` is traceless, so
+    ``exp M = cosh(s) I + sinh(s)/s M`` with ``s^2 = -det M``.  When ``q`` is
+    constant, ``A1 == A2`` and the step is the exact transfer for any ``h``.
+    ``lam``, ``x0`` and ``h`` broadcast against each other.
+    """
+    a1 = polyval(x0 + (0.5 - _GAUSS) * h, coeffs) - lam * w2
+    a2 = polyval(x0 + (0.5 + _GAUSS) * h, coeffs) - lam * w2
+    m11 = _COMMUTATOR * h * h * (a1 - a2)
+    m21 = 0.5 * h * (a1 + a2)
+    s2 = m11 * m11 + h * m21
+    s = np.sqrt(np.abs(s2))
+    grow = s2 >= 0.0
+    # both branches are evaluated everywhere and np.where keeps the right one
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ch = np.where(grow, np.cosh(s), np.cos(s))
+        sh = np.where(s > 0.0, np.where(grow, np.sinh(s), np.sin(s)) / s, 1.0)
+    return ch + sh * m11, sh * h, sh * m21, ch - sh * m11
+
+
+def piece_mesh(spec: ProblemSpec, piece: int) -> np.ndarray:
+    """Ascending Magnus mesh nodes of piece ``piece`` (1-based), ends included.
+
+    A constant-``q`` piece is one exact step.  Otherwise the fourth-order
+    step error scales like ``h^4`` times the size of ``q'`` and ``q''``, and
+    the uniform step is chosen so that product stays below ``rk_tol``.
+    """
+    a, b = piece_bounds(spec, piece)
+    coeffs = spec.q.pieces[piece - 1]
+    if all(c == 0.0 for c in coeffs[1:]):
+        return np.array([a, b])
+    reach = max(abs(a), abs(b))
+    size = sum(
+        float(np.sum(np.abs(polyder(coeffs, m)) * reach ** np.arange(len(coeffs) - m)))
+        for m in (1, 2) if len(coeffs) > m
+    )
+    n = max(1, math.ceil((b - a) * (size / spec.solver.rk_tol) ** 0.25))
+    return np.linspace(a, b, n + 1)
+
+
+def _product(m: np.ndarray) -> np.ndarray:
+    """Ordered product of step matrices ``m[:, j]`` (entries ``a, b, c, d`` on axis 0).
+
+    Step ``j + 1`` acts after step ``j``; neighbours are multiplied pairwise,
+    so the depth of Python-level work is logarithmic in the step count.
+    """
+    while m.shape[1] > 1:
+        n = m.shape[1]
+        e, p = m[:, 0 : n - 1 : 2], m[:, 1::2]
+        pairs = np.stack((
+            p[0] * e[0] + p[1] * e[2], p[0] * e[1] + p[1] * e[3],
+            p[2] * e[0] + p[3] * e[2], p[2] * e[1] + p[3] * e[3],
+        ))
+        m = np.concatenate((pairs, m[:, n - n % 2 :]), axis=1)
+    return m[:, 0]
+
+
+# ---------------------------------------------------------------------------
+# single-lambda solutions with interior queries
+
+
+@dataclass(frozen=True)
+class PieceTrajectory:
+    """Solution on one piece, queryable anywhere between its endpoints.
+
+    ``xs`` holds the mesh nodes in ascending order and ``us``/``vs`` the
+    solution there; an interior value is the transfer from the nearest node
+    at or before the query point.
+    """
+
+    piece: int
+    lam: float
+    x_start: float
+    x_end: float
+    initial: State
+    terminal: State
+    xs: np.ndarray
+    us: np.ndarray
+    vs: np.ndarray
+    coeffs: tuple[float, ...]
+    w2: float
+
+    @property
+    def n_steps(self) -> int:
+        """Number of Magnus steps (1 per constant-``q`` piece)."""
+        return self.xs.size - 1
+
+    def eval(self, x):
+        """Value and slope at ``x`` (scalar or array) inside the piece."""
+        lo, hi = self.xs[0], self.xs[-1]
+        xv = np.asarray(x, dtype=float)
+        if np.any(xv < lo - _EDGE_TOL) or np.any(xv > hi + _EDGE_TOL):
+            raise ValueError(f"query outside integrated range [{lo}, {hi}]")
+        xv = np.clip(xv, lo, hi)
+        k = np.clip(np.searchsorted(self.xs, xv, side="right") - 1, 0, self.n_steps - 1)
+        x0 = self.xs[k]
+        a, b, c, d = _step(self.coeffs, self.w2, self.lam, x0, xv - x0)
+        u = a * self.us[k] + b * self.vs[k]
+        v = c * self.us[k] + d * self.vs[k]
+        if np.ndim(x) == 0:
+            return float(u), float(v)
+        return u, v
+
+    def state(self, x: float) -> State:
+        u, v = self.eval(float(x))
+        return State(u, v)
+
+
+def propagate_piece(
     spec: ProblemSpec,
     lam: float,
     piece: int,
     x_from: float,
     x_to: float,
     init: State,
-) -> "PieceTrajectory":
-    """Integrate across one piece from ``x_from`` to ``x_to`` (either direction).
+) -> PieceTrajectory:
+    """Carry ``init`` across one piece from ``x_from`` to ``x_to`` (either direction).
 
-    Both endpoints must lie in the closure of piece ``piece`` (1-based).
-    Returns a trajectory with a dense interpolant; its ``terminal`` state is
-    the solution at ``x_to``.
+    Both endpoints must lie in the closure of piece ``piece`` (1-based).  The
+    steps are the piece's mesh cut to ``[x_from, x_to]``; the returned
+    trajectory stores the solution at every node, and its ``terminal`` state
+    is the solution at ``x_to``.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lam={lam!r} is not finite")
@@ -98,66 +206,28 @@ def integrate_piece(
     if x_from == x_to:
         raise ValueError("x_from and x_to coincide")
 
-    tol = max(spec.solver.rk_tol, _RTOL_FLOOR)
-    sol = solve_ivp(
-        _rhs_single(spec, piece - 1, lam),
-        (x_from, x_to),
-        (init.u, init.v),
-        method=_RK_METHOD,
-        rtol=tol,
-        atol=tol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise NumericalError(
-            f"integration failed on piece {piece} at lam={lam!r}: {sol.message}"
-        )
-    u_end, v_end = sol.y[:, -1]
+    lo, hi = sorted((x_from, x_to))
+    mesh = piece_mesh(spec, piece)
+    xs = np.concatenate(([lo], mesh[(mesh > lo) & (mesh < hi)], [hi]))
+    forward = x_from < x_to
+    # steps in propagation order, from each node toward the next one
+    starts = xs[:-1] if forward else xs[:0:-1]
+    lengths = np.diff(xs) if forward else -np.diff(xs)[::-1]
+    coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
+    steps = zip(*(e.tolist() for e in _step(coeffs, w2, lam, starts, lengths)))
+    us, vs = [init.u], [init.v]
+    u, v = init.u, init.v
+    for sa, sb, sc, sd in steps:
+        u, v = sa * u + sb * v, sc * u + sd * v
+        us.append(u)
+        vs.append(v)
+    us, vs = np.array(us), np.array(vs)
+    if not forward:
+        us, vs = us[::-1], vs[::-1]
     return PieceTrajectory(
-        piece=piece,
-        lam=lam,
-        x_start=x_from,
-        x_end=x_to,
-        initial=init,
-        terminal=State(float(u_end), float(v_end)),
-        _interp=sol.sol,
-        n_steps=len(sol.t) - 1,
+        piece=piece, lam=lam, x_start=x_from, x_end=x_to, initial=init,
+        terminal=State(u, v), xs=xs, us=us, vs=vs, coeffs=coeffs, w2=w2,
     )
-
-
-@dataclass(frozen=True)
-class PieceTrajectory:
-    """Dense solution of one piece, queryable anywhere between its endpoints."""
-
-    piece: int
-    lam: float
-    x_start: float
-    x_end: float
-    initial: State
-    terminal: State
-    _interp: object
-    n_steps: int
-
-    @property
-    def xs(self) -> np.ndarray:
-        """Integration nodes in ascending-x order."""
-        ts = np.asarray(self._interp.ts, dtype=float)
-        return ts if ts[0] <= ts[-1] else ts[::-1]
-
-    def eval(self, x):
-        """Value and slope at ``x`` (scalar or array) inside the piece."""
-        lo, hi = min(self.x_start, self.x_end), max(self.x_start, self.x_end)
-        xv = np.asarray(x, dtype=float)
-        if np.any(xv < lo - _EDGE_TOL) or np.any(xv > hi + _EDGE_TOL):
-            raise ValueError(f"query outside integrated range [{lo}, {hi}]")
-        out = self._interp(np.clip(xv, lo, hi))
-        if np.ndim(x) == 0:
-            return float(out[0]), float(out[1])
-        return out[0], out[1]
-
-    def state(self, x: float) -> State:
-        u, v = self.eval(float(x))
-        return State(u, v)
 
 
 @dataclass(frozen=True)
@@ -166,8 +236,8 @@ class PiecewiseSolution:
 
     ``kind`` records the launch end ("left" or "right").  One-sided anchor
     states at the interfaces are stored exactly as produced by the launch,
-    jump application, and piece terminals -- interpolation is only used for
-    interior queries.
+    jump application, and piece terminals; interior queries are transfers
+    from the nearest mesh node.
     """
 
     kind: Literal["left", "right"]
@@ -223,11 +293,11 @@ class PiecewiseSolution:
 def build_left(spec: ProblemSpec, lam: float) -> PiecewiseSolution:
     """Left-launched solution satisfying the ``x = -1`` boundary condition."""
     init = State(math.sin(spec.alpha), -math.cos(spec.alpha))
-    t1 = integrate_piece(spec, lam, 1, -1.0, spec.h1, init)
+    t1 = propagate_piece(spec, lam, 1, -1.0, spec.h1, init)
     h1_plus = t1.terminal.scaled(spec.jump_ratio_u[0], spec.jump_ratio_du[0])
-    t2 = integrate_piece(spec, lam, 2, spec.h1, spec.h2, h1_plus)
+    t2 = propagate_piece(spec, lam, 2, spec.h1, spec.h2, h1_plus)
     h2_plus = t2.terminal.scaled(spec.jump_ratio_u[1], spec.jump_ratio_du[1])
-    t3 = integrate_piece(spec, lam, 3, spec.h2, 1.0, h2_plus)
+    t3 = propagate_piece(spec, lam, 3, spec.h2, 1.0, h2_plus)
     return PiecewiseSolution(
         kind="left", lam=lam, spec=spec, pieces=(t1, t2, t3),
         at_left=init, h1_minus=t1.terminal, h1_plus=h1_plus,
@@ -244,11 +314,11 @@ def build_right(spec: ProblemSpec, lam: float) -> PiecewiseSolution:
     b1, b2 = spec.beta
     b1p, b2p = spec.beta_prime
     init = State(b2p * lam + b2, b1p * lam + b1)
-    t3 = integrate_piece(spec, lam, 3, 1.0, spec.h2, init)
+    t3 = propagate_piece(spec, lam, 3, 1.0, spec.h2, init)
     h2_minus = t3.terminal.scaled(1.0 / spec.jump_ratio_u[1], 1.0 / spec.jump_ratio_du[1])
-    t2 = integrate_piece(spec, lam, 2, spec.h2, spec.h1, h2_minus)
+    t2 = propagate_piece(spec, lam, 2, spec.h2, spec.h1, h2_minus)
     h1_minus = t2.terminal.scaled(1.0 / spec.jump_ratio_u[0], 1.0 / spec.jump_ratio_du[0])
-    t1 = integrate_piece(spec, lam, 1, spec.h1, -1.0, h1_minus)
+    t1 = propagate_piece(spec, lam, 1, spec.h1, -1.0, h1_minus)
     return PiecewiseSolution(
         kind="right", lam=lam, spec=spec, pieces=(t1, t2, t3),
         at_left=t1.terminal, h1_minus=h1_minus, h1_plus=t2.terminal,
@@ -272,60 +342,32 @@ def wronskian(
 
 
 # ---------------------------------------------------------------------------
-# batched propagation (terminal values only), used by the characteristic scan
+# batched terminal values, used by the characteristic scan
 
 
-def _rhs_batch(spec: ProblemSpec, index0: int, lam_w: np.ndarray):
-    coeffs = spec.q.pieces[index0]
-    k = lam_w.size
-
-    def rhs(x, y):
-        qx = 0.0
-        for c in reversed(coeffs):
-            qx = qx * x + c
-        return np.concatenate((y[k:], (qx - lam_w) * y[:k]))
-
-    return rhs
-
-
-def left_terminal_batch(
-    spec: ProblemSpec, lams: np.ndarray, rtol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def left_terminal_batch(spec: ProblemSpec, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values ``(u, u')`` at ``x = +1`` of the left solution, for many ``lam``.
 
-    All columns share one adaptive step sequence; the controller keeps the
-    worst column within tolerance, so individual columns are at least as
-    accurate as a lone integration at ``rtol``.
+    Each piece's step matrices are formed for every ``lam`` at once, in
+    blocks of ``_BLOCK`` steps that are multiplied pairwise; the jumps are
+    applied between pieces.
     """
     lams = np.ascontiguousarray(lams, dtype=float)
     if lams.ndim != 1 or lams.size == 0:
         raise ValueError("lams must be a nonempty 1-d array")
     if not np.all(np.isfinite(lams)):
         raise ValueError("lams must be finite")
-    k = lams.size
-    tol = max(rtol, _RTOL_FLOOR)
-    u = np.full(k, math.sin(spec.alpha))
-    v = np.full(k, -math.cos(spec.alpha))
-    bounds = spec.breakpoints
+    u = np.full(lams.size, math.sin(spec.alpha))
+    v = np.full(lams.size, -math.cos(spec.alpha))
     for i in range(3):
-        if i == 1:
-            u = u * spec.jump_ratio_u[0]
-            v = v * spec.jump_ratio_du[0]
-        elif i == 2:
-            u = u * spec.jump_ratio_u[1]
-            v = v * spec.jump_ratio_du[1]
-        sol = solve_ivp(
-            _rhs_batch(spec, i, lams * spec.omega[i] ** 2),
-            (bounds[i], bounds[i + 1]),
-            np.concatenate((u, v)),
-            method=_RK_METHOD,
-            rtol=tol,
-            atol=tol,
-        )
-        if not sol.success:
-            raise NumericalError(
-                f"batched integration failed on piece {i + 1}: {sol.message}"
-            )
-        y = sol.y[:, -1]
-        u, v = y[:k].copy(), y[k:].copy()
+        if i:
+            u = u * spec.jump_ratio_u[i - 1]
+            v = v * spec.jump_ratio_du[i - 1]
+        xs = piece_mesh(spec, i + 1)
+        for j in range(0, xs.size - 1, _BLOCK):
+            x = xs[j : j + _BLOCK + 1]
+            a, b, c, d = _product(np.stack(_step(
+                spec.q.pieces[i], spec.omega[i] ** 2, lams, x[:-1, None], np.diff(x)[:, None]
+            )))
+            u, v = a * u + b * v, c * u + d * v
     return u, v

@@ -126,7 +126,7 @@ class _Refine:
 def _refine_lockstep(spec: ProblemSpec, brackets) -> list[_Refine]:
     """Bisect all brackets to tolerance, then give each two secant polishes.
 
-    Probe evaluations across roots are batched into single integrator runs.
+    Probe evaluations across roots are batched into single ``char_batch`` calls.
     """
     roots = [_Refine(*b) for b in brackets]
     root_tol = spec.solver.root_tol
@@ -162,7 +162,7 @@ def _certify(spec: ProblemSpec, refined: list[_Refine]) -> list[tuple[float, flo
     """Re-checkable sign-change brackets around already-polished roots.
 
     The refinement's final brackets sit at rounding width, where a fresh
-    evaluation of the characteristic value returns integrator noise with an
+    evaluation of the characteristic value returns rounding noise with an
     arbitrary sign.  Probe a symmetric window around each root instead: wide
     enough to clear the noise floor, far narrower than the gap to either
     neighbour, expanded geometrically in the rare case the endpoint signs

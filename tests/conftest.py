@@ -64,6 +64,23 @@ def mixed_spec(**overrides) -> ProblemSpec:
     return build_spec(**kwargs)
 
 
+def airy_spec(**overrides) -> ProblemSpec:
+    """Non-unit problem with a linear potential on every piece (Airy solutions)."""
+    kwargs = dict(
+        h1=-0.35,
+        h2=0.3,
+        omega=(1.3, 0.8, 1.1),
+        alpha=0.9,
+        beta=(0.4, 1.2),
+        beta_prime=(1.1, -0.3),
+        gamma=(1.4, 0.9, 1.2, 0.7),
+        delta=(0.8, 1.1, 0.9, 1.5),
+        q=PiecewisePotential(((0.3, 1.5), (-0.2, -2.0), (0.5, 0.8))),
+    )
+    kwargs.update(overrides)
+    return build_spec(**kwargs)
+
+
 def indefinite_spec(**overrides) -> ProblemSpec:
     """Baseline with one sign-flipped jump constant; the form is indefinite."""
     return build_spec(gamma=(-1.0, 1.0, 1.0, 1.0), **overrides)

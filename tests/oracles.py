@@ -3,6 +3,7 @@
 Everything here is derived by hand from the differential equation and solved
 with plain bisection -- no package integration code, no scipy -- so these
 values can serve as an oracle for the shooting/characteristic machinery.
+The Airy-function reference for linear potentials uses mpmath.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ import math
 
 
 def bisect(f, lo: float, hi: float, tol: float = 1e-13) -> float:
-    """Plain bisection; requires a sign change on [lo, hi]."""
+    """Plain bisection; requires a sign change on [lo, hi].
+
+    Stops at width ``tol`` or when no float lies strictly between the ends,
+    whichever comes first: beyond 64 one ulp already exceeds ``1e-14``.
+    """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -24,6 +29,8 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-13) -> float:
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -80,6 +87,54 @@ def transfer_char(spec, lam: float) -> float:
     b1p, b2p = spec.beta_prime
     d3 = (b1p * lam + b1) * u - (b2p * lam + b2) * v
     return spec.m3 * d3
+
+
+# ---------------------------------------------------------------------------
+# linear potential on every piece: Airy functions, evaluated with mpmath
+
+
+def airy_left(spec, lam: float, points=((), (), ()), digits: int = 40):
+    """Left solution ``(u, u')`` at ``x = 1`` and at ``points[i]`` in piece ``i + 1``.
+
+    Every potential piece must be linear, ``q = q0 + q1 x`` with ``q1 != 0``.
+    On piece ``i`` the solutions are spanned by ``Ai(z)`` and ``Bi(z)`` with
+    ``z = k (x + (q0 - lam w) / q1)``, ``k**3 = q1``; their Wronskian in ``z``
+    is ``1/pi``.  Values are computed at ``digits`` significant digits and
+    returned as floats.
+    """
+    import mpmath as mp
+
+    with mp.workdps(digits):
+        lam = mp.mpf(lam)
+        u, v = mp.sin(spec.alpha), -mp.cos(spec.alpha)
+        bounds = spec.breakpoints
+        inside = []
+        for i in range(3):
+            if i == 1:
+                u *= mp.mpf(spec.gamma[0]) / spec.delta[0]
+                v *= mp.mpf(spec.gamma[1]) / spec.delta[1]
+            elif i == 2:
+                u *= mp.mpf(spec.gamma[2]) / spec.delta[2]
+                v *= mp.mpf(spec.gamma[3]) / spec.delta[3]
+            q0, q1 = (mp.mpf(c) for c in spec.q.pieces[i])
+            k = mp.sign(q1) * mp.cbrt(abs(q1))
+            shift = (q0 - lam * mp.mpf(spec.omega[i]) ** 2) / q1
+
+            def basis(x):
+                z = k * (mp.mpf(x) + shift)
+                return mp.airyai(z), mp.airybi(z), k * mp.airyai(z, 1), k * mp.airybi(z, 1)
+
+            ai, bi, dai, dbi = basis(bounds[i])
+            c_ai = mp.pi / k * (dbi * u - bi * v)
+            c_bi = mp.pi / k * (ai * v - dai * u)
+            states = []
+            for x in points[i]:
+                ai, bi, dai, dbi = basis(x)
+                states.append((float(c_ai * ai + c_bi * bi), float(c_ai * dai + c_bi * dbi)))
+            inside.append(states)
+            ai, bi, dai, dbi = basis(bounds[i + 1])
+            u, v = c_ai * ai + c_bi * bi, c_ai * dai + c_bi * dbi
+        return (float(u), float(v)), inside
 
 
 # ---------------------------------------------------------------------------

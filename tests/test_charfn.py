@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import baseline_spec, build_spec, mixed_spec, random_spec, steep_spec
-from oracles import baseline_char, steep_char, transfer_char
+from conftest import airy_spec, baseline_spec, build_spec, mixed_spec, random_spec, steep_spec
+from oracles import airy_left, baseline_char, steep_char, transfer_char
 from sl2t.charfn import char_batch, char_grid, char_value, piece_char
 
 
@@ -123,3 +123,19 @@ def test_no_kink_across_zero():
     d2_num = np.diff(num, n=2) / h**2
     d2_ref = np.diff(ref, n=2) / h**2
     assert np.max(np.abs(d2_num - d2_ref)) < 1e-6
+
+
+
+def test_linear_potential_matches_airy_functions():
+    # Magnus steps on linear-q pieces against Airy functions, lam in [-50, 4e4];
+    # error relative to the size of the boundary-form terms
+    spec = airy_spec()
+    lams = np.concatenate(([-50.0, -7.5, 0.0, 2.5, 30.0], np.geomspace(100.0, 4e4, 12)))
+    got = char_batch(spec, lams)
+    b1, b2 = spec.beta
+    b1p, b2p = spec.beta_prime
+    for lam, value in zip(lams, got):
+        (u, v), _ = airy_left(spec, float(lam))
+        form_u, form_v = (b1p * lam + b1) * u, (b2p * lam + b2) * v
+        scale = abs(spec.m3) * (abs(form_u) + abs(form_v))
+        assert abs(value - spec.m3 * (form_u - form_v)) <= 1e-10 * scale, lam

@@ -88,6 +88,20 @@ def test_steep_variant_has_one_negative_eigenvalue():
         assert rec.mu_n == pytest.approx(want, abs=1e-9)
 
 
+def test_deep_roots_match_oracle():
+    # 100 roots, lambda up to about 2.4e4; the bound acceptance 01 uses for 20
+    for spec, oracle, skip in (
+        (baseline_spec(), baseline_mu_roots(100), 0),
+        (steep_spec(), steep_mu_roots(99), 1),
+    ):
+        res = locate_eigenvalues(spec, 100)
+        assert not res.exhausted
+        got = [rec.mu_n for rec in res.records[skip:]]
+        assert len(got) == len(oracle)
+        for mu, want in zip(got, oracle):
+            assert mu == pytest.approx(want, abs=1e-9)
+
+
 def _oracle_root_count(char, lam_lo, lam_hi, n_grid):
     nus = np.linspace(
         -math.sqrt(-lam_lo) if lam_lo < 0 else 0.0, math.sqrt(lam_hi), n_grid
