@@ -4,7 +4,10 @@ On each piece the Wronskian of the left and right solutions is constant,
 and the three per-piece constants differ only by fixed products of the jump
 constants.  The piece-1 value is taken as *the* characteristic value; the
 other two, rescaled by those products, must reproduce it, which gives a
-cheap internal consistency check on every evaluation.
+cheap internal consistency check on every evaluation.  ``char_grid`` reads
+both solutions at the piece midpoints for a whole batch of spectral
+parameters at once; ``char_value`` and ``piece_char`` are its one-``lam``
+views.
 
 For scanning, a fast path computes the same canonical value from the left
 solution alone: propagating the right boundary form onto the left solution's
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ProblemSpec, piece_bounds
-from .shooting import build_left, build_right, left_terminal_batch, wronskian
+from .shooting import interior_batch, left_terminal_batch
 
 __all__ = ["CharValue", "char_value", "piece_char", "char_grid", "char_batch"]
 
@@ -48,27 +51,37 @@ def _midpoints(spec: ProblemSpec) -> tuple[float, float, float]:
     return tuple(out)
 
 
-def piece_char(spec: ProblemSpec, lam: float, piece: int) -> float:
-    """Wronskian of the left and right solutions, read on one piece."""
-    if piece not in (1, 2, 3):
-        raise ValueError(f"piece index must be 1, 2, or 3, got {piece!r}")
-    phi = build_left(spec, lam)
-    chi = build_right(spec, lam)
-    return wronskian(phi, chi, _midpoints(spec)[piece - 1])
+def char_grid(spec: ProblemSpec, lams) -> list[CharValue]:
+    """Full characteristic evaluations, with the consistency check, for many ``lam``.
+
+    Both solutions are read at the three piece midpoints for every ``lam``
+    at once; on constant-``q`` pieces the per-piece Wronskians equal those of
+    ``build_left``/``build_right`` read with ``wronskian`` bit for bit.
+    """
+    arr = np.asarray(lams, dtype=float).reshape(-1)
+    if arr.size == 0:
+        return []
+    mids = _midpoints(spec)
+    uf, vf = interior_batch(spec, arr, mids, "left")
+    ug, vg = interior_batch(spec, arr, mids, "right")
+    d = uf * vg - vf * ug
+    resid = np.maximum(np.abs(d[0] - spec.m2 * d[1]), np.abs(d[0] - spec.m3 * d[2]))
+    return [
+        CharValue(lam=lam, on_piece=(d0, d1, d2), value=d0, consistency_residual=r)
+        for lam, d0, d1, d2, r in zip(arr.tolist(), *d.tolist(), resid.tolist())
+    ]
 
 
 def char_value(spec: ProblemSpec, lam: float) -> CharValue:
     """Full characteristic evaluation with the per-piece consistency check."""
-    phi = build_left(spec, lam)
-    chi = build_right(spec, lam)
-    d = tuple(wronskian(phi, chi, mid) for mid in _midpoints(spec))
-    resid = max(abs(d[0] - spec.m2 * d[1]), abs(d[0] - spec.m3 * d[2]))
-    return CharValue(lam=lam, on_piece=d, value=d[0], consistency_residual=resid)
+    return char_grid(spec, [lam])[0]
 
 
-def char_grid(spec: ProblemSpec, lams) -> list[CharValue]:
-    """``char_value`` over an iterable of spectral parameters."""
-    return [char_value(spec, float(lam)) for lam in lams]
+def piece_char(spec: ProblemSpec, lam: float, piece: int) -> float:
+    """Wronskian of the left and right solutions, read on one piece."""
+    if piece not in (1, 2, 3):
+        raise ValueError(f"piece index must be 1, 2, or 3, got {piece!r}")
+    return char_value(spec, lam).on_piece[piece - 1]
 
 
 def char_batch(spec: ProblemSpec, lams) -> np.ndarray:

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage problem, 2 config validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -23,11 +24,10 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import case_of, decay_check, mu_asymptotic, phase_coherent
-from .charfn import char_value
+from .charfn import char_grid
 from .hilbert import (
     QuadratureGrid,
     apply_operator,
-    element_from_solution,
     interface_wronskian_residuals,
     norm,
     sample_domain_element,
@@ -44,7 +44,7 @@ from .problem import (
     spec_digest,
 )
 from .shooting import build_left, build_right
-from .spectrum import eigenfunction, locate_eigenvalues, orthogonality_matrix
+from .spectrum import ScanResult, eigenfunction, locate_eigenvalues, orthogonality_matrix
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,13 @@ class RunReport:
     command: str
     params: str
     outputs: tuple[str, ...]
-    verdicts: tuple[tuple[str, str, str], ...] = ()
+    stages: tuple[tuple[str, str, float], ...] = ()
     notes: tuple[str, ...] = ()
 
     def render(self) -> list[str]:
         lines = [f"sl2t {self.command}: digest {self.digest} ({self.params})"]
         lines += [f"  wrote {path}" for path in self.outputs]
+        lines += [f"  stage {name}: {status} in {secs:.4f} s" for name, status, secs in self.stages]
         lines += [f"  note: {note}" for note in self.notes]
         return lines
 
@@ -236,16 +237,49 @@ def _cmd_eigenfunction(spec: ProblemSpec, args) -> int:
 # verify
 
 
-def _stage_consistency(spec: ProblemSpec):
+class _VerifyRun:
+    """What the stages of one ``verify`` run share, each computed at most once.
+
+    The quadrature grid and the located spectrum are built on first use, so a
+    run whose stages all skip them never pays for them.  The spectrum holds 46
+    roots when the decay stage will read them and 5 otherwise; the
+    orthogonality stage reads the first five.  A failed scan is kept and
+    raised again in every stage that reads it.
+    """
+
+    def __init__(self, spec: ProblemSpec):
+        self.spec = spec
+
+    @functools.cached_property
+    def grid(self) -> QuadratureGrid:
+        return QuadratureGrid.build(self.spec)
+
+    @functools.cached_property
+    def _scan(self) -> tuple[Optional[ScanResult], Optional[Exception]]:
+        n_max = 46 if phase_coherent(self.spec) else 5
+        try:
+            return locate_eigenvalues(self.spec, n_max), None
+        except (NumericalError, ValueError) as exc:
+            return None, exc
+
+    @property
+    def spectrum(self) -> ScanResult:
+        res, exc = self._scan
+        if exc is not None:
+            raise exc
+        return res
+
+
+def _stage_consistency(run: _VerifyRun):
     rng = np.random.default_rng(93)
     worst = 0.0
-    for lam in rng.uniform(-20.0, 200.0, size=24):
-        cv = char_value(spec, float(lam))
+    for cv in char_grid(run.spec, rng.uniform(-20.0, 200.0, size=24)):
         worst = max(worst, cv.consistency_residual / (1.0 + abs(cv.value)))
     return worst <= 1e-7, f"max scaled residual {worst:.2e} over 24 random lam (tol 1e-07)"
 
 
-def _stage_wronskian_constancy(spec: ProblemSpec):
+def _stage_wronskian_constancy(run: _VerifyRun):
+    spec = run.spec
     worst = 0.0
     for lam in (-7.5, 3.7, 61.3):
         left, right = build_left(spec, lam), build_right(spec, lam)
@@ -260,47 +294,47 @@ def _stage_wronskian_constancy(spec: ProblemSpec):
     return worst <= 1e-8, f"max relative drift {worst:.2e} over 3 lam x 3 pieces x 100 pts (tol 1e-08)"
 
 
-def _stage_symmetry(spec: ProblemSpec):
+def _stage_symmetry(run: _VerifyRun):
+    spec = run.spec
     if not spec.is_definite:
         return None, "indefinite form: symmetry certification not applicable"
-    grid = QuadratureGrid.build(spec)
     worst = 0.0
     for s in range(6):
-        F = sample_domain_element(spec, 2 * s, grid=grid)
-        G = sample_domain_element(spec, 2 * s + 1, grid=grid)
+        F = sample_domain_element(spec, 2 * s, grid=run.grid)
+        G = sample_domain_element(spec, 2 * s + 1, grid=run.grid)
         AF, AG = apply_operator(spec, F), apply_operator(spec, G)
         scale = 1.0 + norm(spec, AF) * norm(spec, G) + norm(spec, F) * norm(spec, AG)
         worst = max(worst, symmetry_residual(spec, F, G) / scale)
     return worst <= 1e-7, f"max scaled residual {worst:.2e} over 6 seeded pairs (tol 1e-07)"
 
 
-def _stage_interface_wronskians(spec: ProblemSpec):
+def _stage_interface_wronskians(run: _VerifyRun):
+    spec = run.spec
     worst = 0.0
     for s in (1, 2, 3, 4):
-        F = sample_domain_element(spec, s)
-        G = sample_domain_element(spec, s + 50)
+        F = sample_domain_element(spec, s, grid=run.grid)
+        G = sample_domain_element(spec, s + 50, grid=run.grid)
         worst = max(worst, max(interface_wronskian_residuals(spec, F, G)))
     return worst <= 1e-10, f"max identity residual {worst:.2e} over 4 seeded pairs (tol 1e-10)"
 
 
-def _stage_orthogonality(spec: ProblemSpec):
+def _stage_orthogonality(run: _VerifyRun):
+    spec = run.spec
     if not spec.is_definite:
         return None, "indefinite form: orthogonality certification not applicable"
-    grid = QuadratureGrid.build(spec)
-    recs = locate_eigenvalues(spec, 5).records
-    fns = [eigenfunction(spec, rec, samples_per_piece=4, grid=grid) for rec in recs]
-    gram = orthogonality_matrix(spec, fns, grid=grid)
+    recs = run.spectrum.records[:5]
+    fns = [eigenfunction(spec, rec, samples_per_piece=4, grid=run.grid) for rec in recs]
+    gram = orthogonality_matrix(spec, fns, grid=run.grid)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
     ok = off <= 1e-6 and diag <= 1e-8
     return ok, f"off-diagonal {off:.2e} (tol 1e-06), diagonal defect {diag:.2e} (tol 1e-08)"
 
 
-def _stage_decay(spec: ProblemSpec):
-    if not phase_coherent(spec):
+def _stage_decay(run: _VerifyRun):
+    if not phase_coherent(run.spec):
         return None, "interfaces reflect (mismatched jump/weight ratios): single-phase asymptotics not applicable"
-    res = locate_eigenvalues(spec, 46)
-    report = decay_check(res.records, spec, 5, 40, 1.0)
+    report = decay_check(run.spectrum.records, run.spec, 5, 40, 1.0)
     return report.verdict, f"max n*err {report.max_product:.3f} for n in [5, 40] (bound 1.0)"
 
 
@@ -317,20 +351,22 @@ _STAGES: tuple[tuple[str, Callable], ...] = (
 def _cmd_verify(spec: ProblemSpec, args) -> int:
     print(f"# sl2t {__version__}")
     print(f"# digest: {spec_digest(spec)}")
-    verdicts = []
+    run = _VerifyRun(spec)
+    stages = []
     failed = False
     for name, stage in _STAGES:
+        t0 = time.perf_counter()
         try:
-            ok, detail = stage(spec)
+            ok, detail = stage(run)
         except (NumericalError, ValueError) as exc:
             ok, detail = False, f"stage raised: {exc}"
         status = "SKIPPED" if ok is None else ("PASS" if ok else "FAIL")
         failed = failed or status == "FAIL"
-        verdicts.append((name, status, detail))
+        stages.append((name, status, time.perf_counter() - t0))
         print(f"{name}: {status} ({detail})")
     overall = "FAIL" if failed else "PASS"
     print(f"verify: {overall}")
-    _report(RunReport(spec_digest(spec), "verify", "", (), verdicts=tuple(verdicts)))
+    _report(RunReport(spec_digest(spec), "verify", "", (), stages=tuple(stages)))
     return 3 if failed else 0
 
 

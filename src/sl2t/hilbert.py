@@ -20,6 +20,7 @@ meaningless and callers are expected to skip it (``spec.is_definite``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -47,6 +48,19 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on ``[-1, 1]``, computed once per ``n``.
+
+    The arrays are shared by every grid with ``n`` nodes per piece, so they
+    are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Gauss-Legendre nodes and weights, one rule per piece.
@@ -65,7 +79,7 @@ class QuadratureGrid:
         n = spec.solver.quad_nodes if nodes_per_piece is None else int(nodes_per_piece)
         if n < 2:
             raise ValueError("need at least 2 nodes per piece")
-        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        ref_x, ref_w = _gauss_rule(n)
         nodes, weights = [], []
         for i in (1, 2, 3):
             a, b = piece_bounds(spec, i)
@@ -89,27 +103,6 @@ class QuadratureGrid:
                     raise NumericalError(
                         f"quadrature exactness check failed at degree {deg} on piece {i}"
                     )
-
-    def refined(self) -> "QuadratureGrid":
-        """Same pieces, double the node count (grid-halving studies)."""
-        ref_x, ref_w = np.polynomial.legendre.leggauss(2 * self.nodes_per_piece)
-        nodes, weights = [], []
-        for i in range(3):
-            lo = self._piece_interval(i)
-            mid, half = 0.5 * (lo[0] + lo[1]), 0.5 * (lo[1] - lo[0])
-            nodes.append(mid + half * ref_x)
-            weights.append(half * ref_w)
-        return QuadratureGrid(
-            nodes=tuple(nodes), weights=tuple(weights),
-            nodes_per_piece=2 * self.nodes_per_piece,
-        )
-
-    def _piece_interval(self, i: int) -> tuple[float, float]:
-        # Gauss-Legendre weights sum to the interval length and nodes are
-        # symmetric about its midpoint, so the interval is recoverable.
-        length = float(np.sum(self.weights[i]))
-        mid = 0.5 * (self.nodes[i][0] + self.nodes[i][-1])
-        return mid - 0.5 * length, mid + 0.5 * length
 
     def integrate(self, piece: int, values: np.ndarray) -> float:
         """Integral of sampled values over one piece (1-based index)."""

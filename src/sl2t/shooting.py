@@ -45,6 +45,8 @@ __all__ = [
     "build_left",
     "build_right",
     "wronskian",
+    "left_terminal_batch",
+    "interior_batch",
 ]
 
 _EDGE_TOL = 1e-12
@@ -290,9 +292,19 @@ class PiecewiseSolution:
         return u, v
 
 
+def _left_launch(spec: ProblemSpec) -> tuple[float, float]:
+    return math.sin(spec.alpha), -math.cos(spec.alpha)
+
+
+def _right_launch(spec: ProblemSpec, lam):
+    b1, b2 = spec.beta
+    b1p, b2p = spec.beta_prime
+    return b2p * lam + b2, b1p * lam + b1
+
+
 def build_left(spec: ProblemSpec, lam: float) -> PiecewiseSolution:
     """Left-launched solution satisfying the ``x = -1`` boundary condition."""
-    init = State(math.sin(spec.alpha), -math.cos(spec.alpha))
+    init = State(*_left_launch(spec))
     t1 = propagate_piece(spec, lam, 1, -1.0, spec.h1, init)
     h1_plus = t1.terminal.scaled(spec.jump_ratio_u[0], spec.jump_ratio_du[0])
     t2 = propagate_piece(spec, lam, 2, spec.h1, spec.h2, h1_plus)
@@ -311,9 +323,7 @@ def build_right(spec: ProblemSpec, lam: float) -> PiecewiseSolution:
     The launch data make ``lam*(b1p*u(1) - b2p*u'(1)) + b1*u(1) - b2*u'(1)``
     vanish identically in ``lam``.
     """
-    b1, b2 = spec.beta
-    b1p, b2p = spec.beta_prime
-    init = State(b2p * lam + b2, b1p * lam + b1)
+    init = State(*_right_launch(spec, lam))
     t3 = propagate_piece(spec, lam, 3, 1.0, spec.h2, init)
     h2_minus = t3.terminal.scaled(1.0 / spec.jump_ratio_u[1], 1.0 / spec.jump_ratio_du[1])
     t2 = propagate_piece(spec, lam, 2, spec.h2, spec.h1, h2_minus)
@@ -342,32 +352,87 @@ def wronskian(
 
 
 # ---------------------------------------------------------------------------
-# batched terminal values, used by the characteristic scan
+# batched over lam: terminal values for the characteristic scan, interior
+# values for the per-piece Wronskians
 
 
-def left_terminal_batch(spec: ProblemSpec, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values ``(u, u')`` at ``x = +1`` of the left solution, for many ``lam``.
-
-    Each piece's step matrices are formed for every ``lam`` at once, in
-    blocks of ``_BLOCK`` steps that are multiplied pairwise; the jumps are
-    applied between pieces.
-    """
+def _check_lams(lams) -> np.ndarray:
     lams = np.ascontiguousarray(lams, dtype=float)
     if lams.ndim != 1 or lams.size == 0:
         raise ValueError("lams must be a nonempty 1-d array")
     if not np.all(np.isfinite(lams)):
         raise ValueError("lams must be finite")
-    u = np.full(lams.size, math.sin(spec.alpha))
-    v = np.full(lams.size, -math.cos(spec.alpha))
-    for i in range(3):
-        if i:
-            u = u * spec.jump_ratio_u[i - 1]
-            v = v * spec.jump_ratio_du[i - 1]
-        xs = piece_mesh(spec, i + 1)
-        for j in range(0, xs.size - 1, _BLOCK):
-            x = xs[j : j + _BLOCK + 1]
-            a, b, c, d = _product(np.stack(_step(
-                spec.q.pieces[i], spec.omega[i] ** 2, lams, x[:-1, None], np.diff(x)[:, None]
-            )))
-            u, v = a * u + b * v, c * u + d * v
+    return lams
+
+
+def _carry(spec: ProblemSpec, piece: int, lams: np.ndarray, xs: np.ndarray, u, v):
+    """Carry states ``(u, u')``, one per ``lam``, along nodes ``xs`` of one piece.
+
+    ``xs`` lists the nodes in propagation order (either direction), as
+    ``piece_mesh`` or a cut of it gives them.  The step matrices are formed
+    for every ``lam`` at once, in blocks of ``_BLOCK`` steps that are
+    multiplied pairwise.  A single node returns the states unchanged.
+    """
+    coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
+    for j in range(0, xs.size - 1, _BLOCK):
+        x = xs[j : j + _BLOCK + 1]
+        a, b, c, d = _product(np.stack(_step(coeffs, w2, lams, x[:-1, None], np.diff(x)[:, None])))
+        u, v = a * u + b * v, c * u + d * v
     return u, v
+
+
+def left_terminal_batch(spec: ProblemSpec, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``(u, u')`` at ``x = +1`` of the left solution, for many ``lam``.
+
+    Each piece is crossed by ``_carry``; the jumps are applied between
+    pieces.
+    """
+    lams = _check_lams(lams)
+    u, v = (np.full(lams.size, s) for s in _left_launch(spec))
+    for i in (1, 2, 3):
+        if i > 1:
+            u = u * spec.jump_ratio_u[i - 2]
+            v = v * spec.jump_ratio_du[i - 2]
+        u, v = _carry(spec, i, lams, piece_mesh(spec, i), u, v)
+    return u, v
+
+
+def interior_batch(
+    spec: ProblemSpec, lams, points, kind: Literal["left", "right"]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``(u, u')`` of the left or right solution at one point per piece.
+
+    ``points[i - 1]`` lies inside piece ``i``; the result has shape
+    ``(3, len(lams))``.  Each value is read as ``PieceTrajectory.eval``
+    reads it: the solution is carried to the mesh node at or before the
+    point, then one partial step forward is taken.  On constant-``q`` pieces
+    this repeats ``build_left``/``build_right`` followed by ``eval`` bit for
+    bit.
+    """
+    lams = _check_lams(lams)
+    out_u, out_v = np.empty((3, lams.size)), np.empty((3, lams.size))
+    if kind == "left":
+        u, v = (np.full(lams.size, s) for s in _left_launch(spec))
+        order = (1, 2, 3)
+    else:
+        u, v = _right_launch(spec, lams)
+        order = (3, 2, 1)
+    for i in order:
+        if kind == "left" and i > 1:
+            u = u * spec.jump_ratio_u[i - 2]
+            v = v * spec.jump_ratio_du[i - 2]
+        elif kind == "right" and i < 3:
+            u = u * (1.0 / spec.jump_ratio_u[i - 1])
+            v = v * (1.0 / spec.jump_ratio_du[i - 1])
+        mesh, x = piece_mesh(spec, i), points[i - 1]
+        k = min(max(int(np.searchsorted(mesh, x, side="right")) - 1, 0), mesh.size - 2)
+        before, after = mesh[: k + 1], mesh[k:]
+        if kind == "right":
+            before, after = after[::-1], before[::-1]
+        u, v = _carry(spec, i, lams, before, u, v)
+        node = mesh[k]
+        sa, sb, sc, sd = _step(spec.q.pieces[i - 1], spec.omega[i - 1] ** 2, lams, node, x - node)
+        out_u[i - 1], out_v[i - 1] = sa * u + sb * v, sc * u + sd * v
+        if i != order[-1]:
+            u, v = _carry(spec, i, lams, after, u, v)
+    return out_u, out_v

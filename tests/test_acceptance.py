@@ -117,7 +117,7 @@ def test_criterion_04_operator_symmetry(announce):
             worst = max(worst, symmetry_residual(spec, F, G) / scale)
     spec = baseline_spec()
     coarse = QuadratureGrid.build(spec, nodes_per_piece=6)
-    fine = coarse.refined()
+    fine = QuadratureGrid.build(spec, 2 * coarse.nodes_per_piece)
     worst_ratio = 0.0
     for seed in (31, 32, 33):
         rc = symmetry_residual(spec, sample_domain_element(spec, seed, grid=coarse),

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import airy_spec, baseline_spec, build_spec, mixed_spec, random_spec, steep_spec
+from conftest import (
+    CONFIG_DIR, airy_spec, baseline_spec, build_spec, mixed_spec, random_spec, steep_spec,
+)
 from oracles import airy_left, baseline_char, steep_char, transfer_char
 from sl2t.charfn import char_batch, char_grid, char_value, piece_char
+from sl2t.problem import load_config, piece_bounds
+from sl2t.shooting import build_left, build_right, wronskian
 
 
 LAM_GRID = [-6.0, -1.0, 0.0, 0.5, 1.0, 4.0, 9.3, 25.0, 80.0, 150.0]
@@ -139,3 +143,39 @@ def test_linear_potential_matches_airy_functions():
         form_u, form_v = (b1p * lam + b1) * u, (b2p * lam + b2) * v
         scale = abs(spec.m3) * (abs(form_u) + abs(form_v))
         assert abs(value - spec.m3 * (form_u - form_v)) <= 1e-10 * scale, lam
+
+
+WIDE_LAMS = np.concatenate((np.linspace(-50.0, 0.0, 6), np.geomspace(0.5, 4e4, 25)))
+
+
+def _two_ended(spec, lam):
+    """Per-piece midpoint Wronskians and their term sizes from two full builds."""
+    left, right = build_left(spec, lam), build_right(spec, lam)
+    values, sizes = [], []
+    for i in (1, 2, 3):
+        a, b = piece_bounds(spec, i)
+        mid = 0.5 * (a + b)
+        f, g = left.state(mid), right.state(mid)
+        values.append(wronskian(left, right, mid))
+        sizes.append(abs(f.u * g.v) + abs(f.v * g.u))
+    return values, sizes
+
+
+@pytest.mark.parametrize("name", ["s0", "case1", "indefinite"])
+def test_batched_grid_repeats_two_ended_builds_bit_for_bit(name):
+    # constant q: one exact step per piece on both routes, same arithmetic
+    spec = load_config(CONFIG_DIR / f"{name}.json")
+    for lam, cv in zip(WIDE_LAMS, char_grid(spec, WIDE_LAMS)):
+        values, _ = _two_ended(spec, float(lam))
+        assert cv.on_piece == tuple(values), lam
+
+
+@pytest.mark.parametrize("make", [mixed_spec, airy_spec])
+def test_batched_grid_matches_two_ended_builds_on_polynomial_q(make):
+    # the batch multiplies Magnus steps pairwise, the builds one by one
+    spec = make()
+    for lam, cv in zip(WIDE_LAMS, char_grid(spec, WIDE_LAMS)):
+        values, sizes = _two_ended(spec, float(lam))
+        for got, want, size in zip(cv.on_piece, values, sizes):
+            assert abs(got - want) <= 1e-12 * size, lam
+

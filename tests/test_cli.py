@@ -2,14 +2,21 @@
 
 import json
 import math
+import os
+import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import CONFIG_DIR
+import sl2t
 from sl2t.cli import main
 
+VERIFY_STAGES = ("consistency", "wronskian-constancy", "symmetry",
+                 "interface-wronskians", "orthogonality", "decay")
 S0 = str(CONFIG_DIR / "s0.json")
 CASE1 = str(CONFIG_DIR / "case1.json")
 INDEFINITE = str(CONFIG_DIR / "indefinite.json")
@@ -198,6 +205,35 @@ def test_verify_indefinite_config_skips_form_stages(capsys):
     assert "consistency: PASS" in out
     assert "wronskian-constancy: PASS" in out
     assert "verify: PASS" in out
+
+
+def test_verify_times_each_stage_on_stderr_only(capsys):
+    code, out, err = _run(capsys, "verify", S0)
+    assert code == 0
+    statuses = [ln.split(": ", 1)[1].split(" ", 1)[0]
+                for ln in out.splitlines() if ln.split(":", 1)[0] in VERIFY_STAGES]
+    timed = re.findall(r"^  stage ([\w-]+): (PASS|FAIL|SKIPPED) in (\d+\.\d{4}) s$", err, re.M)
+    assert [t[0] for t in timed] == list(VERIFY_STAGES)
+    assert [t[1] for t in timed] == statuses
+    assert all(float(t[2]) >= 0.0 for t in timed)
+    assert " s)" not in out and "stage " not in out
+    assert _run(capsys, "verify", S0)[1] == out
+
+
+def test_verify_runs_share_no_state(capsys):
+    # s0, then case1, then s0 again in one process, each against a fresh process
+    env = dict(os.environ, PYTHONPATH=str(Path(sl2t.__file__).resolve().parents[1]))
+    outs = []
+    for path in (S0, CASE1, S0):
+        code, out, _ = _run(capsys, "verify", path)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "sl2t.cli", "verify", path],
+            capture_output=True, text=True, env=env,
+        )
+        assert code == fresh.returncode == 0
+        assert out == fresh.stdout
+        outs.append(out)
+    assert outs[0] == outs[2] != outs[1]
 
 
 def test_verify_rejects_inadmissible_config(tmp_path, capsys):

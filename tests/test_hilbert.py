@@ -10,6 +10,7 @@ from sl2t.hilbert import (
     BoundaryData,
     HilbertElement,
     QuadratureGrid,
+    _gauss_rule,
     apply_operator,
     domain_residuals,
     element_from_solution,
@@ -65,10 +66,20 @@ def test_grid_integrates_smooth_function():
     assert total == pytest.approx(math.e - 1.0 / math.e, rel=1e-13)
 
 
+def test_gauss_rule_is_shared_and_read_only():
+    QuadratureGrid.build(mixed_spec(), nodes_per_piece=9)
+    ref_x, ref_w = _gauss_rule(9)
+    assert _gauss_rule(9)[0] is ref_x
+    for arr in (ref_x, ref_w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert np.array_equal(ref_x, np.polynomial.legendre.leggauss(9)[0])
+
+
 def test_grid_refinement_doubles_nodes():
     spec = mixed_spec()
     grid = QuadratureGrid.build(spec, nodes_per_piece=8)
-    fine = grid.refined()
+    fine = QuadratureGrid.build(spec, 2 * grid.nodes_per_piece)
     for i in (1, 2, 3):
         assert fine.nodes[i - 1].size == 16
         assert np.sum(fine.weights[i - 1]) == pytest.approx(
@@ -283,7 +294,7 @@ def test_symmetry_residual_small_for_seeded_pairs():
 def test_symmetry_residual_shrinks_under_grid_refinement():
     spec = baseline_spec()
     coarse = QuadratureGrid.build(spec, nodes_per_piece=6)
-    fine = coarse.refined()
+    fine = QuadratureGrid.build(spec, 2 * coarse.nodes_per_piece)
     worst_ratio = 0.0
     for seed in (31, 32, 33):
         Fc = sample_domain_element(spec, seed, grid=coarse)

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import airy_spec, baseline_spec, build_spec, mixed_spec, random_spec, steep_spec
 from oracles import airy_left, transfer_char
-from sl2t.problem import NumericalError
+from sl2t.problem import NumericalError, piece_bounds
 from sl2t.shooting import (
     PiecewiseSolution,
     State,
     build_left,
     build_right,
+    interior_batch,
     left_terminal_batch,
     propagate_piece,
     wronskian,
@@ -270,12 +271,31 @@ def test_batched_terminals_agree_with_single_builds():
             assert abs(v[j] - sol.at_right.v) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("kind", ["left", "right"])
+def test_batched_interior_values_agree_with_single_builds(kind):
+    # bit for bit where one step spans the piece; to rounding on Magnus meshes
+    build = build_left if kind == "left" else build_right
+    lams = np.array([-50.0, -3.0, 0.0, 7.5, 300.0, 4e4])
+    for spec, tol in ((random_spec(np.random.default_rng(8)), 0.0), (airy_spec(), 1e-12)):
+        points = [a + 0.3 * (b - a) for a, b in (piece_bounds(spec, i) for i in (1, 2, 3))]
+        u, v = interior_batch(spec, lams, points, kind)
+        for j, lam in enumerate(lams):
+            sol = build(spec, float(lam))
+            for i, x in enumerate(points):
+                want_u, want_v = sol.pieces[i].eval(x)
+                scale = abs(want_u) + abs(want_v) / (1.0 + math.sqrt(abs(lam)))
+                assert abs(u[i, j] - want_u) <= tol * scale, (lam, i)
+                assert abs(v[i, j] - want_v) <= tol * scale * (1.0 + math.sqrt(abs(lam))), (lam, i)
+
+
 def test_batch_input_validation():
     spec = baseline_spec()
     with pytest.raises(ValueError):
         left_terminal_batch(spec, np.array([]))
     with pytest.raises(ValueError):
         left_terminal_batch(spec, np.array([1.0, math.nan]))
+    with pytest.raises(ValueError):
+        interior_batch(spec, [math.inf], (-0.5, 0.0, 0.5), "right")
 
 
 @settings(max_examples=25, deadline=None)
