@@ -26,7 +26,6 @@ from .asymptotics import (
 )
 from .charfn import CharValue, char_batch, char_grid, char_value, piece_char
 from .hilbert import (
-    BoundaryData,
     HilbertElement,
     QuadratureGrid,
     apply_operator,
@@ -59,6 +58,7 @@ from .problem import (
     weight_at,
 )
 from .shooting import (
+    BoundaryData,
     PiecewiseSolution,
     PieceTrajectory,
     State,
@@ -86,7 +86,7 @@ __all__ = [
     "NumericalError", "validate", "parse_config", "load_config", "config_dict",
     "spec_digest", "phase", "piece_bounds", "piece_index_at", "weight_at", "q_at",
     # shooting
-    "State", "PieceTrajectory", "PiecewiseSolution", "propagate_piece",
+    "State", "BoundaryData", "PieceTrajectory", "PiecewiseSolution", "propagate_piece",
     "build_left", "build_right", "wronskian", "left_terminal_batch",
     # characteristic function
     "CharValue", "char_value", "char_grid", "char_batch", "piece_char",
@@ -100,7 +100,7 @@ __all__ = [
     "delta_leading_general", "eigenfunction_asymptotic", "phase_coherent",
     "decay_check",
     # weighted space
-    "QuadratureGrid", "BoundaryData", "HilbertElement", "inner_product",
+    "QuadratureGrid", "HilbertElement", "inner_product",
     "norm", "right_boundary_form", "right_boundary_form_lam", "apply_operator",
     "domain_residuals", "sample_domain_element", "element_from_solution",
     "symmetry_residual", "greens_identity_sides",

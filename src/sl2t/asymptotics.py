@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .problem import ProblemSpec, phase, piece_index_at
+from .problem import _BREAK_TOL, ProblemSpec, phase
 from .shooting import State
 
 __all__ = [
@@ -109,31 +109,35 @@ def _gamma_product(spec: ProblemSpec, piece: int) -> float:
     return (spec.gamma[0] * spec.gamma[2]) / (spec.delta[0] * spec.delta[2])
 
 
-def phi_asymptotic(spec: ProblemSpec, mu: float, x: float, k: int = 0) -> float:
+def phi_asymptotic(spec: ProblemSpec, mu: float, x, k: int = 0):
     """Leading term of the left solution (``k = 0``) or its slope (``k = 1``).
 
-    Interface points resolve to the right-hand piece.  The remainder is
-    dropped entirely; on zero-potential, reflection-free problems the
-    returned value is the solution itself.
+    Accepts scalar or array ``x`` in ``[-1, 1]``; interface points resolve
+    to the right-hand piece.  The remainder is dropped entirely; on
+    zero-potential, reflection-free problems the returned value is the
+    solution itself.
     """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
-    piece = piece_index_at(spec, x, side="right" if x < 1.0 else None)
-    gp = _gamma_product(spec, piece)
-    th = phase(spec, x)
-    w = spec.omega[piece - 1]
+    xv = np.asarray(x, dtype=float)
+    if np.any(np.abs(xv) > 1.0 + _BREAK_TOL):
+        raise ValueError(f"x={x!r} lies outside [-1, 1]")
+    piece = np.searchsorted((spec.h1, spec.h2), xv, side="right")
+    gp = np.array([_gamma_product(spec, i) for i in (1, 2, 3)])[piece]
+    w = np.array(spec.omega)[piece]
+    th = phase(spec, xv)
     sa, ca = math.sin(spec.alpha), math.cos(spec.alpha)
     if abs(sa) > _SIN_ALPHA_TOL:
-        if k == 0:
-            return sa * gp * math.cos(mu * th)
-        return -sa * gp * mu * w * math.sin(mu * th)
-    # pure-displacement launch: amplitude carries the 1/(mu*omega1) factor
-    pref = -ca / (mu * spec.omega[0])
-    if k == 0:
-        return pref * gp * math.sin(mu * th)
-    return pref * gp * mu * w * math.cos(mu * th)
+        amp, wave, slope = sa * gp, np.cos(mu * th), -np.sin(mu * th)
+    else:
+        # pure-displacement launch: amplitude carries the 1/(mu*omega1) factor
+        amp, wave, slope = -ca / (mu * spec.omega[0]) * gp, np.sin(mu * th), np.cos(mu * th)
+    out = amp * wave if k == 0 else amp * mu * w * slope
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
 
 
 def delta3_from_boundary(spec: ProblemSpec, lam: float, end: State) -> float:
@@ -143,9 +147,7 @@ def delta3_from_boundary(spec: ProblemSpec, lam: float, end: State) -> float:
     alternative to reading the Wronskian against the right solution; the two
     must agree, which the test suite checks on random grids.
     """
-    b1, b2 = spec.beta
-    b1p, b2p = spec.beta_prime
-    return (b1p * lam + b1) * end.u - (b2p * lam + b2) * end.v
+    return spec.right_form(lam, *end)
 
 
 def delta_leading_general(spec: ProblemSpec, mu: float) -> float:
@@ -187,25 +189,13 @@ def eigenfunction_asymptotic(
 ):
     """Leading eigenfunction shape at asymptotic index ``n``.
 
-    Cases with ``sin(alpha) != 0`` give a cosine profile with amplitude
-    ``sin(alpha)``; the others a sine profile with amplitude ``cos(alpha)/mu``.
-    Interface amplitudes are carried by the same jump products as the left
-    solution.  Accepts scalar or array ``x``.
+    The leading term ``phi_asymptotic`` of the left solution at
+    ``mu_asymptotic(spec, n)``: cases with ``sin(alpha) != 0`` give a cosine
+    profile with amplitude ``sin(alpha)``, the others a sine profile with
+    amplitude ``-cos(alpha)/(mu*omega1)``; interface amplitudes are carried
+    by the jump products.  Accepts scalar or array ``x``.
     """
-    mu = mu_asymptotic(spec, n, phase_total=phase_total)
-    xv = np.asarray(x, dtype=float)
-    edges = np.array([spec.h1, spec.h2])
-    piece = np.searchsorted(edges, xv, side="right") + 1
-    gp = np.choose(piece - 1, [_gamma_product(spec, i) for i in (1, 2, 3)])
-    th = phase(spec, xv)
-    sa, ca = math.sin(spec.alpha), math.cos(spec.alpha)
-    if abs(sa) > _SIN_ALPHA_TOL:
-        out = gp * sa * np.cos(mu * th)
-    else:
-        out = -gp * (ca / mu) * np.sin(mu * th)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return phi_asymptotic(spec, mu_asymptotic(spec, n, phase_total=phase_total), x)
 
 
 def phase_coherent(spec: ProblemSpec, rel_tol: float = 1e-9) -> bool:
@@ -214,9 +204,10 @@ def phase_coherent(spec: ProblemSpec, rel_tol: float = 1e-9) -> bool:
     This is the regime in which the single-phase asymptotic formulas (and
     hence the O(1/n) decay claims) apply; see the module docstring.
     """
-    g, d, w = spec.gamma, spec.delta, spec.omega
-    lhs1, rhs1 = (g[0] / d[0]) * w[1], (g[1] / d[1]) * w[0]
-    lhs2, rhs2 = (g[2] / d[2]) * w[2], (g[3] / d[3]) * w[1]
+    # reflection-free: each jump maps (omega after, omega before) to two equal numbers
+    w = spec.omega
+    lhs1, rhs1 = spec.jump(0, w[1], w[0])
+    lhs2, rhs2 = spec.jump(1, w[2], w[1])
     ok1 = abs(lhs1 - rhs1) <= rel_tol * (abs(lhs1) + abs(rhs1))
     ok2 = abs(lhs2 - rhs2) <= rel_tol * (abs(lhs2) + abs(rhs2))
     return ok1 and ok2

@@ -92,7 +92,4 @@ def char_batch(spec: ProblemSpec, lams) -> np.ndarray:
     """
     arr = np.atleast_1d(np.asarray(lams, dtype=float))
     u, v = left_terminal_batch(spec, arr)
-    b1, b2 = spec.beta
-    b1p, b2p = spec.beta_prime
-    boundary_form = (b1p * arr + b1) * u - (b2p * arr + b2) * v
-    return spec.m3 * boundary_form
+    return spec.m3 * spec.right_form(arr, u, v)

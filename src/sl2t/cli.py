@@ -324,7 +324,7 @@ def _stage_orthogonality(run: _VerifyRun):
         return None, "indefinite form: orthogonality certification not applicable"
     recs = run.spectrum.records[:5]
     fns = [eigenfunction(spec, rec, samples_per_piece=4, grid=run.grid) for rec in recs]
-    gram = orthogonality_matrix(spec, fns, grid=run.grid)
+    gram = orthogonality_matrix(spec, fns)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
     ok = off <= 1e-6 and diag <= 1e-8

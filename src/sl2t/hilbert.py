@@ -28,11 +28,10 @@ from typing import Optional
 import numpy as np
 
 from .problem import NumericalError, ProblemSpec, piece_bounds
-from .shooting import PiecewiseSolution, State
+from .shooting import BoundaryData, PiecewiseSolution, State
 
 __all__ = [
     "QuadratureGrid",
-    "BoundaryData",
     "HilbertElement",
     "inner_product",
     "norm",
@@ -116,18 +115,6 @@ class QuadratureGrid:
 
 
 @dataclass(frozen=True)
-class BoundaryData:
-    """One-sided values and slopes at the six anchor points."""
-
-    left: State
-    h1_minus: State
-    h1_plus: State
-    h2_minus: State
-    h2_plus: State
-    right: State
-
-
-@dataclass(frozen=True)
 class HilbertElement:
     """Sampled member of the weighted space.
 
@@ -146,17 +133,10 @@ class HilbertElement:
 
     def scaled(self, c: float) -> "HilbertElement":
         sc = lambda tup: None if tup is None else tuple(c * a for a in tup)
-        ends = None
-        if self.ends is not None:
-            ends = BoundaryData(
-                **{
-                    name: State(c * st.u, c * st.v)
-                    for name, st in vars(self.ends).items()
-                }
-            )
         return HilbertElement(
             grid=self.grid, values=sc(self.values), f1=c * self.f1,
-            deriv=sc(self.deriv), deriv2=sc(self.deriv2), ends=ends,
+            deriv=sc(self.deriv), deriv2=sc(self.deriv2),
+            ends=None if self.ends is None else self.ends.scaled(c),
         )
 
 
@@ -182,18 +162,20 @@ def norm(spec: ProblemSpec, F: HilbertElement) -> float:
     return math.sqrt(inner_product(spec, F, F))
 
 
-def right_boundary_form(spec: ProblemSpec, F: HilbertElement) -> float:
-    """``beta1 * f(1) - beta2 * f'(1)`` -- the lambda-free part of (the) right condition."""
+def _ends(F: HilbertElement) -> BoundaryData:
     if F.ends is None:
         raise ValueError("element carries no boundary data")
-    return spec.beta[0] * F.ends.right.u - spec.beta[1] * F.ends.right.v
+    return F.ends
+
+
+def right_boundary_form(spec: ProblemSpec, F: HilbertElement) -> float:
+    """``beta1 * f(1) - beta2 * f'(1)`` -- the lambda-free part of the right condition."""
+    return spec.right_form(0.0, *_ends(F).right)
 
 
 def right_boundary_form_lam(spec: ProblemSpec, F: HilbertElement) -> float:
     """``beta1' * f(1) - beta2' * f'(1)`` -- the lambda coefficient of the right condition."""
-    if F.ends is None:
-        raise ValueError("element carries no boundary data")
-    return spec.beta_prime[0] * F.ends.right.u - spec.beta_prime[1] * F.ends.right.v
+    return spec.f1_coupling(*_ends(F).right)
 
 
 def apply_operator(spec: ProblemSpec, F: HilbertElement) -> HilbertElement:
@@ -220,16 +202,8 @@ def domain_residuals(spec: ProblemSpec, F: HilbertElement) -> dict[str, float]:
     Returns absolute residuals of the left boundary condition, the four
     transmission conditions, and the ``f1`` coupling.
     """
-    if F.ends is None:
-        raise ValueError("element carries no boundary data")
-    e = F.ends
-    g, d = spec.gamma, spec.delta
     return {
-        "left_bc": abs(math.cos(spec.alpha) * e.left.u + math.sin(spec.alpha) * e.left.v),
-        "h1_value": abs(g[0] * e.h1_minus.u - d[0] * e.h1_plus.u),
-        "h1_slope": abs(g[1] * e.h1_minus.v - d[1] * e.h1_plus.v),
-        "h2_value": abs(g[2] * e.h2_minus.u - d[2] * e.h2_plus.u),
-        "h2_slope": abs(g[3] * e.h2_minus.v - d[3] * e.h2_plus.v),
+        **_ends(F).residuals(spec),
         "f1": abs(F.f1 - right_boundary_form_lam(spec, F)),
     }
 
@@ -280,24 +254,24 @@ def sample_domain_element(
     freq = rng.uniform(3.0, 6.0)
     amp = rng.uniform(0.5, 1.5) * rng.choice((-1.0, 1.0))
     bump = rng.uniform(-0.8, 0.8, size=3)
-    sa, ca = math.sin(spec.alpha), math.cos(spec.alpha)
+    u0, v0 = spec.left_launch
 
     def f1v(x):
         t = x + 1.0
-        launch = sa * np.cos(freq * t) - (ca / freq) * np.sin(freq * t)
+        launch = u0 * np.cos(freq * t) + (v0 / freq) * np.sin(freq * t)
         poly = bump[0] + bump[1] * x + bump[2] * x * x
         return amp * launch + t * t * poly
 
     def f1d(x):
         t = x + 1.0
-        launch = -sa * freq * np.sin(freq * t) - ca * np.cos(freq * t)
+        launch = -u0 * freq * np.sin(freq * t) + v0 * np.cos(freq * t)
         poly = bump[0] + bump[1] * x + bump[2] * x * x
         dpoly = bump[1] + 2.0 * bump[2] * x
         return amp * launch + 2.0 * t * poly + t * t * dpoly
 
     def f1d2(x):
         t = x + 1.0
-        launch = -sa * freq**2 * np.cos(freq * t) + ca * freq * np.sin(freq * t)
+        launch = -u0 * freq**2 * np.cos(freq * t) - v0 * freq * np.sin(freq * t)
         poly = bump[0] + bump[1] * x + bump[2] * x * x
         dpoly = bump[1] + 2.0 * bump[2] * x
         return amp * launch + 2.0 * poly + 4.0 * t * dpoly + 2.0 * t * t * bump[2]
@@ -305,15 +279,11 @@ def sample_domain_element(
     h1, h2 = spec.h1, spec.h2
     left = State(float(f1v(-1.0)), float(f1d(-1.0)))
     h1_minus = State(float(f1v(h1)), float(f1d(h1)))
-    h1_plus = State(
-        spec.jump_ratio_u[0] * h1_minus.u, spec.jump_ratio_du[0] * h1_minus.v
-    )
+    h1_plus = State(*spec.jump(0, *h1_minus))
     far2 = rng.uniform(-1.5, 1.5, size=2)
     f2, f2d, f2d2 = _hermite(h1, h2, h1_plus.u, h1_plus.v, float(far2[0]), float(far2[1]))
     h2_minus = State(f2(h2), f2d(h2))
-    h2_plus = State(
-        spec.jump_ratio_u[1] * h2_minus.u, spec.jump_ratio_du[1] * h2_minus.v
-    )
+    h2_plus = State(*spec.jump(1, *h2_minus))
     far3 = rng.uniform(-1.5, 1.5, size=2)
     f3, f3d, f3d2 = _hermite(h2, 1.0, h2_plus.u, h2_plus.v, float(far3[0]), float(far3[1]))
     right = State(f3(1.0), f3d(1.0))
@@ -322,13 +292,9 @@ def sample_domain_element(
     values = (f1v(x1), f2(x2), f3(x3))
     deriv = (f1d(x1), f2d(x2), f3d(x3))
     deriv2 = (f1d2(x1), f2d2(x2), f3d2(x3))
-    ends = BoundaryData(
-        left=left, h1_minus=h1_minus, h1_plus=h1_plus,
-        h2_minus=h2_minus, h2_plus=h2_plus, right=right,
-    )
-    f1_coord = spec.beta_prime[0] * right.u - spec.beta_prime[1] * right.v
     return HilbertElement(
-        grid=grid, values=values, f1=f1_coord, deriv=deriv, deriv2=deriv2, ends=ends,
+        grid=grid, values=values, f1=spec.f1_coupling(*right), deriv=deriv, deriv2=deriv2,
+        ends=BoundaryData(left, h1_minus, h1_plus, h2_minus, h2_plus, right),
     )
 
 
@@ -350,14 +316,9 @@ def element_from_solution(
         values.append(u)
         deriv.append(v)
         deriv2.append((qx - sol.lam * spec.omega[i - 1] ** 2) * u)
-    ends = BoundaryData(
-        left=sol.at_left, h1_minus=sol.h1_minus, h1_plus=sol.h1_plus,
-        h2_minus=sol.h2_minus, h2_plus=sol.h2_plus, right=sol.at_right,
-    )
-    f1_coord = spec.beta_prime[0] * ends.right.u - spec.beta_prime[1] * ends.right.v
     return HilbertElement(
-        grid=grid, values=tuple(values), f1=f1_coord,
-        deriv=tuple(deriv), deriv2=tuple(deriv2), ends=ends,
+        grid=grid, values=tuple(values), f1=spec.f1_coupling(*sol.ends.right),
+        deriv=tuple(deriv), deriv2=tuple(deriv2), ends=sol.ends,
     )
 
 
@@ -387,12 +348,10 @@ def greens_identity_sides(
     their mutual agreement holds for any smooth data and tests the identity
     itself rather than its corollary.
     """
-    if F.ends is None or G.ends is None:
-        raise ValueError("elements carry no boundary data")
+    ef, eg = _ends(F), _ends(G)
     lhs = inner_product(spec, apply_operator(spec, F), G) - inner_product(
         spec, F, apply_operator(spec, G)
     )
-    ef, eg = F.ends, G.ends
     m2, m3 = spec.m2, spec.m3
     rhs = (
         (_w(ef.h1_minus, eg.h1_minus) - _w(ef.left, eg.left))
@@ -421,9 +380,7 @@ def interface_wronskian_residuals(
 
     All three vanish for elements satisfying the domain conditions.
     """
-    if F.ends is None or G.ends is None:
-        raise ValueError("elements carry no boundary data")
-    ef, eg = F.ends, G.ends
+    ef, eg = _ends(F), _ends(G)
     r_h1 = abs(_w(ef.h1_minus, eg.h1_minus) - spec.m2 * _w(ef.h1_plus, eg.h1_plus))
     r_h2 = abs(
         spec.m2 * _w(ef.h2_minus, eg.h2_minus) - spec.m3 * _w(ef.h2_plus, eg.h2_plus)

@@ -173,16 +173,6 @@ class ProblemSpec:
         return b1p * b2 - b1 * b2p
 
     @property
-    def jump_ratio_u(self) -> tuple[float, float]:
-        """Multipliers (gamma/delta) carrying u across h1 and h2, left to right."""
-        return (self.gamma[0] / self.delta[0], self.gamma[2] / self.delta[2])
-
-    @property
-    def jump_ratio_du(self) -> tuple[float, float]:
-        """Multipliers (gamma/delta) carrying u' across h1 and h2, left to right."""
-        return (self.gamma[1] / self.delta[1], self.gamma[3] / self.delta[3])
-
-    @property
     def m2(self) -> float:
         """Inner-product weight multiplier for the middle piece."""
         return (self.delta[0] * self.delta[1]) / (self.gamma[0] * self.gamma[1])
@@ -200,6 +190,62 @@ class ProblemSpec:
     @property
     def breakpoints(self) -> tuple[float, float, float, float]:
         return (-1.0, self.h1, self.h2, 1.0)
+
+    # -- the boundary and transmission conditions ----------------------------
+    #
+    # Every other module reads the conditions through these methods; each
+    # works on scalars and, elementwise, on arrays of ``u``, ``u'`` and ``lam``.
+
+    def left_form(self, u, v):
+        """``cos(alpha) u(-1) + sin(alpha) u'(-1)``: zero on the left condition."""
+        return math.cos(self.alpha) * u + math.sin(self.alpha) * v
+
+    @property
+    def left_launch(self) -> tuple[float, float]:
+        """``(u, u')`` at ``x = -1`` of the left solution: ``(sin(alpha), -cos(alpha))``."""
+        return math.sin(self.alpha), -math.cos(self.alpha)
+
+    def right_coefficients(self, lam):
+        """``(beta1' lam + beta1, beta2' lam + beta2)``, the coefficients of ``right_form``."""
+        return (
+            self.beta_prime[0] * lam + self.beta[0],
+            self.beta_prime[1] * lam + self.beta[1],
+        )
+
+    def right_form(self, lam, u, v):
+        """``(beta1' lam + beta1) u(1) - (beta2' lam + beta2) u'(1)``: zero on the right condition.
+
+        At ``lam = 0`` this is the condition's lambda-free part
+        ``beta1 u(1) - beta2 u'(1)``.
+        """
+        c1, c2 = self.right_coefficients(lam)
+        return c1 * u - c2 * v
+
+    def f1_coupling(self, u, v):
+        """``beta1' u(1) - beta2' u'(1)``: the scalar coordinate of a domain element."""
+        return self.beta_prime[0] * u - self.beta_prime[1] * v
+
+    def jump(self, k: int, u, v, leftward: bool = False):
+        """Carry ``(u, u')`` across interface ``k`` (0 at h1, 1 at h2).
+
+        Rightward the value and slope are multiplied by ``gamma/delta`` of
+        their transmission condition; leftward by the reciprocals of those
+        ratios.
+        """
+        ru = self.gamma[2 * k] / self.delta[2 * k]
+        rv = self.gamma[2 * k + 1] / self.delta[2 * k + 1]
+        if leftward:
+            ru, rv = 1.0 / ru, 1.0 / rv
+        return ru * u, rv * v
+
+    def transmission_residuals(self, k: int, minus, plus) -> tuple[float, float]:
+        """``|gamma u(h-) - delta u(h+)|`` for value and slope at interface ``k``.
+
+        ``minus`` and ``plus`` are the one-sided ``(u, u')`` pairs there.
+        """
+        (um, vm), (up, vp) = minus, plus
+        g, d = self.gamma[2 * k : 2 * k + 2], self.delta[2 * k : 2 * k + 2]
+        return abs(g[0] * um - d[0] * up), abs(g[1] * vm - d[1] * vp)
 
     # -- admissibility ------------------------------------------------------
 

@@ -21,6 +21,10 @@ Two distinguished solutions are built here:
   satisfies the eigenvalue-dependent right condition identically and is
   carried leftward through the inverted jumps.
 
+Both follow one sweep (``_sweep``): the launch state, then the pieces in
+propagation order with the jump crossed before each.  The conditions
+themselves are read from :class:`ProblemSpec`.
+
 An eigenvalue is a value of ``lam`` where the two are proportional, which
 the characteristic-function module detects through their Wronskian.
 """
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Literal
 
 import numpy as np
@@ -38,6 +43,7 @@ from .problem import ProblemSpec, Side, piece_bounds, piece_index_at
 
 __all__ = [
     "State",
+    "BoundaryData",
     "PieceTrajectory",
     "PiecewiseSolution",
     "piece_mesh",
@@ -65,6 +71,36 @@ class State:
 
     def scaled(self, cu: float, cv: float) -> "State":
         return State(cu * self.u, cv * self.v)
+
+    def __iter__(self):
+        """Unpacks as ``(u, u')``."""
+        return iter((self.u, self.v))
+
+
+@dataclass(frozen=True)
+class BoundaryData:
+    """One-sided values and slopes at the six anchor points."""
+
+    left: State
+    h1_minus: State
+    h1_plus: State
+    h2_minus: State
+    h2_plus: State
+    right: State
+
+    def scaled(self, c: float) -> "BoundaryData":
+        """Every anchor state times ``c``."""
+        return BoundaryData(*(st.scaled(c, c) for st in vars(self).values()))
+
+    def residuals(self, spec: ProblemSpec) -> dict[str, float]:
+        """Absolute residuals of the left condition and the four transmission conditions."""
+        h1 = spec.transmission_residuals(0, self.h1_minus, self.h1_plus)
+        h2 = spec.transmission_residuals(1, self.h2_minus, self.h2_plus)
+        return {
+            "left_bc": abs(spec.left_form(*self.left)),
+            "h1_value": h1[0], "h1_slope": h1[1],
+            "h2_value": h2[0], "h2_slope": h2[1],
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +272,8 @@ def propagate_piece(
 class PiecewiseSolution:
     """A solution of the full problem assembled from three piece trajectories.
 
-    ``kind`` records the launch end ("left" or "right").  One-sided anchor
-    states at the interfaces are stored exactly as produced by the launch,
+    ``kind`` records the launch end ("left" or "right").  The one-sided
+    anchor states in ``ends`` are stored exactly as produced by the launch,
     jump application, and piece terminals; interior queries are transfers
     from the nearest mesh node.
     """
@@ -246,24 +282,14 @@ class PiecewiseSolution:
     lam: float
     spec: ProblemSpec
     pieces: tuple[PieceTrajectory, PieceTrajectory, PieceTrajectory]
-    at_left: State
-    h1_minus: State
-    h1_plus: State
-    h2_minus: State
-    h2_plus: State
-    at_right: State
+    ends: BoundaryData
 
     def state(self, x: float, side: Side | None = None) -> State:
         """One-sided solution state at ``x``; anchors are returned exactly."""
-        anchors = {
-            (-1.0, None): self.at_left,
-            (self.spec.h1, "left"): self.h1_minus,
-            (self.spec.h1, "right"): self.h1_plus,
-            (self.spec.h2, "left"): self.h2_minus,
-            (self.spec.h2, "right"): self.h2_plus,
-            (1.0, None): self.at_right,
-        }
-        for (ax, aside), st in anchors.items():
+        h1, h2 = self.spec.h1, self.spec.h2
+        # the anchor points, in the field order of ``BoundaryData``
+        points = ((-1.0, None), (h1, "left"), (h1, "right"), (h2, "left"), (h2, "right"), (1.0, None))
+        for (ax, aside), st in zip(points, vars(self.ends).values()):
             if abs(x - ax) <= _EDGE_TOL and (aside is None or aside == side):
                 if aside is None or side is not None:
                     return st
@@ -292,48 +318,58 @@ class PiecewiseSolution:
         return u, v
 
 
-def _left_launch(spec: ProblemSpec) -> tuple[float, float]:
-    return math.sin(spec.alpha), -math.cos(spec.alpha)
+def _sweep(spec: ProblemSpec, kind: Literal["left", "right"], lam):
+    """Launch ``(u, u')`` and the pieces in propagation order, for one launch end.
+
+    Each piece comes with the jump crossed on entering it, a map of
+    ``(u, u')``, or ``None`` for the first piece.  The right launch
+    ``(c2, c1)`` of ``spec.right_coefficients(lam)`` zeroes the right form
+    identically in ``lam``.
+    """
+    if kind == "left":
+        return spec.left_launch, (
+            (1, None), (2, partial(spec.jump, 0)), (3, partial(spec.jump, 1)),
+        )
+    c1, c2 = spec.right_coefficients(lam)
+    return (c2, c1), (
+        (3, None),
+        (2, partial(spec.jump, 1, leftward=True)),
+        (1, partial(spec.jump, 0, leftward=True)),
+    )
 
 
-def _right_launch(spec: ProblemSpec, lam):
-    b1, b2 = spec.beta
-    b1p, b2p = spec.beta_prime
-    return b2p * lam + b2, b1p * lam + b1
+def _build(spec: ProblemSpec, lam: float, kind: Literal["left", "right"]) -> PiecewiseSolution:
+    launch, legs = _sweep(spec, kind, lam)
+    st = State(*launch)
+    trajs = {}
+    for piece, jump in legs:
+        if jump is not None:
+            st = State(*jump(*st))
+        a, b = piece_bounds(spec, piece)
+        x_from, x_to = (a, b) if kind == "left" else (b, a)
+        trajs[piece] = propagate_piece(spec, lam, piece, x_from, x_to, st)
+        st = trajs[piece].terminal
+    pieces = (trajs[1], trajs[2], trajs[3])
+    # each piece's states at its lower and upper end, left to right
+    ends = [(t.initial, t.terminal) if kind == "left" else (t.terminal, t.initial) for t in pieces]
+    return PiecewiseSolution(
+        kind=kind, lam=lam, spec=spec, pieces=pieces,
+        ends=BoundaryData(*(st for pair in ends for st in pair)),
+    )
 
 
 def build_left(spec: ProblemSpec, lam: float) -> PiecewiseSolution:
     """Left-launched solution satisfying the ``x = -1`` boundary condition."""
-    init = State(*_left_launch(spec))
-    t1 = propagate_piece(spec, lam, 1, -1.0, spec.h1, init)
-    h1_plus = t1.terminal.scaled(spec.jump_ratio_u[0], spec.jump_ratio_du[0])
-    t2 = propagate_piece(spec, lam, 2, spec.h1, spec.h2, h1_plus)
-    h2_plus = t2.terminal.scaled(spec.jump_ratio_u[1], spec.jump_ratio_du[1])
-    t3 = propagate_piece(spec, lam, 3, spec.h2, 1.0, h2_plus)
-    return PiecewiseSolution(
-        kind="left", lam=lam, spec=spec, pieces=(t1, t2, t3),
-        at_left=init, h1_minus=t1.terminal, h1_plus=h1_plus,
-        h2_minus=t2.terminal, h2_plus=h2_plus, at_right=t3.terminal,
-    )
+    return _build(spec, lam, "left")
 
 
 def build_right(spec: ProblemSpec, lam: float) -> PiecewiseSolution:
     """Right-launched solution satisfying the eigenvalue-dependent condition.
 
-    The launch data make ``lam*(b1p*u(1) - b2p*u'(1)) + b1*u(1) - b2*u'(1)``
-    vanish identically in ``lam``.
+    The launch data make ``spec.right_form(lam, u(1), u'(1))`` vanish
+    identically in ``lam``.
     """
-    init = State(*_right_launch(spec, lam))
-    t3 = propagate_piece(spec, lam, 3, 1.0, spec.h2, init)
-    h2_minus = t3.terminal.scaled(1.0 / spec.jump_ratio_u[1], 1.0 / spec.jump_ratio_du[1])
-    t2 = propagate_piece(spec, lam, 2, spec.h2, spec.h1, h2_minus)
-    h1_minus = t2.terminal.scaled(1.0 / spec.jump_ratio_u[0], 1.0 / spec.jump_ratio_du[0])
-    t1 = propagate_piece(spec, lam, 1, spec.h1, -1.0, h1_minus)
-    return PiecewiseSolution(
-        kind="right", lam=lam, spec=spec, pieces=(t1, t2, t3),
-        at_left=t1.terminal, h1_minus=h1_minus, h1_plus=t2.terminal,
-        h2_minus=h2_minus, h2_plus=t3.terminal, at_right=init,
-    )
+    return _build(spec, lam, "right")
 
 
 def wronskian(
@@ -388,12 +424,12 @@ def left_terminal_batch(spec: ProblemSpec, lams: np.ndarray) -> tuple[np.ndarray
     pieces.
     """
     lams = _check_lams(lams)
-    u, v = (np.full(lams.size, s) for s in _left_launch(spec))
-    for i in (1, 2, 3):
-        if i > 1:
-            u = u * spec.jump_ratio_u[i - 2]
-            v = v * spec.jump_ratio_du[i - 2]
-        u, v = _carry(spec, i, lams, piece_mesh(spec, i), u, v)
+    launch, legs = _sweep(spec, "left", lams)
+    u, v = (np.full(lams.size, s) for s in launch)
+    for piece, jump in legs:
+        if jump is not None:
+            u, v = jump(u, v)
+        u, v = _carry(spec, piece, lams, piece_mesh(spec, piece), u, v)
     return u, v
 
 
@@ -411,19 +447,11 @@ def interior_batch(
     """
     lams = _check_lams(lams)
     out_u, out_v = np.empty((3, lams.size)), np.empty((3, lams.size))
-    if kind == "left":
-        u, v = (np.full(lams.size, s) for s in _left_launch(spec))
-        order = (1, 2, 3)
-    else:
-        u, v = _right_launch(spec, lams)
-        order = (3, 2, 1)
-    for i in order:
-        if kind == "left" and i > 1:
-            u = u * spec.jump_ratio_u[i - 2]
-            v = v * spec.jump_ratio_du[i - 2]
-        elif kind == "right" and i < 3:
-            u = u * (1.0 / spec.jump_ratio_u[i - 1])
-            v = v * (1.0 / spec.jump_ratio_du[i - 1])
+    launch, legs = _sweep(spec, kind, lams)
+    u, v = (np.full(lams.size, s) for s in launch)
+    for i, jump in legs:
+        if jump is not None:
+            u, v = jump(u, v)
         mesh, x = piece_mesh(spec, i), points[i - 1]
         k = min(max(int(np.searchsorted(mesh, x, side="right")) - 1, 0), mesh.size - 2)
         before, after = mesh[: k + 1], mesh[k:]
@@ -433,6 +461,6 @@ def interior_batch(
         node = mesh[k]
         sa, sb, sc, sd = _step(spec.q.pieces[i - 1], spec.omega[i - 1] ** 2, lams, node, x - node)
         out_u[i - 1], out_v[i - 1] = sa * u + sb * v, sc * u + sd * v
-        if i != order[-1]:
+        if i != legs[-1][0]:
             u, v = _carry(spec, i, lams, after, u, v)
     return out_u, out_v

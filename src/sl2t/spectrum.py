@@ -21,15 +21,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .charfn import char_batch
-from .hilbert import (
-    BoundaryData,
-    HilbertElement,
-    QuadratureGrid,
-    element_from_solution,
-    inner_product,
-)
+from .hilbert import HilbertElement, QuadratureGrid, element_from_solution, inner_product
 from .problem import NumericalError, ProblemSpec, phase, piece_bounds
-from .shooting import State, build_right
+from .shooting import BoundaryData, build_right
 
 __all__ = [
     "EigenRecord",
@@ -301,20 +295,24 @@ class EigenFunction:
     """Normalized eigenfunction with per-piece samples and exact end data.
 
     ``normalization`` is the H-norm of the raw right-launched solution;
-    samples, end states, and ``f1`` are already divided by it (and sign
-    fixed).  ``scale`` reproduces that transformation for callers needing
-    values elsewhere: ``u(x) = scale * solution.eval(x)``.
+    samples and ``element`` (the eigenfunction on the quadrature grid, with
+    its end states and ``f1``) are already divided by it (and sign fixed).
     """
 
     n: int
     lambda_n: float
     pieces: tuple[PieceSamples, PieceSamples, PieceSamples]
-    ends: BoundaryData
-    f1: float
     normalization: float
     sign_flipped: bool
-    scale: float
-    solution: object
+    element: HilbertElement
+
+    @property
+    def ends(self) -> BoundaryData:
+        return self.element.ends
+
+    @property
+    def f1(self) -> float:
+        return self.element.f1
 
 
 def eigenfunction(
@@ -339,7 +337,7 @@ def eigenfunction(
     sol = build_right(spec, rec.lambda_n)
     elem = element_from_solution(spec, sol, grid)
     gram = inner_product(spec, elem, elem)
-    launch_size = math.hypot(sol.at_right.u, sol.at_right.v)
+    launch_size = math.hypot(*sol.ends.right)
     nrm = math.sqrt(abs(gram))
     if nrm <= 1e-12 * (1.0 + launch_size):
         raise NumericalError(
@@ -347,8 +345,9 @@ def eigenfunction(
             "the record does not look like an eigenpair"
         )
 
-    anchor_start = (sol.at_left, sol.h1_plus, sol.h2_plus)
-    anchor_end = (sol.h1_minus, sol.h2_minus, sol.at_right)
+    e = sol.ends
+    anchor_start = (e.left, e.h1_plus, e.h2_plus)
+    anchor_end = (e.h1_minus, e.h2_minus, e.right)
     raw_pieces = []
     for i in (1, 2, 3):
         a, b = piece_bounds(spec, i)
@@ -369,26 +368,13 @@ def eigenfunction(
     pieces = tuple(
         PieceSamples(xs=xs, u=scale * u, du=scale * du) for xs, u, du in raw_pieces
     )
-    ends = BoundaryData(
-        left=sol.at_left.scaled(scale, scale),
-        h1_minus=sol.h1_minus.scaled(scale, scale),
-        h1_plus=sol.h1_plus.scaled(scale, scale),
-        h2_minus=sol.h2_minus.scaled(scale, scale),
-        h2_plus=sol.h2_plus.scaled(scale, scale),
-        right=sol.at_right.scaled(scale, scale),
-    )
-    b1p, b2p = spec.beta_prime
-    f1 = scale * (b1p * sol.at_right.u - b2p * sol.at_right.v)
     return EigenFunction(
         n=rec.n,
         lambda_n=rec.lambda_n,
         pieces=pieces,
-        ends=ends,
-        f1=f1,
         normalization=nrm,
         sign_flipped=sign < 0.0,
-        scale=scale,
-        solution=sol,
+        element=elem.scaled(scale),
     )
 
 
@@ -400,44 +386,28 @@ def eigenfunction_residuals(spec: ProblemSpec, ef: EigenFunction) -> dict[str, f
     and ``max_abs_u`` for scaling.
     """
     e = ef.ends
-    lam = ef.lambda_n
-    g, d = spec.gamma, spec.delta
-    b1, b2 = spec.beta
-    b1p, b2p = spec.beta_prime
-    right_resid = lam * (b1p * e.right.u - b2p * e.right.v) + (b1 * e.right.u - b2 * e.right.v)
-    peak = max(float(np.max(np.abs(p.u))) for p in ef.pieces)
     return {
-        "left_bc": abs(math.cos(spec.alpha) * e.left.u + math.sin(spec.alpha) * e.left.v),
-        "right_bc": abs(right_resid),
-        "h1_value": abs(g[0] * e.h1_minus.u - d[0] * e.h1_plus.u),
-        "h1_slope": abs(g[1] * e.h1_minus.v - d[1] * e.h1_plus.v),
-        "h2_value": abs(g[2] * e.h2_minus.u - d[2] * e.h2_plus.u),
-        "h2_slope": abs(g[3] * e.h2_minus.v - d[3] * e.h2_plus.v),
-        "max_abs_u": peak,
+        **e.residuals(spec),
+        "right_bc": abs(spec.right_form(ef.lambda_n, *e.right)),
+        "max_abs_u": max(float(np.max(np.abs(p.u))) for p in ef.pieces),
     }
 
 
-def orthogonality_matrix(
-    spec: ProblemSpec,
-    fns: Sequence[EigenFunction],
-    grid: Optional[QuadratureGrid] = None,
-) -> np.ndarray:
-    """Gram matrix of normalized eigenfunctions in the weighted inner product."""
+def orthogonality_matrix(spec: ProblemSpec, fns: Sequence[EigenFunction]) -> np.ndarray:
+    """Gram matrix of normalized eigenfunctions in the weighted inner product.
+
+    The eigenfunctions' elements must share one quadrature grid.
+    """
     lams = [fn.lambda_n for fn in fns]
     for i in range(len(lams)):
         for j in range(i + 1, len(lams)):
             if abs(lams[i] - lams[j]) <= 1e-9 * (1.0 + abs(lams[i])):
                 raise ValueError("eigenvalues must be distinct")
-    if grid is None:
-        grid = QuadratureGrid.build(spec)
-    elems = [
-        element_from_solution(spec, fn.solution, grid).scaled(fn.scale) for fn in fns
-    ]
-    n = len(elems)
+    n = len(fns)
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
-            val = inner_product(spec, elems[i], elems[j])
+            val = inner_product(spec, fns[i].element, fns[j].element)
             out[i, j] = val
             out[j, i] = val
     return out

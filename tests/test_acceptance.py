@@ -138,7 +138,7 @@ def test_criterion_05_eigenfunction_orthogonality(announce):
     spec, records = _records("baseline", 20)
     grid = QuadratureGrid.build(spec)
     fns = [eigenfunction(spec, rec, samples_per_piece=4, grid=grid) for rec in records[:5]]
-    gram = orthogonality_matrix(spec, fns, grid=grid)
+    gram = orthogonality_matrix(spec, fns)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
     ok = off <= 1e-6 and diag <= 1e-8
@@ -209,7 +209,7 @@ def test_criterion_09_two_route_right_piece_value(announce):
     for spec in specs:
         for lam in rng.uniform(-20.0, 200.0, size=20):
             lam = float(lam)
-            d3_boundary = delta3_from_boundary(spec, lam, build_left(spec, lam).at_right)
+            d3_boundary = delta3_from_boundary(spec, lam, build_left(spec, lam).ends.right)
             d3_wronskian = char_value(spec, lam).on_piece[2]
             scale = 1.0 + max(abs(d3_boundary), abs(d3_wronskian))
             worst = max(worst, abs(d3_boundary - d3_wronskian) / scale)

@@ -146,7 +146,7 @@ def test_delta3_routes_agree_on_random_problems():
         spec = random_spec(rng)
         for lam in rng.uniform(-15.0, 150.0, size=3):
             lam = float(lam)
-            end = build_left(spec, lam).at_right
+            end = build_left(spec, lam).ends.right
             via_boundary = delta3_from_boundary(spec, lam, end)
             via_wronskian = char_value(spec, lam).on_piece[2]
             tol = 1e-8 * (1.0 + abs(via_wronskian))
@@ -155,7 +155,7 @@ def test_delta3_routes_agree_on_random_problems():
 
 def test_delta3_is_affine_in_lambda():
     spec = mixed_spec()
-    end = build_left(spec, 3.0).at_right
+    end = build_left(spec, 3.0).ends.right
     a, b = delta3_from_boundary(spec, -5.0, end), delta3_from_boundary(spec, 9.0, end)
     mid = delta3_from_boundary(spec, 2.0, end)
     assert a + b == pytest.approx(2.0 * mid, rel=1e-12)
@@ -233,6 +233,19 @@ def test_eigenfunction_asymptotic_vectorized():
     arr = eigenfunction_asymptotic(spec, 7, xs)
     scalars = [eigenfunction_asymptotic(spec, 7, float(x)) for x in xs]
     assert np.allclose(arr, scalars, rtol=0.0, atol=0.0)
+
+
+def test_eigenfunction_asymptotic_is_the_left_solution_leading_term():
+    # sin(alpha) = 0 and omega1 != 1: the launch amplitude carries 1/(mu*omega1)
+    spec = build_spec(omega=(1.5, 1.0, 0.75), gamma=(1.5, 1.0, 1.0, 1.0),
+                      delta=(1.0, 1.0, 0.75, 1.0))
+    assert phase_coherent(spec) and case_of(spec) is AsymptoticCase.CASE4
+    mu = mu_asymptotic(spec, 7)
+    xs = np.array([-0.9, -0.5, 0.0, 0.5, 0.9])
+    u, _ = build_left(spec, mu * mu).eval(xs)
+    got = eigenfunction_asymptotic(spec, 7, xs)
+    assert np.max(np.abs(got - u)) <= 1e-8 * np.max(np.abs(u))
+    assert np.array_equal(got, phi_asymptotic(spec, mu, xs))
 
 
 def test_eigenfunction_asymptotic_matches_computed_shape():

@@ -7,13 +7,11 @@ import pytest
 
 from conftest import baseline_spec, build_spec, mixed_spec, steep_spec
 from sl2t.hilbert import (
-    BoundaryData,
     HilbertElement,
     QuadratureGrid,
     _gauss_rule,
     apply_operator,
     domain_residuals,
-    element_from_solution,
     greens_identity_sides,
     inner_product,
     interface_wronskian_residuals,
@@ -23,7 +21,7 @@ from sl2t.hilbert import (
     sample_domain_element,
     symmetry_residual,
 )
-from sl2t.shooting import State
+from sl2t.shooting import BoundaryData, State
 from sl2t.spectrum import eigenfunction, locate_eigenvalues
 
 
@@ -217,7 +215,7 @@ def test_eigenpairs_satisfy_operator_relation():
         recs = locate_eigenvalues(spec, 3).records
         for rec in recs:
             ef = eigenfunction(spec, rec, samples_per_piece=4, grid=grid)
-            F = element_from_solution(spec, ef.solution, grid).scaled(ef.scale)
+            F = ef.element
             AF = apply_operator(spec, F)
             diff = _diff_element(AF, F, lam=rec.lambda_n)
             assert norm(spec, diff) <= 1e-6, (rec.n, rec.lambda_n)

@@ -111,9 +111,9 @@ def test_trajectory_query_range_enforced():
 def test_left_launch_is_exact():
     spec = mixed_spec()
     sol = build_left(spec, 3.0)
-    assert sol.at_left.u == math.sin(spec.alpha)
-    assert sol.at_left.v == -math.cos(spec.alpha)
-    assert math.cos(spec.alpha) * sol.at_left.u + math.sin(spec.alpha) * sol.at_left.v == pytest.approx(0.0, abs=1e-16)
+    assert sol.ends.left.u == math.sin(spec.alpha)
+    assert sol.ends.left.v == -math.cos(spec.alpha)
+    assert math.cos(spec.alpha) * sol.ends.left.u + math.sin(spec.alpha) * sol.ends.left.v == pytest.approx(0.0, abs=1e-16)
 
 
 def test_right_launch_satisfies_its_condition_identically():
@@ -122,7 +122,7 @@ def test_right_launch_satisfies_its_condition_identically():
             sol = build_right(spec, lam)
             b1, b2 = spec.beta
             b1p, b2p = spec.beta_prime
-            u, v = sol.at_right.u, sol.at_right.v
+            u, v = sol.ends.right.u, sol.ends.right.v
             resid = lam * (b1p * u - b2p * v) + (b1 * u - b2 * v)
             assert abs(resid) <= 1e-15 * (1.0 + abs(lam)) * (1.0 + abs(u) + abs(v))
 
@@ -131,8 +131,8 @@ def test_left_solution_matches_global_closed_form():
     # baseline: phi = -sin(mu(x+1))/mu, here mu = 2
     spec = baseline_spec()
     sol = build_left(spec, 4.0)
-    assert sol.at_right.u == pytest.approx(-math.sin(4.0) / 2.0, abs=1e-10)
-    assert sol.at_right.v == pytest.approx(-math.cos(4.0), abs=1e-10)
+    assert sol.ends.right.u == pytest.approx(-math.sin(4.0) / 2.0, abs=1e-10)
+    assert sol.ends.right.v == pytest.approx(-math.cos(4.0), abs=1e-10)
     xs = np.linspace(-1.0, 1.0, 41)
     u, _ = sol.eval(xs)
     assert np.max(np.abs(u + np.sin(2.0 * (xs + 1.0)) / 2.0)) < 1e-10
@@ -157,9 +157,9 @@ def test_right_solution_matches_global_closed_form():
     # baseline at lam = 1: chi = cos(1-x) - sin(1-x)
     spec = baseline_spec()
     sol = build_right(spec, 1.0)
-    assert sol.at_right.u == 1.0
-    assert sol.at_right.v == 1.0
-    assert sol.at_left.u == pytest.approx(math.cos(2.0) - math.sin(2.0), abs=1e-10)
+    assert sol.ends.right.u == 1.0
+    assert sol.ends.right.v == 1.0
+    assert sol.ends.left.u == pytest.approx(math.cos(2.0) - math.sin(2.0), abs=1e-10)
     xs = np.linspace(-1.0, 1.0, 41)
     u, _ = sol.eval(xs)
     assert np.max(np.abs(u - (np.cos(1.0 - xs) - np.sin(1.0 - xs)))) < 1e-10
@@ -168,8 +168,8 @@ def test_right_solution_matches_global_closed_form():
 def test_unit_jumps_leave_anchors_continuous():
     spec = baseline_spec()
     for sol in (build_left(spec, 5.0), build_right(spec, 5.0)):
-        assert sol.h1_minus == sol.h1_plus
-        assert sol.h2_minus == sol.h2_plus
+        assert sol.ends.h1_minus == sol.ends.h1_plus
+        assert sol.ends.h2_minus == sol.ends.h2_plus
 
 
 def test_jump_conditions_hold_at_interfaces():
@@ -177,11 +177,11 @@ def test_jump_conditions_hold_at_interfaces():
     for builder in (build_left, build_right):
         sol = builder(spec, 6.0)
         g, d = spec.gamma, spec.delta
-        scale = max(abs(sol.h1_minus.u), abs(sol.h1_plus.u), 1.0)
-        assert abs(g[0] * sol.h1_minus.u - d[0] * sol.h1_plus.u) <= 1e-14 * scale
-        assert abs(g[1] * sol.h1_minus.v - d[1] * sol.h1_plus.v) <= 1e-14 * scale
-        assert abs(g[2] * sol.h2_minus.u - d[2] * sol.h2_plus.u) <= 1e-14 * scale
-        assert abs(g[3] * sol.h2_minus.v - d[3] * sol.h2_plus.v) <= 1e-14 * scale
+        scale = max(abs(sol.ends.h1_minus.u), abs(sol.ends.h1_plus.u), 1.0)
+        assert abs(g[0] * sol.ends.h1_minus.u - d[0] * sol.ends.h1_plus.u) <= 1e-14 * scale
+        assert abs(g[1] * sol.ends.h1_minus.v - d[1] * sol.ends.h1_plus.v) <= 1e-14 * scale
+        assert abs(g[2] * sol.ends.h2_minus.u - d[2] * sol.ends.h2_plus.u) <= 1e-14 * scale
+        assert abs(g[3] * sol.ends.h2_minus.v - d[3] * sol.ends.h2_plus.v) <= 1e-14 * scale
 
 
 def test_interface_queries_need_a_side_for_jumpy_problems():
@@ -189,8 +189,8 @@ def test_interface_queries_need_a_side_for_jumpy_problems():
     sol = build_left(spec, 2.0)
     with pytest.raises(ValueError, match="side"):
         sol.state(spec.h1)
-    assert sol.state(spec.h1, side="left") == sol.h1_minus
-    assert sol.state(spec.h1, side="right") == sol.h1_plus
+    assert sol.state(spec.h1, side="left") == sol.ends.h1_minus
+    assert sol.state(spec.h1, side="right") == sol.ends.h1_plus
 
 
 def test_trajectories_expose_ascending_nodes():
@@ -253,7 +253,7 @@ def test_left_terminal_matches_transfer_oracle_on_random_problems():
         sol = build_left(spec, lam)
         b1, b2 = spec.beta
         b1p, b2p = spec.beta_prime
-        d3 = (b1p * lam + b1) * sol.at_right.u - (b2p * lam + b2) * sol.at_right.v
+        d3 = (b1p * lam + b1) * sol.ends.right.u - (b2p * lam + b2) * sol.ends.right.v
         expected = transfer_char(spec, lam)
         assert spec.m3 * d3 == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
@@ -266,9 +266,9 @@ def test_batched_terminals_agree_with_single_builds():
         u, v = left_terminal_batch(spec, lams)
         for j, lam in enumerate(lams):
             sol = build_left(spec, float(lam))
-            scale = 1.0 + max(abs(sol.at_right.u), abs(sol.at_right.v))
-            assert abs(u[j] - sol.at_right.u) <= 1e-9 * scale
-            assert abs(v[j] - sol.at_right.v) <= 1e-9 * scale
+            scale = 1.0 + max(abs(sol.ends.right.u), abs(sol.ends.right.v))
+            assert abs(u[j] - sol.ends.right.u) <= 1e-9 * scale
+            assert abs(v[j] - sol.ends.right.v) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("kind", ["left", "right"])

@@ -14,7 +14,7 @@ from oracles import (
     steep_negative_lambda,
 )
 from sl2t.charfn import char_batch
-from sl2t.hilbert import QuadratureGrid, element_from_solution, inner_product
+from sl2t.hilbert import QuadratureGrid, inner_product
 from sl2t.spectrum import (
     eigenfunction,
     eigenfunction_residuals,
@@ -168,7 +168,7 @@ def test_eigenfunction_unit_norm_and_residuals():
     grid = QuadratureGrid.build(spec)
     for rec in _first_records(spec, 3):
         ef = eigenfunction(spec, rec, samples_per_piece=10, grid=grid)
-        elem = element_from_solution(spec, ef.solution, grid).scaled(ef.scale)
+        elem = ef.element
         assert abs(inner_product(spec, elem, elem) - 1.0) <= 1e-8
         res = eigenfunction_residuals(spec, ef)
         bound = 1e-8 * (1.0 + res["max_abs_u"])
