@@ -16,15 +16,13 @@ from .asymptotics import (
     DecayReport,
     case_of,
     decay_check,
-    delta3_from_boundary,
     delta_leading,
-    delta_leading_general,
     eigenfunction_asymptotic,
     mu_asymptotic,
     phase_coherent,
     phi_asymptotic,
 )
-from .charfn import CharValue, char_batch, char_grid, char_value, piece_char
+from .charfn import CharValue, char_batch, char_grid, char_value
 from .hilbert import (
     HilbertElement,
     QuadratureGrid,
@@ -35,8 +33,6 @@ from .hilbert import (
     inner_product,
     interface_wronskian_residuals,
     norm,
-    right_boundary_form,
-    right_boundary_form_lam,
     sample_domain_element,
     symmetry_residual,
 )
@@ -89,19 +85,18 @@ __all__ = [
     "State", "BoundaryData", "PieceTrajectory", "PiecewiseSolution", "propagate_piece",
     "build_left", "build_right", "wronskian", "left_terminal_batch",
     # characteristic function
-    "CharValue", "char_value", "char_grid", "char_batch", "piece_char",
+    "CharValue", "char_value", "char_grid", "char_batch",
     # spectrum
     "EigenRecord", "EigenFunction", "ScanResult", "scan_floor",
     "locate_eigenvalues", "eigenfunction", "eigenfunction_residuals",
     "orthogonality_matrix",
     # asymptotics
     "AsymptoticCase", "DecayReport", "case_of", "mu_asymptotic",
-    "phi_asymptotic", "delta3_from_boundary", "delta_leading",
-    "delta_leading_general", "eigenfunction_asymptotic", "phase_coherent",
-    "decay_check",
+    "phi_asymptotic", "delta_leading", "eigenfunction_asymptotic",
+    "phase_coherent", "decay_check",
     # weighted space
     "QuadratureGrid", "HilbertElement", "inner_product",
-    "norm", "right_boundary_form", "right_boundary_form_lam", "apply_operator",
+    "norm", "apply_operator",
     "domain_residuals", "sample_domain_element", "element_from_solution",
     "symmetry_residual", "greens_identity_sides",
     "interface_wronskian_residuals",

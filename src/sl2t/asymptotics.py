@@ -32,16 +32,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .problem import _BREAK_TOL, ProblemSpec, phase
-from .shooting import State
 
 __all__ = [
     "AsymptoticCase",
     "case_of",
     "mu_asymptotic",
     "phi_asymptotic",
-    "delta3_from_boundary",
     "delta_leading",
-    "delta_leading_general",
     "eigenfunction_asymptotic",
     "phase_coherent",
     "DecayReport",
@@ -140,17 +137,7 @@ def phi_asymptotic(spec: ProblemSpec, mu: float, x, k: int = 0):
     return out
 
 
-def delta3_from_boundary(spec: ProblemSpec, lam: float, end: State) -> float:
-    """Right-piece characteristic value from the boundary form.
-
-    ``end`` is the left solution's terminal state at ``x = 1``.  This is the
-    alternative to reading the Wronskian against the right solution; the two
-    must agree, which the test suite checks on random grids.
-    """
-    return spec.right_form(lam, *end)
-
-
-def delta_leading_general(spec: ProblemSpec, mu: float) -> float:
+def delta_leading(spec: ProblemSpec, mu: float) -> float:
     """Leading term of the canonical characteristic value, any case.
 
     Only CASE1's form has a worked derivation behind it; the other three are
@@ -174,14 +161,6 @@ def delta_leading_general(spec: ProblemSpec, mu: float) -> float:
     if which is AsymptoticCase.CASE3:
         return p * b1p * sa * mu**2 * math.cos(mu * total)
     return -p * (b1p * ca / w1) * mu * math.sin(mu * total)
-
-
-def delta_leading(spec: ProblemSpec, mu: float) -> float:
-    """CASE1 leading term ``P * omega3 * beta2' * sin(alpha) * mu^3 * sin(mu*Theta(1))``."""
-    if case_of(spec) is not AsymptoticCase.CASE1:
-        raise ValueError("leading-term formula implemented for CASE1 only; "
-                         "see delta_leading_general for the heuristic forms")
-    return delta_leading_general(spec, mu)
 
 
 def eigenfunction_asymptotic(

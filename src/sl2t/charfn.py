@@ -5,9 +5,9 @@ and the three per-piece constants differ only by fixed products of the jump
 constants.  The piece-1 value is taken as *the* characteristic value; the
 other two, rescaled by those products, must reproduce it, which gives a
 cheap internal consistency check on every evaluation.  ``char_grid`` reads
-both solutions at the piece midpoints for a whole batch of spectral
-parameters at once; ``char_value`` and ``piece_char`` are its one-``lam``
-views.
+each piece's Wronskian at its lower end, from the anchor states of both
+solutions for a whole batch of spectral parameters at once; ``char_value``
+is its one-``lam`` view.
 
 For scanning, a fast path computes the same canonical value from the left
 solution alone: propagating the right boundary form onto the left solution's
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec, piece_bounds
-from .shooting import interior_batch, left_terminal_batch
+from .problem import ProblemSpec
+from .shooting import ends_batch, left_terminal_batch
 
-__all__ = ["CharValue", "char_value", "piece_char", "char_grid", "char_batch"]
+__all__ = ["CharValue", "char_value", "char_grid", "char_batch"]
 
 
 @dataclass(frozen=True)
@@ -43,45 +43,31 @@ class CharValue:
     consistency_residual: float
 
 
-def _midpoints(spec: ProblemSpec) -> tuple[float, float, float]:
-    out = []
-    for i in (1, 2, 3):
-        a, b = piece_bounds(spec, i)
-        out.append(0.5 * (a + b))
-    return tuple(out)
-
-
 def char_grid(spec: ProblemSpec, lams) -> list[CharValue]:
     """Full characteristic evaluations, with the consistency check, for many ``lam``.
 
-    Both solutions are read at the three piece midpoints for every ``lam``
-    at once; on constant-``q`` pieces the per-piece Wronskians equal those of
-    ``build_left``/``build_right`` read with ``wronskian`` bit for bit.
+    The Wronskians are read at ``-1``, ``h1+`` and ``h2+``, the lower end of
+    each piece, from the anchor states of ``ends_batch``.  Not at ``+1``:
+    there the right solution is still its launch, and the piece-3 value
+    would repeat the boundary form of ``char_batch``.  On constant-``q``
+    pieces the values equal those of ``build_left``/``build_right`` read
+    with ``wronskian`` bit for bit.
     """
     arr = np.asarray(lams, dtype=float).reshape(-1)
     if arr.size == 0:
         return []
-    mids = _midpoints(spec)
-    uf, vf = interior_batch(spec, arr, mids, "left")
-    ug, vg = interior_batch(spec, arr, mids, "right")
-    d = uf * vg - vf * ug
+    f, g = ends_batch(spec, arr, "left"), ends_batch(spec, arr, "right")
+    d = [f.left.wronskian(g.left), f.h1_plus.wronskian(g.h1_plus), f.h2_plus.wronskian(g.h2_plus)]
     resid = np.maximum(np.abs(d[0] - spec.m2 * d[1]), np.abs(d[0] - spec.m3 * d[2]))
     return [
         CharValue(lam=lam, on_piece=(d0, d1, d2), value=d0, consistency_residual=r)
-        for lam, d0, d1, d2, r in zip(arr.tolist(), *d.tolist(), resid.tolist())
+        for lam, d0, d1, d2, r in zip(arr.tolist(), *(w.tolist() for w in d), resid.tolist())
     ]
 
 
 def char_value(spec: ProblemSpec, lam: float) -> CharValue:
     """Full characteristic evaluation with the per-piece consistency check."""
     return char_grid(spec, [lam])[0]
-
-
-def piece_char(spec: ProblemSpec, lam: float, piece: int) -> float:
-    """Wronskian of the left and right solutions, read on one piece."""
-    if piece not in (1, 2, 3):
-        raise ValueError(f"piece index must be 1, 2, or 3, got {piece!r}")
-    return char_value(spec, lam).on_piece[piece - 1]
 
 
 def char_batch(spec: ProblemSpec, lams) -> np.ndarray:

@@ -43,7 +43,7 @@ from .problem import (
     piece_bounds,
     spec_digest,
 )
-from .shooting import build_left, build_right
+from .shooting import State, build_left, build_right
 from .spectrum import ScanResult, eigenfunction, locate_eigenvalues, orthogonality_matrix
 
 
@@ -126,12 +126,9 @@ def _load_spec(path: str, overrides: dict) -> ProblemSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-    if overrides:
-        if not isinstance(data, dict):
-            raise ConfigError(["config root must be an object"])
-        solver = dict(data.get("solver") or {})
-        solver.update(overrides)
-        data["solver"] = solver
+    # anything but an object or an absent solver block is left to parse_config
+    if overrides and isinstance(data, dict) and isinstance(data.get("solver", {}), dict):
+        data["solver"] = {**data.get("solver", {}), **overrides}
     return parse_config(data)
 
 
@@ -286,9 +283,8 @@ def _stage_wronskian_constancy(run: _VerifyRun):
         for i in (1, 2, 3):
             a, b = piece_bounds(spec, i)
             xs = np.linspace(a, b, 100)
-            uf, vf = left.pieces[i - 1].eval(xs)
-            ug, vg = right.pieces[i - 1].eval(xs)
-            w = uf * vg - vf * ug
+            f, g = (State(*sol.pieces[i - 1].eval(xs)) for sol in (left, right))
+            w = f.wronskian(g)
             spread = float((w.max() - w.min()) / (1.0 + np.abs(w).max()))
             worst = max(worst, spread)
     return worst <= 1e-8, f"max relative drift {worst:.2e} over 3 lam x 3 pieces x 100 pts (tol 1e-08)"

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .problem import NumericalError, ProblemSpec, piece_bounds
 from .shooting import BoundaryData, PiecewiseSolution, State
@@ -35,8 +36,6 @@ __all__ = [
     "HilbertElement",
     "inner_product",
     "norm",
-    "right_boundary_form",
-    "right_boundary_form_lam",
     "apply_operator",
     "domain_residuals",
     "sample_domain_element",
@@ -168,31 +167,23 @@ def _ends(F: HilbertElement) -> BoundaryData:
     return F.ends
 
 
-def right_boundary_form(spec: ProblemSpec, F: HilbertElement) -> float:
-    """``beta1 * f(1) - beta2 * f'(1)`` -- the lambda-free part of the right condition."""
-    return spec.right_form(0.0, *_ends(F).right)
-
-
-def right_boundary_form_lam(spec: ProblemSpec, F: HilbertElement) -> float:
-    """``beta1' * f(1) - beta2' * f'(1)`` -- the lambda coefficient of the right condition."""
-    return spec.f1_coupling(*_ends(F).right)
-
-
 def apply_operator(spec: ProblemSpec, F: HilbertElement) -> HilbertElement:
-    """Operator action ``((-f'' + q f)/omega^2, -right_boundary_form(f))``.
+    """Operator action ``((-f'' + q f)/omega^2, -(beta1 f(1) - beta2 f'(1)))``.
 
-    ``F`` must carry second-derivative samples and boundary data.  The result
-    carries value samples and the scalar coordinate only.
+    The scalar coordinate is minus the lambda-free part of the right
+    condition, ``spec.right_form`` at ``lam = 0``.  ``F`` must carry
+    second-derivative samples and boundary data.  The result carries value
+    samples and the scalar coordinate only.
     """
     if F.deriv2 is None:
         raise ValueError("element carries no second-derivative samples")
     values = []
     for i in (1, 2, 3):
-        qx = spec.q.eval_piece(i - 1, F.grid.nodes[i - 1])
+        qx = polyval(F.grid.nodes[i - 1], spec.q.pieces[i - 1])
         w2 = spec.omega[i - 1] ** 2
         values.append((-F.deriv2[i - 1] + qx * F.values[i - 1]) / w2)
     return HilbertElement(
-        grid=F.grid, values=tuple(values), f1=-right_boundary_form(spec, F),
+        grid=F.grid, values=tuple(values), f1=-spec.right_form(0.0, *_ends(F).right),
     )
 
 
@@ -204,7 +195,7 @@ def domain_residuals(spec: ProblemSpec, F: HilbertElement) -> dict[str, float]:
     """
     return {
         **_ends(F).residuals(spec),
-        "f1": abs(F.f1 - right_boundary_form_lam(spec, F)),
+        "f1": abs(F.f1 - spec.f1_coupling(*_ends(F).right)),
     }
 
 
@@ -312,7 +303,7 @@ def element_from_solution(
     for i in (1, 2, 3):
         x = grid.nodes[i - 1]
         u, v = sol.pieces[i - 1].eval(x)
-        qx = spec.q.eval_piece(i - 1, x)
+        qx = polyval(x, spec.q.pieces[i - 1])
         values.append(u)
         deriv.append(v)
         deriv2.append((qx - sol.lam * spec.omega[i - 1] ** 2) * u)
@@ -333,10 +324,6 @@ def symmetry_residual(spec: ProblemSpec, F: HilbertElement, G: HilbertElement) -
     return abs(inner_product(spec, AF, G) - inner_product(spec, F, AG))
 
 
-def _w(sf: State, sg: State) -> float:
-    return sf.u * sg.v - sf.v * sg.u
-
-
 def greens_identity_sides(
     spec: ProblemSpec, F: HilbertElement, G: HilbertElement
 ) -> tuple[float, float]:
@@ -354,14 +341,12 @@ def greens_identity_sides(
     )
     m2, m3 = spec.m2, spec.m3
     rhs = (
-        (_w(ef.h1_minus, eg.h1_minus) - _w(ef.left, eg.left))
-        + m2 * (_w(ef.h2_minus, eg.h2_minus) - _w(ef.h1_plus, eg.h1_plus))
-        + m3 * (_w(ef.right, eg.right) - _w(ef.h2_plus, eg.h2_plus))
+        (ef.h1_minus.wronskian(eg.h1_minus) - ef.left.wronskian(eg.left))
+        + m2 * (ef.h2_minus.wronskian(eg.h2_minus) - ef.h1_plus.wronskian(eg.h1_plus))
+        + m3 * (ef.right.wronskian(eg.right) - ef.h2_plus.wronskian(eg.h2_plus))
     )
-    r1f = right_boundary_form(spec, F)
-    r1g = right_boundary_form(spec, G)
-    r1pf = right_boundary_form_lam(spec, F)
-    r1pg = right_boundary_form_lam(spec, G)
+    r1f, r1g = spec.right_form(0.0, *ef.right), spec.right_form(0.0, *eg.right)
+    r1pf, r1pg = spec.f1_coupling(*ef.right), spec.f1_coupling(*eg.right)
     rhs += (m3 / spec.rho) * (r1pf * r1g - r1f * r1pg)
     return lhs, rhs
 
@@ -381,9 +366,9 @@ def interface_wronskian_residuals(
     All three vanish for elements satisfying the domain conditions.
     """
     ef, eg = _ends(F), _ends(G)
-    r_h1 = abs(_w(ef.h1_minus, eg.h1_minus) - spec.m2 * _w(ef.h1_plus, eg.h1_plus))
+    r_h1 = abs(ef.h1_minus.wronskian(eg.h1_minus) - spec.m2 * ef.h1_plus.wronskian(eg.h1_plus))
     r_h2 = abs(
-        spec.m2 * _w(ef.h2_minus, eg.h2_minus) - spec.m3 * _w(ef.h2_plus, eg.h2_plus)
+        spec.m2 * ef.h2_minus.wronskian(eg.h2_minus) - spec.m3 * ef.h2_plus.wronskian(eg.h2_plus)
     )
-    r_left = abs(_w(ef.left, eg.left))
+    r_left = abs(ef.left.wronskian(eg.left))
     return r_h1, r_h2, r_left

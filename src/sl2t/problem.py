@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, fields
 from typing import Literal, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 __all__ = [
     "ConfigError",
@@ -92,19 +93,6 @@ class PiecewisePotential:
     @classmethod
     def zero(cls) -> "PiecewisePotential":
         return cls(((0.0,), (0.0,), (0.0,)))
-
-    def eval_piece(self, index: int, x):
-        """Evaluate the piece ``index`` (0-based) polynomial at ``x``.
-
-        Accepts scalars or arrays; uses Horner's scheme.
-        """
-        coeffs = self.pieces[index]
-        acc = np.zeros_like(np.asarray(x, dtype=float))
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        if np.ndim(x) == 0:
-            return float(acc)
-        return acc
 
     def is_zero(self) -> bool:
         return all(all(c == 0.0 for c in piece) for piece in self.pieces)
@@ -350,7 +338,7 @@ def weight_at(spec: ProblemSpec, x: float, side: Side | None = None) -> float:
 
 def q_at(spec: ProblemSpec, x: float, side: Side | None = None) -> float:
     """Potential value at ``x`` (one-sided at interfaces)."""
-    return spec.q.eval_piece(piece_index_at(spec, x, side) - 1, x)
+    return float(polyval(x, spec.q.pieces[piece_index_at(spec, x, side) - 1]))
 
 
 def phase(spec: ProblemSpec, x):

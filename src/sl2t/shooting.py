@@ -8,8 +8,8 @@ one exact step (cos/sin, cosh/sinh, or linear when ``lam w = q``).  Where
 ``lam``-independent mesh of fourth-order Magnus steps (Iserles & Norsett,
 1999), each of whose exponentials is also closed-form; the mesh is sized by
 the ``rk_tol`` solver key.  The same step serves every caller: it is
-vectorized over ``lam`` for batched terminal values and over ``x`` for
-interior queries, which start from the nearest stored mesh node.
+vectorized over ``lam`` for batched terminal and anchor states and over
+``x`` for interior queries, which start from the nearest stored mesh node.
 
 Two distinguished solutions are built here:
 
@@ -52,7 +52,7 @@ __all__ = [
     "build_right",
     "wronskian",
     "left_terminal_batch",
-    "interior_batch",
+    "ends_batch",
 ]
 
 _EDGE_TOL = 1e-12
@@ -71,6 +71,10 @@ class State:
 
     def scaled(self, cu: float, cv: float) -> "State":
         return State(cu * self.u, cv * self.v)
+
+    def wronskian(self, other: "State") -> float:
+        """``f g' - f' g`` with ``self`` holding ``(f, f')`` and ``other`` ``(g, g')``."""
+        return self.u * other.v - self.v * other.u
 
     def __iter__(self):
         """Unpacks as ``(u, u')``."""
@@ -338,6 +342,12 @@ def _sweep(spec: ProblemSpec, kind: Literal["left", "right"], lam):
     )
 
 
+def _anchors(kind: Literal["left", "right"], crossings: dict) -> BoundaryData:
+    """Anchor record from each piece's ``(entry, exit)`` states, keyed by piece."""
+    pairs = (crossings[i] if kind == "left" else crossings[i][::-1] for i in (1, 2, 3))
+    return BoundaryData(*(st for pair in pairs for st in pair))
+
+
 def _build(spec: ProblemSpec, lam: float, kind: Literal["left", "right"]) -> PiecewiseSolution:
     launch, legs = _sweep(spec, kind, lam)
     st = State(*launch)
@@ -349,12 +359,9 @@ def _build(spec: ProblemSpec, lam: float, kind: Literal["left", "right"]) -> Pie
         x_from, x_to = (a, b) if kind == "left" else (b, a)
         trajs[piece] = propagate_piece(spec, lam, piece, x_from, x_to, st)
         st = trajs[piece].terminal
-    pieces = (trajs[1], trajs[2], trajs[3])
-    # each piece's states at its lower and upper end, left to right
-    ends = [(t.initial, t.terminal) if kind == "left" else (t.terminal, t.initial) for t in pieces]
     return PiecewiseSolution(
-        kind=kind, lam=lam, spec=spec, pieces=pieces,
-        ends=BoundaryData(*(st for pair in ends for st in pair)),
+        kind=kind, lam=lam, spec=spec, pieces=(trajs[1], trajs[2], trajs[3]),
+        ends=_anchors(kind, {i: (t.initial, t.terminal) for i, t in trajs.items()}),
     )
 
 
@@ -382,14 +389,12 @@ def wronskian(
     """
     if f.lam != g.lam:
         raise ValueError(f"mismatched spectral parameters: {f.lam!r} vs {g.lam!r}")
-    sf = f.state(x, side)
-    sg = g.state(x, side)
-    return sf.u * sg.v - sf.v * sg.u
+    return f.state(x, side).wronskian(g.state(x, side))
 
 
 # ---------------------------------------------------------------------------
-# batched over lam: terminal values for the characteristic scan, interior
-# values for the per-piece Wronskians
+# batched over lam: terminal values for the characteristic scan, anchor
+# states for the per-piece Wronskians
 
 
 def _check_lams(lams) -> np.ndarray:
@@ -417,50 +422,39 @@ def _carry(spec: ProblemSpec, piece: int, lams: np.ndarray, xs: np.ndarray, u, v
     return u, v
 
 
+def _crossings(spec: ProblemSpec, lams: np.ndarray, kind: Literal["left", "right"]):
+    """Yield ``(piece, entry, exit)`` along the sweep, states as ``(u, u')`` arrays.
+
+    ``entry`` is the state just past the jump into the piece (the launch for
+    the first piece) and ``exit`` the state after ``_carry`` crosses it.
+    """
+    launch, legs = _sweep(spec, kind, lams)
+    u, v = (np.full(lams.size, s) for s in launch)
+    for piece, jump in legs:
+        if jump is not None:
+            u, v = jump(u, v)
+        entry = (u, v)
+        mesh = piece_mesh(spec, piece)
+        u, v = _carry(spec, piece, lams, mesh if kind == "left" else mesh[::-1], u, v)
+        yield piece, entry, (u, v)
+
+
 def left_terminal_batch(spec: ProblemSpec, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values ``(u, u')`` at ``x = +1`` of the left solution, for many ``lam``.
 
     Each piece is crossed by ``_carry``; the jumps are applied between
     pieces.
     """
-    lams = _check_lams(lams)
-    launch, legs = _sweep(spec, "left", lams)
-    u, v = (np.full(lams.size, s) for s in launch)
-    for piece, jump in legs:
-        if jump is not None:
-            u, v = jump(u, v)
-        u, v = _carry(spec, piece, lams, piece_mesh(spec, piece), u, v)
-    return u, v
+    *_, (_, _, terminal) = _crossings(spec, _check_lams(lams), "left")
+    return terminal
 
 
-def interior_batch(
-    spec: ProblemSpec, lams, points, kind: Literal["left", "right"]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values ``(u, u')`` of the left or right solution at one point per piece.
+def ends_batch(spec: ProblemSpec, lams, kind: Literal["left", "right"]) -> BoundaryData:
+    """Anchor states of the left or right solution, for many ``lam``.
 
-    ``points[i - 1]`` lies inside piece ``i``; the result has shape
-    ``(3, len(lams))``.  Each value is read as ``PieceTrajectory.eval``
-    reads it: the solution is carried to the mesh node at or before the
-    point, then one partial step forward is taken.  On constant-``q`` pieces
-    this repeats ``build_left``/``build_right`` followed by ``eval`` bit for
-    bit.
+    Each field of the result holds arrays, one entry per ``lam``.  The
+    sweep is that of ``left_terminal_batch``; where one step spans a piece
+    the states equal those of ``build_left``/``build_right`` bit for bit.
     """
-    lams = _check_lams(lams)
-    out_u, out_v = np.empty((3, lams.size)), np.empty((3, lams.size))
-    launch, legs = _sweep(spec, kind, lams)
-    u, v = (np.full(lams.size, s) for s in launch)
-    for i, jump in legs:
-        if jump is not None:
-            u, v = jump(u, v)
-        mesh, x = piece_mesh(spec, i), points[i - 1]
-        k = min(max(int(np.searchsorted(mesh, x, side="right")) - 1, 0), mesh.size - 2)
-        before, after = mesh[: k + 1], mesh[k:]
-        if kind == "right":
-            before, after = after[::-1], before[::-1]
-        u, v = _carry(spec, i, lams, before, u, v)
-        node = mesh[k]
-        sa, sb, sc, sd = _step(spec.q.pieces[i - 1], spec.omega[i - 1] ** 2, lams, node, x - node)
-        out_u[i - 1], out_v[i - 1] = sa * u + sb * v, sc * u + sd * v
-        if i != legs[-1][0]:
-            u, v = _carry(spec, i, lams, after, u, v)
-    return out_u, out_v
+    crossings = _crossings(spec, _check_lams(lams), kind)
+    return _anchors(kind, {i: (State(*a), State(*b)) for i, a, b in crossings})

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .charfn import char_batch
 from .hilbert import HilbertElement, QuadratureGrid, element_from_solution, inner_product
@@ -80,7 +81,7 @@ def scan_floor(spec: ProblemSpec) -> float:
     for i in (1, 2, 3):
         a, b = piece_bounds(spec, i)
         xs = np.linspace(a, b, 257)
-        max_q = max(max_q, float(np.max(np.abs(spec.q.eval_piece(i - 1, xs)))))
+        max_q = max(max_q, float(np.max(np.abs(polyval(xs, spec.q.pieces[i - 1])))))
     min_w = min(w * w for w in spec.omega)
     return -spec.solver.scan_floor_factor * (1.0 + max_q / min_w)
 

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import baseline_spec, indefinite_spec, mixed_spec, random_spec, steep_spec, CONFIG_DIR
 from oracles import baseline_mu_roots
-from sl2t.asymptotics import decay_check, delta3_from_boundary, delta_leading
+from sl2t.asymptotics import decay_check, delta_leading
 from sl2t.charfn import char_batch, char_value
 from sl2t.cli import main
 from sl2t.hilbert import (
@@ -209,7 +209,7 @@ def test_criterion_09_two_route_right_piece_value(announce):
     for spec in specs:
         for lam in rng.uniform(-20.0, 200.0, size=20):
             lam = float(lam)
-            d3_boundary = delta3_from_boundary(spec, lam, build_left(spec, lam).ends.right)
+            d3_boundary = spec.right_form(lam, *build_left(spec, lam).ends.right)
             d3_wronskian = char_value(spec, lam).on_piece[2]
             scale = 1.0 + max(abs(d3_boundary), abs(d3_wronskian))
             worst = max(worst, abs(d3_boundary - d3_wronskian) / scale)

@@ -19,9 +19,7 @@ from sl2t.asymptotics import (
     AsymptoticCase,
     case_of,
     decay_check,
-    delta3_from_boundary,
     delta_leading,
-    delta_leading_general,
     eigenfunction_asymptotic,
     mu_asymptotic,
     phase_coherent,
@@ -147,7 +145,7 @@ def test_delta3_routes_agree_on_random_problems():
         for lam in rng.uniform(-15.0, 150.0, size=3):
             lam = float(lam)
             end = build_left(spec, lam).ends.right
-            via_boundary = delta3_from_boundary(spec, lam, end)
+            via_boundary = spec.right_form(lam, *end)
             via_wronskian = char_value(spec, lam).on_piece[2]
             tol = 1e-8 * (1.0 + abs(via_wronskian))
             assert abs(via_boundary - via_wronskian) <= tol
@@ -156,19 +154,13 @@ def test_delta3_routes_agree_on_random_problems():
 def test_delta3_is_affine_in_lambda():
     spec = mixed_spec()
     end = build_left(spec, 3.0).ends.right
-    a, b = delta3_from_boundary(spec, -5.0, end), delta3_from_boundary(spec, 9.0, end)
-    mid = delta3_from_boundary(spec, 2.0, end)
+    a, b = spec.right_form(-5.0, *end), spec.right_form(9.0, *end)
+    mid = spec.right_form(2.0, *end)
     assert a + b == pytest.approx(2.0 * mid, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # leading term of the canonical characteristic value
-
-
-def test_delta_leading_requires_case1():
-    with pytest.raises(ValueError, match="CASE1"):
-        delta_leading(baseline_spec(), 10.0)
-    assert delta_leading(steep_spec(), 10.0) == delta_leading_general(steep_spec(), 10.0)
 
 
 def test_delta_leading_vanishes_at_phase_nodes():
@@ -199,13 +191,13 @@ def test_delta_leading_ratio_approaches_one(which):
     lams = np.array([m * m for m in probes])
     vals = char_batch(spec, lams)
     for mu, val in zip(probes, vals):
-        lead = delta_leading_general(spec, mu)
+        lead = delta_leading(spec, mu)
         assert abs(val / lead - 1.0) <= 0.05, (which, mu, val / lead)
 
 
-def test_delta_leading_general_validation():
+def test_delta_leading_validation():
     with pytest.raises(ValueError):
-        delta_leading_general(baseline_spec(), 0.0)
+        delta_leading(baseline_spec(), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from conftest import (
     CONFIG_DIR, airy_spec, baseline_spec, build_spec, mixed_spec, random_spec, steep_spec,
 )
 from oracles import airy_left, baseline_char, steep_char, transfer_char
-from sl2t.charfn import char_batch, char_grid, char_value, piece_char
-from sl2t.problem import load_config, piece_bounds
+from sl2t.charfn import char_batch, char_grid, char_value
+from sl2t.problem import load_config
 from sl2t.shooting import build_left, build_right, wronskian
 
 
@@ -44,12 +44,8 @@ def test_piece_values_coincide_for_unit_jumps():
     assert cv.on_piece[1] == pytest.approx(cv.value, rel=1e-8)
     assert cv.on_piece[2] == pytest.approx(cv.value, rel=1e-8)
     for piece in (1, 2, 3):
-        assert piece_char(spec, 7.0, piece) == pytest.approx(cv.on_piece[piece - 1], rel=1e-9)
-
-
-def test_piece_index_validated():
-    with pytest.raises(ValueError):
-        piece_char(baseline_spec(), 1.0, 4)
+        on_piece = char_value(spec, 7.0).on_piece[piece - 1]
+        assert on_piece == pytest.approx(cv.on_piece[piece - 1], rel=1e-9)
 
 
 def test_consistency_residual_small_across_problems():
@@ -149,14 +145,12 @@ WIDE_LAMS = np.concatenate((np.linspace(-50.0, 0.0, 6), np.geomspace(0.5, 4e4, 2
 
 
 def _two_ended(spec, lam):
-    """Per-piece midpoint Wronskians and their term sizes from two full builds."""
+    """Per-piece Wronskians at -1, h1+ and h2+ and their term sizes from two full builds."""
     left, right = build_left(spec, lam), build_right(spec, lam)
     values, sizes = [], []
-    for i in (1, 2, 3):
-        a, b = piece_bounds(spec, i)
-        mid = 0.5 * (a + b)
-        f, g = left.state(mid), right.state(mid)
-        values.append(wronskian(left, right, mid))
+    for x, side in ((-1.0, None), (spec.h1, "right"), (spec.h2, "right")):
+        f, g = left.state(x, side), right.state(x, side)
+        values.append(wronskian(left, right, x, side))
         sizes.append(abs(f.u * g.v) + abs(f.v * g.u))
     return values, sizes
 

@@ -260,6 +260,18 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("solver", ["ab", [], None])
+def test_tolerance_override_leaves_malformed_solver_to_validation(solver, tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "s0.json").read_text())
+    cfg["solver"] = solver
+    path = tmp_path / "bad_solver.json"
+    path.write_text(json.dumps(cfg))
+    for extra in ([], ["--tol-override", "root_tol=1e-10"]):
+        code, _, err = _run(capsys, "solve", str(path), "--n-max", "1", *extra)
+        assert code == 2, extra
+        assert "config error: solver: expected an object" in err
+
+
 def test_missing_config_file(capsys):
     code, _, err = _run(capsys, "solve", "/no/such/file.json", "--n-max", "1")
     assert code == 2

@@ -16,8 +16,6 @@ from sl2t.hilbert import (
     inner_product,
     interface_wronskian_residuals,
     norm,
-    right_boundary_form,
-    right_boundary_form_lam,
     sample_domain_element,
     symmetry_residual,
 )
@@ -140,8 +138,8 @@ def test_boundary_form_substitution():
         ends=BoundaryData(left=State(0, 0), h1_minus=State(0, 0), h1_plus=State(0, 0),
                           h2_minus=State(0, 0), h2_plus=State(0, 0), right=State(5.0, 3.0)),
     )
-    assert right_boundary_form(spec, F) == -3.0
-    assert right_boundary_form_lam(spec, F) == 5.0
+    assert spec.right_form(0.0, *F.ends.right) == -3.0
+    assert spec.f1_coupling(*F.ends.right) == 5.0
 
 
 def test_boundary_form_pairing_identity_exact():
@@ -156,18 +154,21 @@ def test_boundary_form_pairing_identity_exact():
         return HilbertElement(grid=grid, values=base.values, f1=0.0, ends=ends)
 
     F, G = with_right(5.0, 3.0), with_right(2.0, 7.0)
-    lhs = (right_boundary_form_lam(spec, F) * right_boundary_form(spec, G)
-           - right_boundary_form(spec, F) * right_boundary_form_lam(spec, G))
+    lhs = (spec.f1_coupling(*F.ends.right) * spec.right_form(0.0, *G.ends.right)
+           - spec.right_form(0.0, *F.ends.right) * spec.f1_coupling(*G.ends.right))
     wr = F.ends.right.u * G.ends.right.v - F.ends.right.v * G.ends.right.u
     assert lhs == -spec.rho * wr == -29.0
 
 
 def test_boundary_form_requires_end_data():
     spec = baseline_spec()
+    zeros = tuple(np.zeros(8) for _ in range(3))
     F = HilbertElement(grid=QuadratureGrid.build(spec, nodes_per_piece=8),
-                       values=tuple(np.zeros(8) for _ in range(3)), f1=0.0)
+                       values=zeros, f1=0.0, deriv2=zeros)
     with pytest.raises(ValueError, match="boundary"):
-        right_boundary_form(spec, F)
+        apply_operator(spec, F)
+    with pytest.raises(ValueError, match="boundary"):
+        domain_residuals(spec, F)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +237,7 @@ def test_sample_element_satisfies_domain_conditions():
 def test_sample_element_scalar_coordinate_is_exact():
     spec = mixed_spec()
     F = sample_domain_element(spec, 11)
-    assert F.f1 == right_boundary_form_lam(spec, F)
+    assert F.f1 == spec.f1_coupling(*F.ends.right)
 
 
 def test_sample_elements_differ_across_seeds():

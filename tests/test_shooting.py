@@ -15,7 +15,7 @@ from sl2t.shooting import (
     State,
     build_left,
     build_right,
-    interior_batch,
+    ends_batch,
     left_terminal_batch,
     propagate_piece,
     wronskian,
@@ -272,20 +272,19 @@ def test_batched_terminals_agree_with_single_builds():
 
 
 @pytest.mark.parametrize("kind", ["left", "right"])
-def test_batched_interior_values_agree_with_single_builds(kind):
+def test_batched_anchor_states_agree_with_single_builds(kind):
     # bit for bit where one step spans the piece; to rounding on Magnus meshes
     build = build_left if kind == "left" else build_right
     lams = np.array([-50.0, -3.0, 0.0, 7.5, 300.0, 4e4])
     for spec, tol in ((random_spec(np.random.default_rng(8)), 0.0), (airy_spec(), 1e-12)):
-        points = [a + 0.3 * (b - a) for a, b in (piece_bounds(spec, i) for i in (1, 2, 3))]
-        u, v = interior_batch(spec, lams, points, kind)
+        ends = ends_batch(spec, lams, kind)
         for j, lam in enumerate(lams):
             sol = build(spec, float(lam))
-            for i, x in enumerate(points):
-                want_u, want_v = sol.pieces[i].eval(x)
-                scale = abs(want_u) + abs(want_v) / (1.0 + math.sqrt(abs(lam)))
-                assert abs(u[i, j] - want_u) <= tol * scale, (lam, i)
-                assert abs(v[i, j] - want_v) <= tol * scale * (1.0 + math.sqrt(abs(lam))), (lam, i)
+            for name, want in vars(sol.ends).items():
+                got = getattr(ends, name)
+                scale = abs(want.u) + abs(want.v) / (1.0 + math.sqrt(abs(lam)))
+                assert abs(got.u[j] - want.u) <= tol * scale, (lam, name)
+                assert abs(got.v[j] - want.v) <= tol * scale * (1.0 + math.sqrt(abs(lam))), (lam, name)
 
 
 def test_batch_input_validation():
@@ -295,7 +294,7 @@ def test_batch_input_validation():
     with pytest.raises(ValueError):
         left_terminal_batch(spec, np.array([1.0, math.nan]))
     with pytest.raises(ValueError):
-        interior_batch(spec, [math.inf], (-0.5, 0.0, 0.5), "right")
+        ends_batch(spec, [math.inf], "right")
 
 
 @settings(max_examples=25, deadline=None)
