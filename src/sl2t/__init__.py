@@ -70,6 +70,7 @@ from .spectrum import (
     ScanResult,
     eigenfunction,
     eigenfunction_residuals,
+    eigenfunctions,
     locate_eigenvalues,
     orthogonality_matrix,
     scan_floor,
@@ -88,7 +89,7 @@ __all__ = [
     "CharValue", "char_value", "char_grid", "char_batch",
     # spectrum
     "EigenRecord", "EigenFunction", "ScanResult", "scan_floor",
-    "locate_eigenvalues", "eigenfunction", "eigenfunction_residuals",
+    "locate_eigenvalues", "eigenfunction", "eigenfunctions", "eigenfunction_residuals",
     "orthogonality_matrix",
     # asymptotics
     "AsymptoticCase", "DecayReport", "case_of", "mu_asymptotic",

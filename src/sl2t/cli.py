@@ -26,6 +26,7 @@ from . import __version__
 from .asymptotics import case_of, decay_check, mu_asymptotic, phase_coherent
 from .charfn import char_grid
 from .hilbert import (
+    HilbertElement,
     QuadratureGrid,
     apply_operator,
     interface_wronskian_residuals,
@@ -44,7 +45,13 @@ from .problem import (
     spec_digest,
 )
 from .shooting import State, build_left, build_right
-from .spectrum import ScanResult, eigenfunction, locate_eigenvalues, orthogonality_matrix
+from .spectrum import (
+    ScanResult,
+    eigenfunction,
+    eigenfunctions,
+    locate_eigenvalues,
+    orthogonality_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -237,15 +244,22 @@ def _cmd_eigenfunction(spec: ProblemSpec, args) -> int:
 class _VerifyRun:
     """What the stages of one ``verify`` run share, each computed at most once.
 
-    The quadrature grid and the located spectrum are built on first use, so a
-    run whose stages all skip them never pays for them.  The spectrum holds 46
-    roots when the decay stage will read them and 5 otherwise; the
-    orthogonality stage reads the first five.  A failed scan is kept and
-    raised again in every stage that reads it.
+    The quadrature grid, the located spectrum and each seeded domain element
+    are built on first use, so a run whose stages all skip them never pays
+    for them.  The spectrum holds 46 roots when the decay stage will read
+    them and 5 otherwise; the orthogonality stage reads the first five.  A
+    failed scan is kept and raised again in every stage that reads it.
     """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
+        self._samples: dict[int, HilbertElement] = {}
+
+    def sample(self, seed: int) -> HilbertElement:
+        """``sample_domain_element`` for ``seed`` on the run's grid."""
+        if seed not in self._samples:
+            self._samples[seed] = sample_domain_element(self.spec, seed, grid=self.grid)
+        return self._samples[seed]
 
     @functools.cached_property
     def grid(self) -> QuadratureGrid:
@@ -277,16 +291,16 @@ def _stage_consistency(run: _VerifyRun):
 
 def _stage_wronskian_constancy(run: _VerifyRun):
     spec = run.spec
+    lams = np.array([-7.5, 3.7, 61.3])
+    left, right = build_left(spec, lams), build_right(spec, lams)
     worst = 0.0
-    for lam in (-7.5, 3.7, 61.3):
-        left, right = build_left(spec, lam), build_right(spec, lam)
-        for i in (1, 2, 3):
-            a, b = piece_bounds(spec, i)
-            xs = np.linspace(a, b, 100)
-            f, g = (State(*sol.pieces[i - 1].eval(xs)) for sol in (left, right))
-            w = f.wronskian(g)
-            spread = float((w.max() - w.min()) / (1.0 + np.abs(w).max()))
-            worst = max(worst, spread)
+    for i in (1, 2, 3):
+        a, b = piece_bounds(spec, i)
+        xs = np.linspace(a, b, 100)
+        f, g = (State(*sol.pieces[i - 1].eval(xs)) for sol in (left, right))
+        w = f.wronskian(g)  # one row of 100 points per lam
+        spread = (w.max(axis=1) - w.min(axis=1)) / (1.0 + np.abs(w).max(axis=1))
+        worst = max(worst, float(spread.max()))
     return worst <= 1e-8, f"max relative drift {worst:.2e} over 3 lam x 3 pieces x 100 pts (tol 1e-08)"
 
 
@@ -296,11 +310,10 @@ def _stage_symmetry(run: _VerifyRun):
         return None, "indefinite form: symmetry certification not applicable"
     worst = 0.0
     for s in range(6):
-        F = sample_domain_element(spec, 2 * s, grid=run.grid)
-        G = sample_domain_element(spec, 2 * s + 1, grid=run.grid)
+        F, G = run.sample(2 * s), run.sample(2 * s + 1)
         AF, AG = apply_operator(spec, F), apply_operator(spec, G)
         scale = 1.0 + norm(spec, AF) * norm(spec, G) + norm(spec, F) * norm(spec, AG)
-        worst = max(worst, symmetry_residual(spec, F, G) / scale)
+        worst = max(worst, symmetry_residual(spec, F, G, AF, AG) / scale)
     return worst <= 1e-7, f"max scaled residual {worst:.2e} over 6 seeded pairs (tol 1e-07)"
 
 
@@ -308,8 +321,7 @@ def _stage_interface_wronskians(run: _VerifyRun):
     spec = run.spec
     worst = 0.0
     for s in (1, 2, 3, 4):
-        F = sample_domain_element(spec, s, grid=run.grid)
-        G = sample_domain_element(spec, s + 50, grid=run.grid)
+        F, G = run.sample(s), run.sample(s + 50)
         worst = max(worst, max(interface_wronskian_residuals(spec, F, G)))
     return worst <= 1e-10, f"max identity residual {worst:.2e} over 4 seeded pairs (tol 1e-10)"
 
@@ -318,8 +330,7 @@ def _stage_orthogonality(run: _VerifyRun):
     spec = run.spec
     if not spec.is_definite:
         return None, "indefinite form: orthogonality certification not applicable"
-    recs = run.spectrum.records[:5]
-    fns = [eigenfunction(spec, rec, samples_per_piece=4, grid=run.grid) for rec in recs]
+    fns = eigenfunctions(spec, run.spectrum.records[:5], samples_per_piece=4, grid=run.grid)
     gram = orthogonality_matrix(spec, fns)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
@@ -370,7 +381,9 @@ def _cmd_verify(spec: ProblemSpec, args) -> int:
 # argument plumbing
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = _Parser(prog="sl2t", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"sl2t {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

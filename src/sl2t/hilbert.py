@@ -291,14 +291,18 @@ def sample_domain_element(
 
 def element_from_solution(
     spec: ProblemSpec, sol: PiecewiseSolution, grid: Optional[QuadratureGrid] = None
-) -> HilbertElement:
+) -> HilbertElement | list[HilbertElement]:
     """Package a shooting solution as an element.
 
     Second derivatives come from the differential equation itself,
-    ``f'' = (q - lam*omega^2) f``, not from differencing.
+    ``f'' = (q - lam*omega^2) f``, not from differencing.  A solution built
+    for an array of ``lam`` gives a list with one element per ``lam``, from
+    one evaluation per piece.
     """
     if grid is None:
         grid = QuadratureGrid.build(spec)
+    batched = np.ndim(sol.lam) > 0
+    lam = sol.lam[:, None] if batched else sol.lam
     values, deriv, deriv2 = [], [], []
     for i in (1, 2, 3):
         x = grid.nodes[i - 1]
@@ -306,21 +310,31 @@ def element_from_solution(
         qx = polyval(x, spec.q.pieces[i - 1])
         values.append(u)
         deriv.append(v)
-        deriv2.append((qx - sol.lam * spec.omega[i - 1] ** 2) * u)
-    return HilbertElement(
-        grid=grid, values=tuple(values), f1=spec.f1_coupling(*sol.ends.right),
-        deriv=tuple(deriv), deriv2=tuple(deriv2), ends=sol.ends,
-    )
+        deriv2.append((qx - lam * spec.omega[i - 1] ** 2) * u)
+    if batched:
+        rows = zip(zip(*values), zip(*deriv), zip(*deriv2), sol.ends.rows())
+    else:
+        rows = [(tuple(values), tuple(deriv), tuple(deriv2), sol.ends)]
+    elems = [
+        HilbertElement(grid, f, spec.f1_coupling(*ends.right), df, d2f, ends)
+        for f, df, d2f, ends in rows
+    ]
+    return elems if batched else elems[0]
 
 
 # ---------------------------------------------------------------------------
 # symmetry certification
 
 
-def symmetry_residual(spec: ProblemSpec, F: HilbertElement, G: HilbertElement) -> float:
-    """``|<AF, G> - <F, AG>|`` for domain elements."""
-    AF = apply_operator(spec, F)
-    AG = apply_operator(spec, G)
+def symmetry_residual(
+    spec: ProblemSpec, F: HilbertElement, G: HilbertElement, AF=None, AG=None
+) -> float:
+    """``|<AF, G> - <F, AG>|`` for domain elements.
+
+    ``AF``/``AG`` are ``apply_operator`` of ``F``/``G``, computed here unless given.
+    """
+    AF = apply_operator(spec, F) if AF is None else AF
+    AG = apply_operator(spec, G) if AG is None else AG
     return abs(inner_product(spec, AF, G) - inner_product(spec, F, AG))
 
 

@@ -8,8 +8,9 @@ one exact step (cos/sin, cosh/sinh, or linear when ``lam w = q``).  Where
 ``lam``-independent mesh of fourth-order Magnus steps (Iserles & Norsett,
 1999), each of whose exponentials is also closed-form; the mesh is sized by
 the ``rk_tol`` solver key.  The same step serves every caller: it is
-vectorized over ``lam`` for batched terminal and anchor states and over
-``x`` for interior queries, which start from the nearest stored mesh node.
+vectorized over ``lam`` for batched terminal and anchor states, over ``x``
+for interior queries, which start from the nearest stored mesh node, and
+over both when ``build_left``/``build_right`` are given an array of ``lam``.
 
 Two distinguished solutions are built here:
 
@@ -96,6 +97,11 @@ class BoundaryData:
         """Every anchor state times ``c``."""
         return BoundaryData(*(st.scaled(c, c) for st in vars(self).values()))
 
+    def rows(self) -> list["BoundaryData"]:
+        """One record of float states per entry of a record that holds arrays."""
+        cols = [zip(st.u.tolist(), st.v.tolist()) for st in vars(self).values()]
+        return [BoundaryData(*(State(u, v) for u, v in row)) for row in zip(*cols)]
+
     def residuals(self, spec: ProblemSpec) -> dict[str, float]:
         """Absolute residuals of the left condition and the four transmission conditions."""
         h1 = spec.transmission_residuals(0, self.h1_minus, self.h1_plus)
@@ -172,7 +178,12 @@ def _product(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-lambda solutions with interior queries
+# solutions with interior queries, for one lambda or an array of them
+
+
+def _batched(lam) -> bool:
+    """Whether ``lam`` holds many spectral parameters; cheap for a float."""
+    return not isinstance(lam, float) and np.ndim(lam) > 0
 
 
 @dataclass(frozen=True)
@@ -181,11 +192,13 @@ class PieceTrajectory:
 
     ``xs`` holds the mesh nodes in ascending order and ``us``/``vs`` the
     solution there; an interior value is the transfer from the nearest node
-    at or before the query point.
+    at or before the query point.  When ``lam`` is an array of ``n`` values,
+    ``us``/``vs`` are shaped ``(n, xs.size)``, the ``initial`` and
+    ``terminal`` states hold arrays, and queries return one row per ``lam``.
     """
 
     piece: int
-    lam: float
+    lam: float | np.ndarray
     x_start: float
     x_end: float
     initial: State
@@ -202,7 +215,10 @@ class PieceTrajectory:
         return self.xs.size - 1
 
     def eval(self, x):
-        """Value and slope at ``x`` (scalar or array) inside the piece."""
+        """Value and slope at ``x`` (scalar or array) inside the piece.
+
+        With an array of ``lam`` the results are shaped ``(n_lam,) + shape(x)``.
+        """
         lo, hi = self.xs[0], self.xs[-1]
         xv = np.asarray(x, dtype=float)
         if np.any(xv < lo - _EDGE_TOL) or np.any(xv > hi + _EDGE_TOL):
@@ -210,10 +226,11 @@ class PieceTrajectory:
         xv = np.clip(xv, lo, hi)
         k = np.clip(np.searchsorted(self.xs, xv, side="right") - 1, 0, self.n_steps - 1)
         x0 = self.xs[k]
-        a, b, c, d = _step(self.coeffs, self.w2, self.lam, x0, xv - x0)
-        u = a * self.us[k] + b * self.vs[k]
-        v = c * self.us[k] + d * self.vs[k]
-        if np.ndim(x) == 0:
+        lam = self.lam.reshape((-1,) + (1,) * xv.ndim) if _batched(self.lam) else self.lam
+        a, b, c, d = _step(self.coeffs, self.w2, lam, x0, xv - x0)
+        u = a * self.us[..., k] + b * self.vs[..., k]
+        v = c * self.us[..., k] + d * self.vs[..., k]
+        if u.ndim == 0:
             return float(u), float(v)
         return u, v
 
@@ -224,7 +241,7 @@ class PieceTrajectory:
 
 def propagate_piece(
     spec: ProblemSpec,
-    lam: float,
+    lam,
     piece: int,
     x_from: float,
     x_to: float,
@@ -235,11 +252,20 @@ def propagate_piece(
     Both endpoints must lie in the closure of piece ``piece`` (1-based).  The
     steps are the piece's mesh cut to ``[x_from, x_to]``; the returned
     trajectory stores the solution at every node, and its ``terminal`` state
-    is the solution at ``x_to``.
+    is the solution at ``x_to``.  ``lam`` is a scalar or a nonempty 1-d
+    array; with an array, ``init`` holds one state per ``lam`` (or one for
+    all), and every ``lam`` is stepped as a scalar build steps it.
     """
-    if not math.isfinite(lam):
+    batched = _batched(lam)
+    if batched:
+        lam = _check_lams(lam)
+        init = State(*(np.full(lam.size, s, dtype=float) for s in init))
+        finite = np.isfinite(init.u).all() and np.isfinite(init.v).all()
+    elif not math.isfinite(lam):
         raise ValueError(f"lam={lam!r} is not finite")
-    if not (math.isfinite(init.u) and math.isfinite(init.v)):
+    else:
+        finite = math.isfinite(init.u) and math.isfinite(init.v)
+    if not finite:
         raise ValueError(f"initial state {init!r} is not finite")
     a, b = piece_bounds(spec, piece)
     for name, x in (("x_from", x_from), ("x_to", x_to)):
@@ -256,20 +282,37 @@ def propagate_piece(
     starts = xs[:-1] if forward else xs[:0:-1]
     lengths = np.diff(xs) if forward else -np.diff(xs)[::-1]
     coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
-    steps = zip(*(e.tolist() for e in _step(coeffs, w2, lam, starts, lengths)))
-    us, vs = [init.u], [init.v]
-    u, v = init.u, init.v
+    # lists of a, b, c and d over the steps in propagation order (one list per lam of a batch)
+    mats = [e.tolist() for e in _step(coeffs, w2, lam[:, None] if batched else lam, starts, lengths)]
+    if batched:
+        rows = zip(zip(*mats), init.u.tolist(), init.v.tolist())
+        walks = [_walk(zip(*m), u, v) for m, u, v in rows]
+        us, vs = (np.array(nodes) for nodes in zip(*walks))
+        terminal = State(us[:, -1], vs[:, -1])
+    else:
+        us, vs = _walk(zip(*mats), init.u, init.v)
+        terminal = State(us[-1], vs[-1])
+        us, vs = np.array(us), np.array(vs)
+    if not forward:
+        us, vs = us[..., ::-1], vs[..., ::-1]
+    return PieceTrajectory(
+        piece=piece, lam=lam, x_start=x_from, x_end=x_to, initial=init,
+        terminal=terminal, xs=xs, us=us, vs=vs, coeffs=coeffs, w2=w2,
+    )
+
+
+def _walk(steps, u: float, v: float) -> tuple[list, list]:
+    """States ``(u, u')`` at every node, from the first one through ``steps``.
+
+    Each step is ``(a, b, c, d)`` as Python floats: for one ``lam`` a Python
+    loop over floats is cheaper than numpy calls on tiny arrays.
+    """
+    us, vs = [u], [v]
     for sa, sb, sc, sd in steps:
         u, v = sa * u + sb * v, sc * u + sd * v
         us.append(u)
         vs.append(v)
-    us, vs = np.array(us), np.array(vs)
-    if not forward:
-        us, vs = us[::-1], vs[::-1]
-    return PieceTrajectory(
-        piece=piece, lam=lam, x_start=x_from, x_end=x_to, initial=init,
-        terminal=State(u, v), xs=xs, us=us, vs=vs, coeffs=coeffs, w2=w2,
-    )
+    return us, vs
 
 
 @dataclass(frozen=True)
@@ -279,11 +322,12 @@ class PiecewiseSolution:
     ``kind`` records the launch end ("left" or "right").  The one-sided
     anchor states in ``ends`` are stored exactly as produced by the launch,
     jump application, and piece terminals; interior queries are transfers
-    from the nearest mesh node.
+    from the nearest mesh node.  When ``lam`` is an array, every state and
+    query holds one entry (or row) per ``lam``, as in ``ends_batch``.
     """
 
     kind: Literal["left", "right"]
-    lam: float
+    lam: float | np.ndarray
     spec: ProblemSpec
     pieces: tuple[PieceTrajectory, PieceTrajectory, PieceTrajectory]
     ends: BoundaryData
@@ -304,7 +348,8 @@ class PiecewiseSolution:
         """Vectorized value/slope query; ``side`` only matters at interfaces.
 
         For array input, points sitting exactly on an interface resolve to
-        the right piece unless ``side='left'``.
+        the right piece unless ``side='left'``.  With an array of ``lam`` the
+        results are shaped ``(n_lam,) + shape(x)``.
         """
         if np.ndim(x) == 0:
             st = self.state(float(x), side)
@@ -312,13 +357,12 @@ class PiecewiseSolution:
         xv = np.asarray(x, dtype=float)
         edges = np.array([self.spec.h1, self.spec.h2])
         index = np.searchsorted(edges, xv, side="left" if side == "left" else "right")
-        u = np.empty_like(xv)
-        v = np.empty_like(xv)
+        u = np.empty(np.shape(self.lam) + xv.shape)
+        v = np.empty_like(u)
         for i in (0, 1, 2):
             mask = index == i
             if np.any(mask):
-                uu, vv = self.pieces[i].eval(xv[mask])
-                u[mask], v[mask] = uu, vv
+                u[..., mask], v[..., mask] = self.pieces[i].eval(xv[mask])
         return u, v
 
 
@@ -348,7 +392,9 @@ def _anchors(kind: Literal["left", "right"], crossings: dict) -> BoundaryData:
     return BoundaryData(*(st for pair in pairs for st in pair))
 
 
-def _build(spec: ProblemSpec, lam: float, kind: Literal["left", "right"]) -> PiecewiseSolution:
+def _build(spec: ProblemSpec, lam, kind: Literal["left", "right"]) -> PiecewiseSolution:
+    if _batched(lam):
+        lam = _check_lams(lam)
     launch, legs = _sweep(spec, kind, lam)
     st = State(*launch)
     trajs = {}
@@ -365,16 +411,22 @@ def _build(spec: ProblemSpec, lam: float, kind: Literal["left", "right"]) -> Pie
     )
 
 
-def build_left(spec: ProblemSpec, lam: float) -> PiecewiseSolution:
-    """Left-launched solution satisfying the ``x = -1`` boundary condition."""
+def build_left(spec: ProblemSpec, lam) -> PiecewiseSolution:
+    """Left-launched solution satisfying the ``x = -1`` boundary condition.
+
+    ``lam`` is a scalar or a nonempty 1-d array of finite values; an array
+    builds the solution for every entry at once, equal bit for bit to one
+    scalar build per entry.
+    """
     return _build(spec, lam, "left")
 
 
-def build_right(spec: ProblemSpec, lam: float) -> PiecewiseSolution:
+def build_right(spec: ProblemSpec, lam) -> PiecewiseSolution:
     """Right-launched solution satisfying the eigenvalue-dependent condition.
 
     The launch data make ``spec.right_form(lam, u(1), u'(1))`` vanish
-    identically in ``lam``.
+    identically in ``lam``.  ``lam`` is a scalar or an array, as for
+    ``build_left``.
     """
     return _build(spec, lam, "right")
 
@@ -385,9 +437,10 @@ def wronskian(
     """``f(x) g'(x) - f'(x) g(x)`` with both solutions read on the same side.
 
     Constant within each piece when ``f`` and ``g`` solve the equation at the
-    same ``lam``; refuses to mix different spectral parameters.
+    same ``lam``; refuses to mix different spectral parameters.  Solutions
+    built for one array of ``lam`` give one value per entry.
     """
-    if f.lam != g.lam:
+    if not np.array_equal(f.lam, g.lam):
         raise ValueError(f"mismatched spectral parameters: {f.lam!r} vs {g.lam!r}")
     return f.state(x, side).wronskian(g.state(x, side))
 

@@ -34,6 +34,7 @@ __all__ = [
     "PieceSamples",
     "EigenFunction",
     "eigenfunction",
+    "eigenfunctions",
     "eigenfunction_residuals",
     "orthogonality_matrix",
 ]
@@ -316,35 +317,32 @@ class EigenFunction:
         return self.element.f1
 
 
-def eigenfunction(
+def eigenfunctions(
     spec: ProblemSpec,
-    rec: EigenRecord,
+    recs: Sequence[EigenRecord],
     samples_per_piece: int = 40,
     grid: Optional[QuadratureGrid] = None,
-) -> EigenFunction:
-    """Build the normalized eigenfunction for a located eigenvalue.
+) -> list[EigenFunction]:
+    """Build the normalized eigenfunctions for located eigenvalues.
 
     Uses the right-launched solution (which satisfies the eigenvalue-
     dependent condition and the jumps identically; at a true root it also
     satisfies the left condition to residual tolerance), normalizes it to
     unit H-norm, and fixes the sign so the first significant sample is
     positive.  For indefinite forms the absolute value of the quadratic form
-    is used for scaling.
+    is used for scaling.  One build serves every record, with one evaluation
+    per piece for the quadrature nodes and one for the samples; each record
+    gets the values a build for its eigenvalue alone would give.  A record
+    whose solution has near-zero norm raises ``NumericalError``.
     """
     if samples_per_piece < 1:
         raise ValueError("samples_per_piece must be >= 1")
+    if not recs:
+        return []
     if grid is None:
         grid = QuadratureGrid.build(spec)
-    sol = build_right(spec, rec.lambda_n)
-    elem = element_from_solution(spec, sol, grid)
-    gram = inner_product(spec, elem, elem)
-    launch_size = math.hypot(*sol.ends.right)
-    nrm = math.sqrt(abs(gram))
-    if nrm <= 1e-12 * (1.0 + launch_size):
-        raise NumericalError(
-            f"right solution at lam={rec.lambda_n!r} has near-zero norm; "
-            "the record does not look like an eigenpair"
-        )
+    sol = build_right(spec, np.array([rec.lambda_n for rec in recs]))
+    elems = element_from_solution(spec, sol, grid)
 
     e = sol.ends
     anchor_start = (e.left, e.h1_plus, e.h2_plus)
@@ -354,29 +352,51 @@ def eigenfunction(
         a, b = piece_bounds(spec, i)
         xs = np.linspace(a, b, samples_per_piece + 2)
         u, du = sol.pieces[i - 1].eval(xs)
-        u[0], du[0] = anchor_start[i - 1].u, anchor_start[i - 1].v
-        u[-1], du[-1] = anchor_end[i - 1].u, anchor_end[i - 1].v
+        u[:, 0], du[:, 0] = anchor_start[i - 1]
+        u[:, -1], du[:, -1] = anchor_end[i - 1]
         raw_pieces.append((xs, u, du))
 
-    all_u = np.concatenate([p[1] for p in raw_pieces])
-    peak = float(np.max(np.abs(all_u)))
-    sign = 1.0
-    significant = np.abs(all_u) > 1e-6 * peak
-    if np.any(significant):
-        sign = 1.0 if all_u[np.argmax(significant)] > 0.0 else -1.0
-    scale = sign / nrm
+    fns = []
+    for j, (rec, elem) in enumerate(zip(recs, elems)):
+        gram = inner_product(spec, elem, elem)
+        launch_size = math.hypot(*elem.ends.right)
+        nrm = math.sqrt(abs(gram))
+        if nrm <= 1e-12 * (1.0 + launch_size):
+            raise NumericalError(
+                f"right solution at lam={rec.lambda_n!r} has near-zero norm; "
+                "the record does not look like an eigenpair"
+            )
 
-    pieces = tuple(
-        PieceSamples(xs=xs, u=scale * u, du=scale * du) for xs, u, du in raw_pieces
-    )
-    return EigenFunction(
-        n=rec.n,
-        lambda_n=rec.lambda_n,
-        pieces=pieces,
-        normalization=nrm,
-        sign_flipped=sign < 0.0,
-        element=elem.scaled(scale),
-    )
+        all_u = np.concatenate([u[j] for _, u, _ in raw_pieces])
+        peak = float(np.max(np.abs(all_u)))
+        sign = 1.0
+        significant = np.abs(all_u) > 1e-6 * peak
+        if np.any(significant):
+            sign = 1.0 if all_u[np.argmax(significant)] > 0.0 else -1.0
+        scale = sign / nrm
+
+        pieces = tuple(
+            PieceSamples(xs=xs, u=scale * u[j], du=scale * du[j]) for xs, u, du in raw_pieces
+        )
+        fns.append(EigenFunction(
+            n=rec.n,
+            lambda_n=rec.lambda_n,
+            pieces=pieces,
+            normalization=nrm,
+            sign_flipped=sign < 0.0,
+            element=elem.scaled(scale),
+        ))
+    return fns
+
+
+def eigenfunction(
+    spec: ProblemSpec,
+    rec: EigenRecord,
+    samples_per_piece: int = 40,
+    grid: Optional[QuadratureGrid] = None,
+) -> EigenFunction:
+    """Build the normalized eigenfunction for one located eigenvalue (see ``eigenfunctions``)."""
+    return eigenfunctions(spec, [rec], samples_per_piece, grid)[0]
 
 
 def eigenfunction_residuals(spec: ProblemSpec, ef: EigenFunction) -> dict[str, float]:

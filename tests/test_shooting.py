@@ -287,6 +287,56 @@ def test_batched_anchor_states_agree_with_single_builds(kind):
                 assert abs(got.v[j] - want.v) <= tol * scale * (1.0 + math.sqrt(abs(lam))), (lam, name)
 
 
+_BUILD_LAMS = np.array([-50.0, -7.5, 0.0, 3.7, 61.3, 4e4])
+
+
+@pytest.mark.parametrize("build", [build_left, build_right], ids=["left", "right"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_spec(np.random.default_rng(8)), mixed_spec, airy_spec],
+    ids=["constant_q", "mixed_spec", "airy_spec"],
+)
+def test_batched_builds_repeat_scalar_builds_bit_for_bit(build, make):
+    # every lam gets the arithmetic of its own scalar build, row j of the batch
+    spec = make()
+    batch = build(spec, _BUILD_LAMS)
+    assert np.array_equal(batch.lam, _BUILD_LAMS)
+    xs_all = np.linspace(-1.0, 1.0, 41)
+    u_all, v_all = batch.eval(xs_all)
+    assert u_all.shape == v_all.shape == (_BUILD_LAMS.size, xs_all.size)
+    for j, lam in enumerate(_BUILD_LAMS.tolist()):
+        sol = build(spec, lam)
+        assert type(sol.lam) is float
+        for name, want in vars(sol.ends).items():
+            got = getattr(batch.ends, name)
+            assert type(want) is State and type(want.u) is float and type(want.v) is float
+            assert (got.u[j], got.v[j]) == (want.u, want.v), (lam, name)
+        for got, want in zip(batch.pieces, sol.pieces):
+            assert np.array_equal(got.us[j], want.us) and np.array_equal(got.vs[j], want.vs)
+            xs = np.linspace(want.xs[0], want.xs[-1], 100)
+            (bu, bv), (u, v) = got.eval(xs), want.eval(xs)
+            assert np.array_equal(bu[j], u) and np.array_equal(bv[j], v), (lam, want.piece)
+            mid = 0.5 * (want.xs[0] + want.xs[-1])
+            assert type(want.state(mid).u) is float
+            assert got.state(mid).u[j] == want.state(mid).u
+        u, v = sol.eval(xs_all)
+        assert np.array_equal(u_all[j], u) and np.array_equal(v_all[j], v), lam
+
+
+def test_wronskian_of_batched_solutions_is_per_lambda():
+    spec = mixed_spec()
+    f, g = build_left(spec, _BUILD_LAMS), build_right(spec, _BUILD_LAMS)
+    for x in (-0.8, 0.0, 0.9):
+        got = wronskian(f, g, x)
+        assert got.shape == _BUILD_LAMS.shape
+        for j, lam in enumerate(_BUILD_LAMS.tolist()):
+            assert got[j] == wronskian(build_left(spec, lam), build_right(spec, lam), x)
+    with pytest.raises(ValueError, match="mismatched"):
+        wronskian(f, build_right(spec, _BUILD_LAMS[::-1]), 0.0)
+    with pytest.raises(ValueError, match="mismatched"):
+        wronskian(f, build_right(spec, 3.7), 0.0)
+
+
 def test_batch_input_validation():
     spec = baseline_spec()
     with pytest.raises(ValueError):
@@ -295,6 +345,15 @@ def test_batch_input_validation():
         left_terminal_batch(spec, np.array([1.0, math.nan]))
     with pytest.raises(ValueError):
         ends_batch(spec, [math.inf], "right")
+    for build in (build_left, build_right):
+        with pytest.raises(ValueError):
+            build(spec, np.array([]))
+        with pytest.raises(ValueError):
+            build(spec, np.array([1.0, math.nan]))
+        with pytest.raises(ValueError):
+            build(spec, [-math.inf, 2.0])
+        with pytest.raises(ValueError):
+            build(spec, math.inf)
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import baseline_spec, build_spec, indefinite_spec, mixed_spec, steep_spec
+from conftest import (
+    CONFIG_DIR,
+    airy_spec,
+    baseline_spec,
+    build_spec,
+    indefinite_spec,
+    mixed_spec,
+    steep_spec,
+)
 from oracles import (
     baseline_char,
     baseline_mu_roots,
@@ -15,9 +23,12 @@ from oracles import (
 )
 from sl2t.charfn import char_batch
 from sl2t.hilbert import QuadratureGrid, inner_product
+from sl2t.problem import NumericalError, load_config
 from sl2t.spectrum import (
+    EigenRecord,
     eigenfunction,
     eigenfunction_residuals,
+    eigenfunctions,
     locate_eigenvalues,
     orthogonality_matrix,
     scan_floor,
@@ -233,6 +244,40 @@ def test_eigenfunction_rejects_bad_sample_count():
     rec = _first_records(spec, 1)[0]
     with pytest.raises(ValueError):
         eigenfunction(spec, rec, samples_per_piece=0)
+
+
+@pytest.mark.parametrize("name", ["s0", "case1", "airy_spec"])
+def test_eigenfunctions_repeat_single_record_builds_bit_for_bit(name):
+    spec = airy_spec() if name == "airy_spec" else load_config(CONFIG_DIR / f"{name}.json")
+    recs = _first_records(spec, 5)
+    grid = QuadratureGrid.build(spec)
+    fns = eigenfunctions(spec, recs, samples_per_piece=4, grid=grid)
+    assert len(fns) == 5
+    for got, rec in zip(fns, recs):
+        want = eigenfunction(spec, rec, samples_per_piece=4, grid=grid)
+        assert (got.n, got.lambda_n) == (want.n, want.lambda_n)
+        assert got.normalization == want.normalization
+        assert got.sign_flipped == want.sign_flipped
+        assert got.f1 == want.f1 and type(got.f1) is float
+        assert got.ends == want.ends and type(got.ends.right.u) is float
+        for pg, pw in zip(got.pieces, want.pieces):
+            for field in ("xs", "u", "du"):
+                assert np.array_equal(getattr(pg, field), getattr(pw, field)), (rec.n, field)
+        for field in ("values", "deriv", "deriv2"):
+            for ag, aw in zip(getattr(got.element, field), getattr(want.element, field)):
+                assert np.array_equal(ag, aw), (rec.n, field)
+    assert eigenfunctions(spec, [], grid=grid) == []
+
+
+def test_eigenfunctions_reject_records_that_are_not_eigenpairs():
+    # far beyond the computed spectrum the right solution is tiny next to its launch
+    spec = baseline_spec()
+    good = _first_records(spec, 1)[0]
+    bad = EigenRecord(n=2, lambda_n=1e30, mu_n=None, bracket=(1e30, 1e30), abs_delta=0.0, refinement_iters=0)
+    with pytest.raises(NumericalError, match="lam=1e[+]30 has near-zero norm"):
+        eigenfunction(spec, bad)
+    with pytest.raises(NumericalError, match="lam=1e[+]30 has near-zero norm"):
+        eigenfunctions(spec, [good, bad])
 
 
 # ---------------------------------------------------------------------------
