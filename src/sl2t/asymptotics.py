@@ -82,14 +82,15 @@ def case_of(spec: ProblemSpec) -> AsymptoticCase:
     return AsymptoticCase.CASE3 if slope_at_left else AsymptoticCase.CASE4
 
 
-def mu_asymptotic(spec: ProblemSpec, n: int, *, phase_total: Optional[float] = None) -> float:
+def mu_asymptotic(spec: ProblemSpec, n, *, phase_total: Optional[float] = None):
     """Leading-order prediction for the n-th positive frequency ``mu_n``.
 
-    ``phase_total`` overrides the accumulated phase over the whole interval;
-    it exists so that negative controls can inject a deliberately wrong
-    denominator.
+    ``n`` is an int, giving a ``float``, or an integer array, giving one
+    prediction per entry with the same arithmetic.  ``phase_total``
+    overrides the accumulated phase over the whole interval; it exists so
+    that negative controls can inject a deliberately wrong denominator.
     """
-    if n < 1:
+    if np.any(np.asarray(n) < 1):
         raise ValueError(f"index must be >= 1, got {n!r}")
     total = phase(spec, 1.0) if phase_total is None else float(phase_total)
     if total <= 0.0:
@@ -208,16 +209,16 @@ class DecayReport:
     verdict: bool
 
 
-def _align_offset(records, spec: ProblemSpec, total: float) -> int:
+def _align_offset(records, shift: float, total: float) -> int:
     """Constant shift between computed indices and asymptotic indices.
 
     Each computed frequency votes for the asymptotic index nearest to it;
     the most common (computed index -> asymptotic index) shift among the
     stable early entries wins.  Misaligned problems still get a value here
     -- their errors then grow with n and fail the bound, which is the
-    desired failure mode for negative controls.
+    desired failure mode for negative controls.  ``shift`` is the case's
+    index shift in ``mu_n = pi*(n + shift)/total``.
     """
-    shift = _MU_SHIFT[case_of(spec)]
     votes = []
     for rec in records:
         if rec.n < 5 or rec.mu_n is None:
@@ -258,25 +259,24 @@ def decay_check(
     if bound <= 0.0:
         raise ValueError("bound must be positive")
     total = phase(spec, 1.0) if phase_total is None else float(phase_total)
-    offset = _align_offset(computed, spec, total)
+    offset = _align_offset(computed, _MU_SHIFT[case_of(spec)], total)
     by_index = {rec.n: rec for rec in computed}
-    ns, errors, products = [], [], []
-    for n in range(n_lo, n_hi + 1):
+    ns = np.arange(n_lo, n_hi + 1)
+    mus = []
+    for n in ns.tolist():
         j = n - offset
         rec = by_index.get(j)
         if rec is None or rec.mu_n is None:
             raise ValueError(
                 f"missing computed record for asymptotic index {n} (computed index {j})"
             )
-        predicted = mu_asymptotic(spec, n, phase_total=phase_total)
-        err = abs(rec.mu_n - predicted)
-        ns.append(n)
-        errors.append(err)
-        products.append(n * err)
+        mus.append(rec.mu_n)
+    errors = np.abs(np.array(mus) - mu_asymptotic(spec, ns, phase_total=total))
+    products = (ns * errors).tolist()
     max_product = max(products)
     return DecayReport(
-        ns=tuple(ns),
-        errors=tuple(errors),
+        ns=tuple(ns.tolist()),
+        errors=tuple(errors.tolist()),
         products=tuple(products),
         max_product=max_product,
         offset=offset,

@@ -13,6 +13,16 @@ that symmetry numerically, decompose the underlying integration-by-parts
 identity term by term, and verify the interface Wronskian scaling relations
 it relies on.
 
+An element may also be a stack of ``k`` elements on one grid: each per-piece
+array is then shaped ``(k, nodes)``, ``f1`` is a ``(k,)`` array and ``ends``
+holds arrays, as ``shooting.ends_batch`` returns them.
+``sample_domain_element`` with a sequence of seeds and ``element_from_solution``
+of a lambda-batched solution build stacks, ``HilbertElement.rows`` splits one,
+and the inner product, norm, operator and residuals broadcast over stacks.
+Each row of a stacked result equals the call on that row alone bit for bit:
+the piece integrals sum each contiguous row along the node axis, as the
+one-element sum does.
+
 When an inner-product multiplier is nonpositive the form is indefinite; the
 problem is still solvable, but symmetry/orthogonality certification is
 meaningless and callers are expected to skip it (``spec.is_definite``).
@@ -23,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -102,9 +112,14 @@ class QuadratureGrid:
                         f"quadrature exactness check failed at degree {deg} on piece {i}"
                     )
 
-    def integrate(self, piece: int, values: np.ndarray) -> float:
-        """Integral of sampled values over one piece (1-based index)."""
-        return float(np.sum(self.weights[piece - 1] * values))
+    def integrate(self, piece: int, values: np.ndarray):
+        """Integral of sampled values over one piece (1-based index).
+
+        ``values`` may stack rows of samples along leading axes; the result
+        then has one integral per row, and a single row gives a ``float``.
+        """
+        total = np.sum(self.weights[piece - 1] * values, axis=-1)
+        return float(total) if total.ndim == 0 else total
 
     def same_nodes(self, other: "QuadratureGrid") -> bool:
         return self is other or (
@@ -115,23 +130,38 @@ class QuadratureGrid:
 
 @dataclass(frozen=True)
 class HilbertElement:
-    """Sampled member of the weighted space.
+    """Sampled member of the weighted space, or a stack of members.
 
     ``values`` (and optionally ``deriv``/``deriv2``) hold per-piece arrays on
     the grid nodes; ``ends`` carries exact one-sided boundary data when the
     element came from an analytic construction or a shooting solution.
     Elements produced by the operator itself carry samples and ``f1`` only.
+    A stack of ``k`` elements has ``(k, nodes)`` arrays, a ``(k,)`` array
+    ``f1`` and ``ends`` holding arrays.
     """
 
     grid: QuadratureGrid
     values: tuple[np.ndarray, np.ndarray, np.ndarray]
-    f1: float
+    f1: float | np.ndarray
     deriv: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     deriv2: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     ends: Optional[BoundaryData] = None
 
-    def scaled(self, c: float) -> "HilbertElement":
-        sc = lambda tup: None if tup is None else tuple(c * a for a in tup)
+    def rows(self) -> list["HilbertElement"]:
+        """One element, with a ``float`` ``f1`` and float ends, per row of a stack."""
+        pick = lambda tup, j: None if tup is None else tuple(a[j] for a in tup)
+        f1 = self.f1.tolist()
+        ends = [None] * len(f1) if self.ends is None else self.ends.rows()
+        return [
+            HilbertElement(self.grid, pick(self.values, j), c, pick(self.deriv, j),
+                           pick(self.deriv2, j), e)
+            for j, (c, e) in enumerate(zip(f1, ends))
+        ]
+
+    def scaled(self, c) -> "HilbertElement":
+        """Every sample, ``f1`` and end state times ``c``; a stack takes one factor per row."""
+        per_node = c if np.ndim(c) == 0 else np.asarray(c)[:, None]
+        sc = lambda tup: None if tup is None else tuple(per_node * a for a in tup)
         return HilbertElement(
             grid=self.grid, values=sc(self.values), f1=c * self.f1,
             deriv=sc(self.deriv), deriv2=sc(self.deriv2),
@@ -143,8 +173,13 @@ def _multipliers(spec: ProblemSpec) -> tuple[float, float, float]:
     return (1.0, spec.m2, spec.m3)
 
 
-def inner_product(spec: ProblemSpec, F: HilbertElement, G: HilbertElement) -> float:
-    """Weighted inner product of two elements on matching grids."""
+def inner_product(spec: ProblemSpec, F: HilbertElement, G: HilbertElement):
+    """Weighted inner product of two elements on matching grids.
+
+    Stacks broadcast against each other (one value per row, or a matrix of
+    values when ``F`` and ``G`` stack along different axes); two single
+    elements give a ``float``.
+    """
     if not F.grid.same_nodes(G.grid):
         raise ValueError("elements live on different quadrature grids")
     mult = _multipliers(spec)
@@ -156,9 +191,12 @@ def inner_product(spec: ProblemSpec, F: HilbertElement, G: HilbertElement) -> fl
     return total
 
 
-def norm(spec: ProblemSpec, F: HilbertElement) -> float:
-    """``sqrt(<F,F>)``; meaningful for definite forms only."""
-    return math.sqrt(inner_product(spec, F, F))
+def norm(spec: ProblemSpec, F: HilbertElement):
+    """``sqrt(<F,F>)``, one per row of a stack; meaningful for definite forms only."""
+    gram = inner_product(spec, F, F)
+    if np.any(gram < 0.0):
+        raise ValueError("<F, F> is negative: the form is indefinite")
+    return math.sqrt(gram) if isinstance(gram, float) else np.sqrt(gram)
 
 
 def _ends(F: HilbertElement) -> BoundaryData:
@@ -173,7 +211,7 @@ def apply_operator(spec: ProblemSpec, F: HilbertElement) -> HilbertElement:
     The scalar coordinate is minus the lambda-free part of the right
     condition, ``spec.right_form`` at ``lam = 0``.  ``F`` must carry
     second-derivative samples and boundary data.  The result carries value
-    samples and the scalar coordinate only.
+    samples and the scalar coordinate only, stacked as ``F`` is.
     """
     if F.deriv2 is None:
         raise ValueError("element carries no second-derivative samples")
@@ -203,31 +241,34 @@ def domain_residuals(spec: ProblemSpec, F: HilbertElement) -> dict[str, float]:
 # constructing elements
 
 
-def _hermite(a: float, b: float, va: float, sa: float, vb: float, sb: float):
-    """Cubic on [a, b] with prescribed end values/slopes; returns f, f', f''."""
+def _hermite(a: float, b: float, va, sa, vb, sb, x):
+    """Cubic on [a, b] with prescribed end values/slopes: f, f', f'' at ``x``."""
     L = b - a
     c0, c1 = va, sa
     # remaining coefficients from the right-end conditions
     c2 = (3.0 * (vb - va) - L * (2.0 * sa + sb)) / L**2
     c3 = (-2.0 * (vb - va) + L * (sa + sb)) / L**3
+    t = x - a
+    return (
+        c0 + t * (c1 + t * (c2 + t * c3)),
+        c1 + t * (2.0 * c2 + t * 3.0 * c3),
+        2.0 * c2 + 6.0 * c3 * t,
+    )
 
-    def f(x):
-        t = x - a
-        return c0 + t * (c1 + t * (c2 + t * c3))
 
-    def df(x):
-        t = x - a
-        return c1 + t * (2.0 * c2 + t * 3.0 * c3)
-
-    def d2f(x):
-        t = x - a
-        return 2.0 * c2 + 6.0 * c3 * t
-
-    return f, df, d2f
+def _draw(seed: int) -> list:
+    """The random parameters of one seeded domain element, in drawing order."""
+    rng = np.random.default_rng(seed)
+    freq = rng.uniform(3.0, 6.0)
+    amp = rng.uniform(0.5, 1.5) * rng.choice((-1.0, 1.0))
+    bump = rng.uniform(-0.8, 0.8, size=3)
+    far2 = rng.uniform(-1.5, 1.5, size=2)
+    far3 = rng.uniform(-1.5, 1.5, size=2)
+    return [freq, amp, *bump, *map(float, far2), *map(float, far3)]
 
 
 def sample_domain_element(
-    spec: ProblemSpec, seed: int, grid: Optional[QuadratureGrid] = None
+    spec: ProblemSpec, seed, grid: Optional[QuadratureGrid] = None
 ) -> HilbertElement:
     """Random smooth element satisfying all domain conditions exactly.
 
@@ -237,89 +278,97 @@ def sample_domain_element(
     images of the previous piece and whose right data are randomized.  The
     scalar coordinate is set to its domain-coupled value.  The same seed
     reproduces the same function on any grid.
+
+    ``seed`` is an int, or a sequence of ints for a stack with one row per
+    seed; each row equals the element of its seed alone bit for bit.
     """
-    rng = np.random.default_rng(seed)
+    stacked = np.ndim(seed) > 0
     if grid is None:
         grid = QuadratureGrid.build(spec)
-
-    freq = rng.uniform(3.0, 6.0)
-    amp = rng.uniform(0.5, 1.5) * rng.choice((-1.0, 1.0))
-    bump = rng.uniform(-0.8, 0.8, size=3)
+    if stacked:
+        # each parameter as a (k, 1) column, one row per seed, broadcast against every point
+        freq, amp, b0, b1, b2, p2, s2, p3, s3 = np.array([_draw(int(k)) for k in seed]).T[..., None]
+        col = lambda a, j: a[:, j, None]
+        point = lambda a: a[:, 0]
+    else:
+        freq, amp, b0, b1, b2, p2, s2, p3, s3 = _draw(seed)
+        col = lambda a, j: a[j]
+        point = float
     u0, v0 = spec.left_launch
-
-    def f1v(x):
-        t = x + 1.0
-        launch = u0 * np.cos(freq * t) + (v0 / freq) * np.sin(freq * t)
-        poly = bump[0] + bump[1] * x + bump[2] * x * x
-        return amp * launch + t * t * poly
-
-    def f1d(x):
-        t = x + 1.0
-        launch = -u0 * freq * np.sin(freq * t) + v0 * np.cos(freq * t)
-        poly = bump[0] + bump[1] * x + bump[2] * x * x
-        dpoly = bump[1] + 2.0 * bump[2] * x
-        return amp * launch + 2.0 * t * poly + t * t * dpoly
-
-    def f1d2(x):
-        t = x + 1.0
-        launch = -u0 * freq**2 * np.cos(freq * t) - v0 * freq * np.sin(freq * t)
-        poly = bump[0] + bump[1] * x + bump[2] * x * x
-        dpoly = bump[1] + 2.0 * bump[2] * x
-        return amp * launch + 2.0 * poly + 4.0 * t * dpoly + 2.0 * t * t * bump[2]
-
     h1, h2 = spec.h1, spec.h2
-    left = State(float(f1v(-1.0)), float(f1d(-1.0)))
-    h1_minus = State(float(f1v(h1)), float(f1d(h1)))
-    h1_plus = State(*spec.jump(0, *h1_minus))
-    far2 = rng.uniform(-1.5, 1.5, size=2)
-    f2, f2d, f2d2 = _hermite(h1, h2, h1_plus.u, h1_plus.v, float(far2[0]), float(far2[1]))
-    h2_minus = State(f2(h2), f2d(h2))
-    h2_plus = State(*spec.jump(1, *h2_minus))
-    far3 = rng.uniform(-1.5, 1.5, size=2)
-    f3, f3d, f3d2 = _hermite(h2, 1.0, h2_plus.u, h2_plus.v, float(far3[0]), float(far3[1]))
-    right = State(f3(1.0), f3d(1.0))
-
     x1, x2, x3 = grid.nodes
-    values = (f1v(x1), f2(x2), f3(x3))
-    deriv = (f1d(x1), f2d(x2), f3d(x3))
-    deriv2 = (f1d2(x1), f2d2(x2), f3d2(x3))
+
+    # each piece is evaluated once, at its end point(s) followed by its nodes
+    x = np.concatenate(((-1.0, h1), x1))
+    t = x + 1.0
+    cos, sin = np.cos(freq * t), np.sin(freq * t)
+    poly = b0 + b1 * x + b2 * x * x
+    dpoly = b1 + 2.0 * b2 * x
+    f = amp * (u0 * cos + (v0 / freq) * sin) + t * t * poly
+    df = amp * (-u0 * freq * sin + v0 * cos) + 2.0 * t * poly + t * t * dpoly
+    d2f = (amp * (-u0 * freq**2 * cos - v0 * freq * sin)
+           + 2.0 * poly + 4.0 * t * dpoly + 2.0 * t * t * b2)
+    left, h1_minus = State(col(f, 0), col(df, 0)), State(col(f, 1), col(df, 1))
+    pieces = [(f[..., 2:], df[..., 2:], d2f[..., 2:])]
+
+    h1_plus = State(*spec.jump(0, *h1_minus))
+    f, df, d2f = _hermite(h1, h2, h1_plus.u, h1_plus.v, p2, s2, np.concatenate(((h2,), x2)))
+    h2_minus = State(col(f, 0), col(df, 0))
+    pieces.append((f[..., 1:], df[..., 1:], d2f[..., 1:]))
+
+    h2_plus = State(*spec.jump(1, *h2_minus))
+    f, df, d2f = _hermite(h2, 1.0, h2_plus.u, h2_plus.v, p3, s3, np.concatenate(((1.0,), x3)))
+    right = State(col(f, 0), col(df, 0))
+    pieces.append((f[..., 1:], df[..., 1:], d2f[..., 1:]))
+
+    ends = BoundaryData(*(
+        State(point(st.u), point(st.v))
+        for st in (left, h1_minus, h1_plus, h2_minus, h2_plus, right)
+    ))
+    values, deriv, deriv2 = zip(*pieces)
     return HilbertElement(
-        grid=grid, values=values, f1=spec.f1_coupling(*right), deriv=deriv, deriv2=deriv2,
-        ends=BoundaryData(left, h1_minus, h1_plus, h2_minus, h2_plus, right),
+        grid=grid, values=values, f1=spec.f1_coupling(*ends.right), deriv=deriv,
+        deriv2=deriv2, ends=ends,
     )
 
 
 def element_from_solution(
-    spec: ProblemSpec, sol: PiecewiseSolution, grid: Optional[QuadratureGrid] = None
-) -> HilbertElement | list[HilbertElement]:
+    spec: ProblemSpec,
+    sol: PiecewiseSolution,
+    grid: Optional[QuadratureGrid] = None,
+    *,
+    extra: Optional[Sequence[np.ndarray]] = None,
+):
     """Package a shooting solution as an element.
 
     Second derivatives come from the differential equation itself,
     ``f'' = (q - lam*omega^2) f``, not from differencing.  A solution built
-    for an array of ``lam`` gives a list with one element per ``lam``, from
-    one evaluation per piece.
+    for an array of ``lam`` gives a stack with one row per ``lam``, from one
+    evaluation per piece.  ``extra`` holds further points, one array per
+    piece; they are evaluated together with the grid nodes, and the call
+    then returns ``(element, states)`` with one ``(u, u')`` pair of arrays per
+    piece for those points.
     """
     if grid is None:
         grid = QuadratureGrid.build(spec)
-    batched = np.ndim(sol.lam) > 0
-    lam = sol.lam[:, None] if batched else sol.lam
-    values, deriv, deriv2 = [], [], []
+    lam = sol.lam[:, None] if np.ndim(sol.lam) > 0 else sol.lam
+    values, deriv, deriv2, states = [], [], [], []
     for i in (1, 2, 3):
         x = grid.nodes[i - 1]
-        u, v = sol.pieces[i - 1].eval(x)
+        xs = x if extra is None else np.concatenate((x, extra[i - 1]))
+        u, v = sol.pieces[i - 1].eval(xs)
+        if extra is not None:
+            states.append((u[..., x.size:], v[..., x.size:]))
+            u, v = u[..., : x.size], v[..., : x.size]
         qx = polyval(x, spec.q.pieces[i - 1])
         values.append(u)
         deriv.append(v)
         deriv2.append((qx - lam * spec.omega[i - 1] ** 2) * u)
-    if batched:
-        rows = zip(zip(*values), zip(*deriv), zip(*deriv2), sol.ends.rows())
-    else:
-        rows = [(tuple(values), tuple(deriv), tuple(deriv2), sol.ends)]
-    elems = [
-        HilbertElement(grid, f, spec.f1_coupling(*ends.right), df, d2f, ends)
-        for f, df, d2f, ends in rows
-    ]
-    return elems if batched else elems[0]
+    elem = HilbertElement(
+        grid, tuple(values), spec.f1_coupling(*sol.ends.right), tuple(deriv), tuple(deriv2),
+        sol.ends,
+    )
+    return elem if extra is None else (elem, tuple(states))
 
 
 # ---------------------------------------------------------------------------

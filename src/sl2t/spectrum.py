@@ -331,9 +331,14 @@ def eigenfunctions(
     unit H-norm, and fixes the sign so the first significant sample is
     positive.  For indefinite forms the absolute value of the quadratic form
     is used for scaling.  One build serves every record, with one evaluation
-    per piece for the quadrature nodes and one for the samples; each record
-    gets the values a build for its eigenvalue alone would give.  A record
-    whose solution has near-zero norm raises ``NumericalError``.
+    per piece for the quadrature nodes and the samples together, and one
+    stacked inner product gives every norm; each record gets the values a
+    build for its eigenvalue alone would give.
+
+    A record whose solution has near-zero norm raises ``NumericalError``, as
+    does one whose solution misses the left condition by more than
+    ``1e-6 * (max|u| + max|u'| / (1 + sqrt|lam|))`` over the samples: the
+    record is then not an eigenpair.
     """
     if samples_per_piece < 1:
         raise ValueError("samples_per_piece must be >= 1")
@@ -341,52 +346,54 @@ def eigenfunctions(
         return []
     if grid is None:
         grid = QuadratureGrid.build(spec)
-    sol = build_right(spec, np.array([rec.lambda_n for rec in recs]))
-    elems = element_from_solution(spec, sol, grid)
+    lams = np.array([rec.lambda_n for rec in recs])
+    sol = build_right(spec, lams)
+    xs = [np.linspace(*piece_bounds(spec, i), samples_per_piece + 2) for i in (1, 2, 3)]
+    stack, raw = element_from_solution(spec, sol, grid, extra=xs)
 
     e = sol.ends
-    anchor_start = (e.left, e.h1_plus, e.h2_plus)
-    anchor_end = (e.h1_minus, e.h2_minus, e.right)
-    raw_pieces = []
-    for i in (1, 2, 3):
-        a, b = piece_bounds(spec, i)
-        xs = np.linspace(a, b, samples_per_piece + 2)
-        u, du = sol.pieces[i - 1].eval(xs)
-        u[:, 0], du[:, 0] = anchor_start[i - 1]
-        u[:, -1], du[:, -1] = anchor_end[i - 1]
-        raw_pieces.append((xs, u, du))
-
-    fns = []
-    for j, (rec, elem) in enumerate(zip(recs, elems)):
-        gram = inner_product(spec, elem, elem)
-        launch_size = math.hypot(*elem.ends.right)
-        nrm = math.sqrt(abs(gram))
-        if nrm <= 1e-12 * (1.0 + launch_size):
+    anchors = zip((e.left, e.h1_plus, e.h2_plus), (e.h1_minus, e.h2_minus, e.right))
+    for (u, du), (start, end) in zip(raw, anchors):
+        u[:, 0], du[:, 0] = start
+        u[:, -1], du[:, -1] = end
+    all_u = np.concatenate([u for u, _ in raw], axis=1)
+    u_peak = np.max(np.abs(all_u), axis=1)
+    du_peak = np.max(np.abs(np.concatenate([du for _, du in raw], axis=1)), axis=1)
+    # left-condition residual relative to the sampled size of the solution
+    left_miss = np.abs(spec.left_form(*e.left)) / (u_peak + du_peak / (1.0 + np.sqrt(np.abs(lams))))
+    nrms = np.sqrt(np.abs(inner_product(spec, stack, stack)))
+    launch_sizes = np.hypot(*e.right)
+    for j, rec in enumerate(recs):
+        if nrms[j] <= 1e-12 * (1.0 + launch_sizes[j]):
             raise NumericalError(
                 f"right solution at lam={rec.lambda_n!r} has near-zero norm; "
                 "the record does not look like an eigenpair"
             )
+        if not left_miss[j] <= 1e-6:
+            raise NumericalError(
+                f"right solution at lam={rec.lambda_n!r} misses the left condition by "
+                f"{left_miss[j]:.2e} of its size (tol 1e-06); the record is not an eigenpair"
+            )
 
-        all_u = np.concatenate([u[j] for _, u, _ in raw_pieces])
-        peak = float(np.max(np.abs(all_u)))
-        sign = 1.0
-        significant = np.abs(all_u) > 1e-6 * peak
-        if np.any(significant):
-            sign = 1.0 if all_u[np.argmax(significant)] > 0.0 else -1.0
-        scale = sign / nrm
-
-        pieces = tuple(
-            PieceSamples(xs=xs, u=scale * u[j], du=scale * du[j]) for xs, u, du in raw_pieces
-        )
-        fns.append(EigenFunction(
+    # sign of the first sample above 1e-6 of the peak (rows that are all zero keep +1)
+    significant = np.abs(all_u) > 1e-6 * u_peak[:, None]
+    first = all_u[np.arange(len(recs)), np.argmax(significant, axis=1)]
+    signs = np.where(np.any(significant, axis=1), np.where(first > 0.0, 1.0, -1.0), 1.0)
+    scales = signs / nrms
+    samples = [(x, scales[:, None] * u, scales[:, None] * du) for x, (u, du) in zip(xs, raw)]
+    return [
+        EigenFunction(
             n=rec.n,
             lambda_n=rec.lambda_n,
-            pieces=pieces,
+            pieces=tuple(PieceSamples(xs=x, u=u[j], du=du[j]) for x, u, du in samples),
             normalization=nrm,
             sign_flipped=sign < 0.0,
-            element=elem.scaled(scale),
-        ))
-    return fns
+            element=elem,
+        )
+        for j, (rec, elem, nrm, sign) in enumerate(
+            zip(recs, stack.scaled(scales).rows(), nrms.tolist(), signs.tolist())
+        )
+    ]
 
 
 def eigenfunction(
@@ -417,18 +424,28 @@ def eigenfunction_residuals(spec: ProblemSpec, ef: EigenFunction) -> dict[str, f
 def orthogonality_matrix(spec: ProblemSpec, fns: Sequence[EigenFunction]) -> np.ndarray:
     """Gram matrix of normalized eigenfunctions in the weighted inner product.
 
-    The eigenfunctions' elements must share one quadrature grid.
+    The eigenfunctions' elements must share one quadrature grid.  The matrix
+    comes from one inner product of the stacked elements as a column against
+    them as a row.  Entry ``(i, j)`` with ``i <= j`` equals
+    ``inner_product(spec, fns[i].element, fns[j].element)`` and is mirrored
+    to ``(j, i)``, so the matrix is exactly symmetric (the scalar-coordinate
+    term ``(m3/rho) f1 g1`` rounds differently in the other order).
     """
     lams = [fn.lambda_n for fn in fns]
     for i in range(len(lams)):
         for j in range(i + 1, len(lams)):
             if abs(lams[i] - lams[j]) <= 1e-9 * (1.0 + abs(lams[i])):
                 raise ValueError("eigenvalues must be distinct")
-    n = len(fns)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val = inner_product(spec, fns[i].element, fns[j].element)
-            out[i, j] = val
-            out[j, i] = val
-    return out
+    if not fns:
+        return np.zeros((0, 0))
+    grid = fns[0].element.grid
+    if not all(fn.element.grid.same_nodes(grid) for fn in fns):
+        raise ValueError("elements live on different quadrature grids")
+    values = [np.stack([fn.element.values[i] for fn in fns]) for i in range(3)]
+    f1 = np.array([fn.f1 for fn in fns])
+    row = HilbertElement(grid, tuple(values), f1)
+    column = HilbertElement(grid, tuple(v[:, None] for v in values), f1[:, None])
+    gram = inner_product(spec, column, row)
+    upper = np.triu_indices(len(fns), 1)
+    gram.T[upper] = gram[upper]
+    return gram

@@ -75,6 +75,18 @@ def test_mu_asymptotic_validation():
         mu_asymptotic(baseline_spec(), 0)
     with pytest.raises(ValueError):
         mu_asymptotic(baseline_spec(), 3, phase_total=-2.0)
+    with pytest.raises(ValueError, match="index must be >= 1"):
+        mu_asymptotic(baseline_spec(), np.array([3, 0, 4]))
+
+
+@pytest.mark.parametrize("phase_total", [None, 7.0 / 3.0])
+def test_mu_asymptotic_of_an_index_array_repeats_scalar_calls(phase_total):
+    for spec in (baseline_spec(), steep_spec(), mixed_spec()):
+        ns = np.arange(1, 41)
+        got = mu_asymptotic(spec, ns, phase_total=phase_total)
+        want = [mu_asymptotic(spec, int(n), phase_total=phase_total) for n in ns]
+        assert got.tolist() == want
+        assert all(type(mu) is float for mu in want)
 
 
 # ---------------------------------------------------------------------------

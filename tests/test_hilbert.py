@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import baseline_spec, build_spec, mixed_spec, steep_spec
+from conftest import (
+    CONFIG_DIR,
+    airy_spec,
+    baseline_spec,
+    build_spec,
+    indefinite_spec,
+    mixed_spec,
+    steep_spec,
+)
 from sl2t.hilbert import (
     HilbertElement,
     QuadratureGrid,
@@ -19,6 +27,7 @@ from sl2t.hilbert import (
     sample_domain_element,
     symmetry_residual,
 )
+from sl2t.problem import load_config
 from sl2t.shooting import BoundaryData, State
 from sl2t.spectrum import eigenfunction, locate_eigenvalues
 
@@ -362,3 +371,92 @@ def test_wronskian_relations_require_end_data():
     F = HilbertElement(grid=grid, values=tuple(np.zeros(8) for _ in range(3)), f1=0.0)
     with pytest.raises(ValueError, match="boundary"):
         interface_wronskian_residuals(spec, F, F)
+
+
+# ---------------------------------------------------------------------------
+# stacked elements
+
+
+_STACK_SPECS = ["s0", "case1", "indefinite", "mixed_spec", "airy_spec"]
+
+
+def _named_spec(name):
+    builders = {"mixed_spec": mixed_spec, "airy_spec": airy_spec}
+    if name in builders:
+        return builders[name]()
+    return load_config(CONFIG_DIR / f"{name}.json")
+
+
+def _assert_same_element(got, want):
+    for field in ("values", "deriv", "deriv2"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None) == (b is None), field
+        for x, y in zip(a or (), b or ()):
+            assert np.array_equal(x, y), field
+    assert got.f1 == want.f1 and type(got.f1) is float
+    assert (got.ends is None) == (want.ends is None)
+    if want.ends is not None:
+        assert got.ends == want.ends and type(got.ends.right.u) is float
+
+
+@pytest.mark.parametrize("name", _STACK_SPECS)
+def test_stacked_samples_repeat_single_seeds_bit_for_bit(name):
+    spec = _named_spec(name)
+    grid = QuadratureGrid.build(spec)
+    seeds = [0, 7, 1, 51, 123, 2**40]
+    stack = sample_domain_element(spec, seeds, grid=grid)
+    assert stack.values[0].shape == (len(seeds), grid.nodes_per_piece)
+    assert stack.f1.shape == (len(seeds),) and stack.ends.left.u.shape == (len(seeds),)
+    rows = stack.rows()
+    assert len(rows) == len(seeds)
+    for seed, row in zip(seeds, rows):
+        _assert_same_element(row, sample_domain_element(spec, seed, grid=grid))
+    # a stack of one is still a stack
+    (one,) = sample_domain_element(spec, [7], grid=grid).rows()
+    _assert_same_element(one, sample_domain_element(spec, 7, grid=grid))
+
+
+@pytest.mark.parametrize("name", _STACK_SPECS)
+def test_stacked_operations_repeat_row_calls_bit_for_bit(name):
+    spec = _named_spec(name)
+    grid = QuadratureGrid.build(spec)
+    F = sample_domain_element(spec, range(0, 12, 2), grid=grid)
+    G = sample_domain_element(spec, range(1, 12, 2), grid=grid)
+    AF, AG = apply_operator(spec, F), apply_operator(spec, G)
+    ip = inner_product(spec, F, G)
+    ip_one = inner_product(spec, F, G.rows()[2])  # a stack against a single element
+    sym = symmetry_residual(spec, F, G, AF, AG)
+    sym_own = symmetry_residual(spec, F, G)
+    iw = interface_wronskian_residuals(spec, F, G)
+    nrm = norm(spec, F) if spec.is_definite else None
+    for j, (f, g, af) in enumerate(zip(F.rows(), G.rows(), AF.rows())):
+        _assert_same_element(af, apply_operator(spec, f))
+        assert ip[j] == inner_product(spec, f, g)
+        assert ip_one[j] == inner_product(spec, f, G.rows()[2])
+        assert sym[j] == sym_own[j] == symmetry_residual(spec, f, g)
+        assert tuple(r[j] for r in iw) == interface_wronskian_residuals(spec, f, g)
+        if nrm is not None:
+            assert nrm[j] == norm(spec, f)
+
+
+def test_int_seed_gives_floats():
+    spec = mixed_spec()
+    F, G = sample_domain_element(spec, 3), sample_domain_element(spec, 4)
+    assert type(F.f1) is float
+    assert all(type(st.u) is float and type(st.v) is float for st in vars(F.ends).values())
+    assert F.values[0].ndim == 1
+    assert type(apply_operator(spec, F).f1) is float
+    for out in (inner_product(spec, F, G), norm(spec, F), symmetry_residual(spec, F, G),
+                *interface_wronskian_residuals(spec, F, G)):
+        assert type(out) is float
+
+
+def test_norm_rejects_negative_forms():
+    spec = indefinite_spec()
+    F = sample_domain_element(spec, range(8))
+    grams = inner_product(spec, F, F)
+    assert np.any(grams < 0.0)
+    with pytest.raises(ValueError, match="indefinite"):
+        norm(spec, F)
+    with pytest.raises(ValueError, match="indefinite"):
+        norm(spec, F.rows()[int(np.argmin(grams))])

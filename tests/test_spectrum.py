@@ -280,6 +280,18 @@ def test_eigenfunctions_reject_records_that_are_not_eigenpairs():
         eigenfunctions(spec, [good, bad])
 
 
+def test_eigenfunctions_reject_records_off_the_spectrum():
+    # lambda = 5.0 lies between the baseline eigenvalues: the right solution
+    # has a healthy norm but misses the left condition u(-1) = 0
+    spec = baseline_spec()
+    good = _first_records(spec, 1)[0]
+    bad = EigenRecord(n=2, lambda_n=5.0, mu_n=math.sqrt(5.0), bracket=(4.9, 5.1), abs_delta=0.0, refinement_iters=0)
+    with pytest.raises(NumericalError, match="lam=5.0 misses the left condition"):
+        eigenfunction(spec, bad)
+    with pytest.raises(NumericalError, match="lam=5.0 misses the left condition"):
+        eigenfunctions(spec, [good, bad])
+
+
 # ---------------------------------------------------------------------------
 # orthogonality
 
@@ -302,3 +314,28 @@ def test_gram_requires_distinct_eigenvalues():
     fn = eigenfunction(spec, rec, samples_per_piece=4)
     with pytest.raises(ValueError, match="distinct"):
         orthogonality_matrix(spec, [fn, fn])
+
+
+@pytest.mark.parametrize("name", ["s0", "mixed_spec", "airy_spec"])
+def test_gram_matrix_repeats_pairwise_inner_products(name):
+    # mixed_spec and airy_spec have m3/rho != 1, where <F, G> and <G, F> can round apart
+    spec = {"mixed_spec": mixed_spec, "airy_spec": airy_spec}.get(
+        name, lambda: load_config(CONFIG_DIR / f"{name}.json"))()
+    grid = QuadratureGrid.build(spec)
+    fns = eigenfunctions(spec, _first_records(spec, 6), samples_per_piece=4, grid=grid)
+    gram = orthogonality_matrix(spec, fns)
+    assert gram.shape == (6, 6)
+    assert np.array_equal(gram, gram.T)
+    for i in range(6):
+        for j in range(i, 6):
+            assert gram[i, j] == inner_product(spec, fns[i].element, fns[j].element), (i, j)
+    assert orthogonality_matrix(spec, []).shape == (0, 0)
+
+
+def test_gram_requires_one_grid():
+    spec = baseline_spec()
+    recs = _first_records(spec, 2)
+    a = eigenfunction(spec, recs[0], samples_per_piece=4, grid=QuadratureGrid.build(spec, 16))
+    b = eigenfunction(spec, recs[1], samples_per_piece=4, grid=QuadratureGrid.build(spec, 24))
+    with pytest.raises(ValueError, match="grid"):
+        orthogonality_matrix(spec, [a, b])
