@@ -214,25 +214,17 @@ def _align_offset(records, shift: float, total: float) -> int:
 
     Each computed frequency votes for the asymptotic index nearest to it;
     the most common (computed index -> asymptotic index) shift among the
-    stable early entries wins.  Misaligned problems still get a value here
-    -- their errors then grow with n and fail the bound, which is the
-    desired failure mode for negative controls.  ``shift`` is the case's
-    index shift in ``mu_n = pi*(n + shift)/total``.
+    entries with ``n >= 5`` (every entry with ``mu_n`` when none has) wins.
+    Misaligned problems still get a value here -- their errors then grow
+    with n and fail the bound, which is the desired failure mode for
+    negative controls.  ``shift`` is the case's index shift in
+    ``mu_n = pi*(n + shift)/total``.
     """
-    votes = []
-    for rec in records:
-        if rec.n < 5 or rec.mu_n is None:
-            continue
-        nearest = round(rec.mu_n * total / math.pi - shift)
-        votes.append(nearest - rec.n)
-    if not votes:
-        for rec in records:
-            if rec.mu_n is not None:
-                nearest = round(rec.mu_n * total / math.pi - shift)
-                votes.append(nearest - rec.n)
-    if not votes:
+    usable = [rec for rec in records if rec.mu_n is not None]
+    pool = [rec for rec in usable if rec.n >= 5] or usable
+    if not pool:
         raise ValueError("no positive eigenvalues available for alignment")
-    counts = Counter(votes)
+    counts = Counter(round(rec.mu_n * total / math.pi - shift) - rec.n for rec in pool)
     best = max(counts.items(), key=lambda kv: (kv[1], -abs(kv[0])))
     return int(best[0])
 

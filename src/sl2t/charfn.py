@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ProblemSpec
-from .shooting import ends_batch, left_terminal_batch
+from .shooting import build_left, build_right, left_terminal_batch
 
 __all__ = ["CharValue", "char_value", "char_grid", "char_batch"]
 
@@ -47,16 +47,16 @@ def char_grid(spec: ProblemSpec, lams) -> list[CharValue]:
     """Full characteristic evaluations, with the consistency check, for many ``lam``.
 
     The Wronskians are read at ``-1``, ``h1+`` and ``h2+``, the lower end of
-    each piece, from the anchor states of ``ends_batch``.  Not at ``+1``:
-    there the right solution is still its launch, and the piece-3 value
-    would repeat the boundary form of ``char_batch``.  On constant-``q``
-    pieces the values equal those of ``build_left``/``build_right`` read
-    with ``wronskian`` bit for bit.
+    each piece, from the anchor states of one λ-batched ``build_left`` and
+    one ``build_right``.  Not at ``+1``: there the right solution is still
+    its launch, and the piece-3 value would repeat the boundary form of
+    ``char_batch``.  The values equal those of one-``lam`` builds read with
+    ``wronskian`` bit for bit.
     """
     arr = np.asarray(lams, dtype=float).reshape(-1)
     if arr.size == 0:
         return []
-    f, g = ends_batch(spec, arr, "left"), ends_batch(spec, arr, "right")
+    f, g = build_left(spec, arr).ends, build_right(spec, arr).ends
     d = [f.left.wronskian(g.left), f.h1_plus.wronskian(g.h1_plus), f.h2_plus.wronskian(g.h2_plus)]
     resid = np.maximum(np.abs(d[0] - spec.m2 * d[1]), np.abs(d[0] - spec.m3 * d[2]))
     return [

@@ -15,7 +15,7 @@ it relies on.
 
 An element may also be a stack of ``k`` elements on one grid: each per-piece
 array is then shaped ``(k, nodes)``, ``f1`` is a ``(k,)`` array and ``ends``
-holds arrays, as ``shooting.ends_batch`` returns them.
+holds arrays, as the ``ends`` of a λ-batched ``PiecewiseSolution`` do.
 ``sample_domain_element`` with a sequence of seeds and ``element_from_solution``
 of a lambda-batched solution build stacks, ``HilbertElement.rows`` splits one,
 and the inner product, norm, operator and residuals broadcast over stacks.
@@ -187,7 +187,7 @@ def inner_product(spec: ProblemSpec, F: HilbertElement, G: HilbertElement):
     for i in (1, 2, 3):
         w2 = spec.omega[i - 1] ** 2
         total += w2 * mult[i - 1] * F.grid.integrate(i, F.values[i - 1] * G.values[i - 1])
-    total += (spec.m3 / spec.rho) * F.f1 * G.f1
+    total += (spec.m3 / spec.rho) * (F.f1 * G.f1)
     return total
 
 

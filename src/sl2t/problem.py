@@ -362,8 +362,9 @@ def phase(spec: ProblemSpec, x):
 # ---------------------------------------------------------------------------
 # JSON config front end
 
-_SOLVER_KEYS = ("rk_tol", "root_tol", "quad_nodes", "bracket_subdiv", "scan_floor_factor")
-_SOLVER_INT_KEYS = ("quad_nodes", "bracket_subdiv")
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
+# annotations are strings under ``from __future__ import annotations``
+_SOLVER_INT_KEYS = tuple(f.name for f in fields(SolverConfig) if f.type == "int")
 
 
 def _as_number(value, path: str, errs: list[str]) -> float:

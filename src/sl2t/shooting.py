@@ -7,10 +7,16 @@ one exact step (cos/sin, cosh/sinh, or linear when ``lam w = q``).  Where
 ``q`` is a polynomial of positive degree the piece is cut into a fixed,
 ``lam``-independent mesh of fourth-order Magnus steps (Iserles & Norsett,
 1999), each of whose exponentials is also closed-form; the mesh is sized by
-the ``rk_tol`` solver key.  The same step serves every caller: it is
-vectorized over ``lam`` for batched terminal and anchor states, over ``x``
-for interior queries, which start from the nearest stored mesh node, and
-over both when ``build_left``/``build_right`` are given an array of ``lam``.
+the ``rk_tol`` solver key.
+
+One carry (``_carry``) crosses a piece for every caller.  It forms the step
+matrices for a whole batch of ``lam`` at once (a scalar ``lam`` is a batch of
+one) and multiplies them pairwise.  The characteristic scan
+(``left_terminal_batch``) reads only the exit state; ``build_left``,
+``build_right`` and ``propagate_piece`` also read the state at every mesh
+node from the same product, so their anchor states equal the scan's bit for
+bit.  Interior queries step from the nearest stored node, with the same step
+vectorized over ``x``.
 
 Two distinguished solutions are built here:
 
@@ -23,8 +29,9 @@ Two distinguished solutions are built here:
   carried leftward through the inverted jumps.
 
 Both follow one sweep (``_sweep``): the launch state, then the pieces in
-propagation order with the jump crossed before each.  The conditions
-themselves are read from :class:`ProblemSpec`.
+propagation order with the jump crossed before each; ``_crossings`` is the
+one walk along it.  The conditions themselves are read from
+:class:`ProblemSpec`.
 
 An eigenvalue is a value of ``lam`` where the two are proportional, which
 the characteristic-function module detects through their Wronskian.
@@ -53,7 +60,6 @@ __all__ = [
     "build_right",
     "wronskian",
     "left_terminal_batch",
-    "ends_batch",
 ]
 
 _EDGE_TOL = 1e-12
@@ -160,21 +166,54 @@ def piece_mesh(spec: ProblemSpec, piece: int) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
-def _product(m: np.ndarray) -> np.ndarray:
-    """Ordered product of step matrices ``m[:, j]`` (entries ``a, b, c, d`` on axis 0).
+def _carry(
+    spec: ProblemSpec, piece: int, lams: np.ndarray, xs: np.ndarray, u, v, nodes: bool = False
+):
+    """Carry states ``(u, u')``, one per ``lam``, along nodes ``xs`` of one piece.
 
-    Step ``j + 1`` acts after step ``j``; neighbours are multiplied pairwise,
-    so the depth of Python-level work is logarithmic in the step count.
+    ``xs`` lists the nodes in propagation order (either direction), as
+    ``piece_mesh`` or a cut of it gives them.  The step matrices are formed
+    for every ``lam`` at once, in blocks of ``_BLOCK`` steps whose product is
+    taken pairwise: at each level the second factor of a pair acts after the
+    first and an odd last factor passes up unchanged, so the depth of
+    Python-level work is logarithmic in the step count.  A block's exit
+    state is its product applied to its start state.
+
+    Returns the exit state and, with ``nodes``, the states at every node,
+    shaped ``(xs.size, n_lam)`` (``None`` without).  These come from a
+    down-sweep of each block's product: at level ``L`` the first factor of
+    pair ``i`` carries the state at the pair's start, node ``i * 2**(L+1)``
+    of the block, to its midpoint, node ``i * 2**(L+1) + 2**L``.
     """
-    while m.shape[1] > 1:
-        n = m.shape[1]
-        e, p = m[:, 0 : n - 1 : 2], m[:, 1::2]
-        pairs = np.stack((
-            p[0] * e[0] + p[1] * e[2], p[0] * e[1] + p[1] * e[3],
-            p[2] * e[0] + p[3] * e[2], p[2] * e[1] + p[3] * e[3],
-        ))
-        m = np.concatenate((pairs, m[:, n - n % 2 :]), axis=1)
-    return m[:, 0]
+    coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
+    us, vs = np.empty((2, xs.size, lams.size)) if nodes else (None, None)
+    for j in range(0, xs.size - 1, _BLOCK):
+        x = xs[j : j + _BLOCK + 1]
+        m = np.stack(_step(coeffs, w2, lams, x[:-1, None], np.diff(x)[:, None]))
+        firsts = []
+        while m.shape[1] > 1:
+            n = m.shape[1]
+            e, p = m[:, 0 : n - 1 : 2], m[:, 1::2]
+            firsts.append(e)
+            pairs = np.stack((
+                p[0] * e[0] + p[1] * e[2], p[0] * e[1] + p[1] * e[3],
+                p[2] * e[0] + p[3] * e[2], p[2] * e[1] + p[3] * e[3],
+            ))
+            m = np.concatenate((pairs, m[:, n - n % 2 :]), axis=1)
+        if nodes:
+            bu, bv = us[j : j + _BLOCK], vs[j : j + _BLOCK]
+            bu[0], bv[0] = u, v
+            for level in reversed(range(len(firsts))):
+                a, b, c, d = firsts[level]
+                stride, end = 2 << level, len(a) << (level + 1)
+                su, sv = bu[0:end:stride], bv[0:end:stride]
+                bu[stride // 2 : end : stride] = a * su + b * sv
+                bv[stride // 2 : end : stride] = c * su + d * sv
+        a, b, c, d = m[:, 0]
+        u, v = a * u + b * v, c * u + d * v
+    if nodes:
+        us[-1], vs[-1] = u, v
+    return (u, v), (us, vs)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +223,15 @@ def _product(m: np.ndarray) -> np.ndarray:
 def _batched(lam) -> bool:
     """Whether ``lam`` holds many spectral parameters; cheap for a float."""
     return not isinstance(lam, float) and np.ndim(lam) > 0
+
+
+def _check_lams(lams) -> np.ndarray:
+    lams = np.ascontiguousarray(lams, dtype=float)
+    if lams.ndim != 1 or lams.size == 0:
+        raise ValueError("lams must be a nonempty 1-d array")
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("lams must be finite")
+    return lams
 
 
 @dataclass(frozen=True)
@@ -239,6 +287,39 @@ class PieceTrajectory:
         return State(u, v)
 
 
+def _as_batch(lam) -> tuple[float | np.ndarray, np.ndarray]:
+    """``lam`` as a solution stores it, and as the checked batch to carry.
+
+    A scalar is a batch of one; an array is checked by ``_check_lams``.
+    """
+    if _batched(lam):
+        lams = _check_lams(lam)
+        return lams, lams
+    if not math.isfinite(lam):
+        raise ValueError(f"lam={lam!r} is not finite")
+    return lam, np.array([float(lam)])
+
+
+def _trajectory(spec: ProblemSpec, lam, piece: int, xs: np.ndarray, us, vs) -> PieceTrajectory:
+    """Trajectory of one piece from ``_carry``'s nodes ``xs`` and states ``us``/``vs`` there.
+
+    The nodes are stored ascending; for a scalar ``lam`` the batch of one is
+    squeezed to 1-d node arrays and float states.
+    """
+    initial, terminal = State(us[0], vs[0]), State(us[-1], vs[-1])
+    us, vs = us.T, vs.T
+    if not _batched(lam):
+        us, vs = us[0], vs[0]
+        initial, terminal = (State(st.u.item(), st.v.item()) for st in (initial, terminal))
+    x_start, x_end = float(xs[0]), float(xs[-1])
+    if x_start > x_end:
+        xs, us, vs = xs[::-1], us[..., ::-1], vs[..., ::-1]
+    return PieceTrajectory(
+        piece=piece, lam=lam, x_start=x_start, x_end=x_end, initial=initial, terminal=terminal,
+        xs=xs, us=us, vs=vs, coeffs=spec.q.pieces[piece - 1], w2=spec.omega[piece - 1] ** 2,
+    )
+
+
 def propagate_piece(
     spec: ProblemSpec,
     lam,
@@ -256,16 +337,9 @@ def propagate_piece(
     array; with an array, ``init`` holds one state per ``lam`` (or one for
     all), and every ``lam`` is stepped as a scalar build steps it.
     """
-    batched = _batched(lam)
-    if batched:
-        lam = _check_lams(lam)
-        init = State(*(np.full(lam.size, s, dtype=float) for s in init))
-        finite = np.isfinite(init.u).all() and np.isfinite(init.v).all()
-    elif not math.isfinite(lam):
-        raise ValueError(f"lam={lam!r} is not finite")
-    else:
-        finite = math.isfinite(init.u) and math.isfinite(init.v)
-    if not finite:
+    lam, lams = _as_batch(lam)
+    u, v = (np.full(lams.size, s, dtype=float) for s in init)
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError(f"initial state {init!r} is not finite")
     a, b = piece_bounds(spec, piece)
     for name, x in (("x_from", x_from), ("x_to", x_to)):
@@ -277,42 +351,9 @@ def propagate_piece(
     lo, hi = sorted((x_from, x_to))
     mesh = piece_mesh(spec, piece)
     xs = np.concatenate(([lo], mesh[(mesh > lo) & (mesh < hi)], [hi]))
-    forward = x_from < x_to
-    # steps in propagation order, from each node toward the next one
-    starts = xs[:-1] if forward else xs[:0:-1]
-    lengths = np.diff(xs) if forward else -np.diff(xs)[::-1]
-    coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
-    # lists of a, b, c and d over the steps in propagation order (one list per lam of a batch)
-    mats = [e.tolist() for e in _step(coeffs, w2, lam[:, None] if batched else lam, starts, lengths)]
-    if batched:
-        rows = zip(zip(*mats), init.u.tolist(), init.v.tolist())
-        walks = [_walk(zip(*m), u, v) for m, u, v in rows]
-        us, vs = (np.array(nodes) for nodes in zip(*walks))
-        terminal = State(us[:, -1], vs[:, -1])
-    else:
-        us, vs = _walk(zip(*mats), init.u, init.v)
-        terminal = State(us[-1], vs[-1])
-        us, vs = np.array(us), np.array(vs)
-    if not forward:
-        us, vs = us[..., ::-1], vs[..., ::-1]
-    return PieceTrajectory(
-        piece=piece, lam=lam, x_start=x_from, x_end=x_to, initial=init,
-        terminal=terminal, xs=xs, us=us, vs=vs, coeffs=coeffs, w2=w2,
-    )
-
-
-def _walk(steps, u: float, v: float) -> tuple[list, list]:
-    """States ``(u, u')`` at every node, from the first one through ``steps``.
-
-    Each step is ``(a, b, c, d)`` as Python floats: for one ``lam`` a Python
-    loop over floats is cheaper than numpy calls on tiny arrays.
-    """
-    us, vs = [u], [v]
-    for sa, sb, sc, sd in steps:
-        u, v = sa * u + sb * v, sc * u + sd * v
-        us.append(u)
-        vs.append(v)
-    return us, vs
+    xs = xs if x_from < x_to else xs[::-1]
+    _, (us, vs) = _carry(spec, piece, lams, xs, u, v, nodes=True)
+    return _trajectory(spec, lam, piece, xs, us, vs)
 
 
 @dataclass(frozen=True)
@@ -323,7 +364,7 @@ class PiecewiseSolution:
     anchor states in ``ends`` are stored exactly as produced by the launch,
     jump application, and piece terminals; interior queries are transfers
     from the nearest mesh node.  When ``lam`` is an array, every state and
-    query holds one entry (or row) per ``lam``, as in ``ends_batch``.
+    query holds one entry (or row) per ``lam``.
     """
 
     kind: Literal["left", "right"]
@@ -392,19 +433,31 @@ def _anchors(kind: Literal["left", "right"], crossings: dict) -> BoundaryData:
     return BoundaryData(*(st for pair in pairs for st in pair))
 
 
-def _build(spec: ProblemSpec, lam, kind: Literal["left", "right"]) -> PiecewiseSolution:
-    if _batched(lam):
-        lam = _check_lams(lam)
-    launch, legs = _sweep(spec, kind, lam)
-    st = State(*launch)
-    trajs = {}
+def _crossings(
+    spec: ProblemSpec, lams: np.ndarray, kind: Literal["left", "right"], nodes: bool = False
+):
+    """Yield ``(piece, xs, exit, nodes)`` along the sweep, as ``_carry`` gives them.
+
+    Each piece is carried from just past the jump into it (from the launch
+    for the first piece) across its whole mesh ``xs``, in propagation order.
+    """
+    launch, legs = _sweep(spec, kind, lams)
+    u, v = (np.full(lams.size, s) for s in launch)
     for piece, jump in legs:
         if jump is not None:
-            st = State(*jump(*st))
-        a, b = piece_bounds(spec, piece)
-        x_from, x_to = (a, b) if kind == "left" else (b, a)
-        trajs[piece] = propagate_piece(spec, lam, piece, x_from, x_to, st)
-        st = trajs[piece].terminal
+            u, v = jump(u, v)
+        mesh = piece_mesh(spec, piece)
+        xs = mesh if kind == "left" else mesh[::-1]
+        (u, v), states = _carry(spec, piece, lams, xs, u, v, nodes)
+        yield piece, xs, (u, v), states
+
+
+def _build(spec: ProblemSpec, lam, kind: Literal["left", "right"]) -> PiecewiseSolution:
+    lam, lams = _as_batch(lam)
+    trajs = {
+        piece: _trajectory(spec, lam, piece, xs, *states)
+        for piece, xs, _, states in _crossings(spec, lams, kind, nodes=True)
+    }
     return PiecewiseSolution(
         kind=kind, lam=lam, spec=spec, pieces=(trajs[1], trajs[2], trajs[3]),
         ends=_anchors(kind, {i: (t.initial, t.terminal) for i, t in trajs.items()}),
@@ -446,68 +499,14 @@ def wronskian(
 
 
 # ---------------------------------------------------------------------------
-# batched over lam: terminal values for the characteristic scan, anchor
-# states for the per-piece Wronskians
-
-
-def _check_lams(lams) -> np.ndarray:
-    lams = np.ascontiguousarray(lams, dtype=float)
-    if lams.ndim != 1 or lams.size == 0:
-        raise ValueError("lams must be a nonempty 1-d array")
-    if not np.all(np.isfinite(lams)):
-        raise ValueError("lams must be finite")
-    return lams
-
-
-def _carry(spec: ProblemSpec, piece: int, lams: np.ndarray, xs: np.ndarray, u, v):
-    """Carry states ``(u, u')``, one per ``lam``, along nodes ``xs`` of one piece.
-
-    ``xs`` lists the nodes in propagation order (either direction), as
-    ``piece_mesh`` or a cut of it gives them.  The step matrices are formed
-    for every ``lam`` at once, in blocks of ``_BLOCK`` steps that are
-    multiplied pairwise.  A single node returns the states unchanged.
-    """
-    coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
-    for j in range(0, xs.size - 1, _BLOCK):
-        x = xs[j : j + _BLOCK + 1]
-        a, b, c, d = _product(np.stack(_step(coeffs, w2, lams, x[:-1, None], np.diff(x)[:, None])))
-        u, v = a * u + b * v, c * u + d * v
-    return u, v
-
-
-def _crossings(spec: ProblemSpec, lams: np.ndarray, kind: Literal["left", "right"]):
-    """Yield ``(piece, entry, exit)`` along the sweep, states as ``(u, u')`` arrays.
-
-    ``entry`` is the state just past the jump into the piece (the launch for
-    the first piece) and ``exit`` the state after ``_carry`` crosses it.
-    """
-    launch, legs = _sweep(spec, kind, lams)
-    u, v = (np.full(lams.size, s) for s in launch)
-    for piece, jump in legs:
-        if jump is not None:
-            u, v = jump(u, v)
-        entry = (u, v)
-        mesh = piece_mesh(spec, piece)
-        u, v = _carry(spec, piece, lams, mesh if kind == "left" else mesh[::-1], u, v)
-        yield piece, entry, (u, v)
+# batched over lam: terminal values for the characteristic scan
 
 
 def left_terminal_batch(spec: ProblemSpec, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values ``(u, u')`` at ``x = +1`` of the left solution, for many ``lam``.
 
-    Each piece is crossed by ``_carry``; the jumps are applied between
-    pieces.
+    The sweep of ``build_left`` without its node states: each piece is
+    crossed by ``_carry`` and the jumps are applied between pieces.
     """
-    *_, (_, _, terminal) = _crossings(spec, _check_lams(lams), "left")
+    *_, (_, _, terminal, _) = _crossings(spec, _check_lams(lams), "left")
     return terminal
-
-
-def ends_batch(spec: ProblemSpec, lams, kind: Literal["left", "right"]) -> BoundaryData:
-    """Anchor states of the left or right solution, for many ``lam``.
-
-    Each field of the result holds arrays, one entry per ``lam``.  The
-    sweep is that of ``left_terminal_batch``; where one step spans a piece
-    the states equal those of ``build_left``/``build_right`` bit for bit.
-    """
-    crossings = _crossings(spec, _check_lams(lams), kind)
-    return _anchors(kind, {i: (State(*a), State(*b)) for i, a, b in crossings})

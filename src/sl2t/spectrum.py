@@ -426,10 +426,9 @@ def orthogonality_matrix(spec: ProblemSpec, fns: Sequence[EigenFunction]) -> np.
 
     The eigenfunctions' elements must share one quadrature grid.  The matrix
     comes from one inner product of the stacked elements as a column against
-    them as a row.  Entry ``(i, j)`` with ``i <= j`` equals
-    ``inner_product(spec, fns[i].element, fns[j].element)`` and is mirrored
-    to ``(j, i)``, so the matrix is exactly symmetric (the scalar-coordinate
-    term ``(m3/rho) f1 g1`` rounds differently in the other order).
+    them as a row.  Entry ``(i, j)`` equals
+    ``inner_product(spec, fns[i].element, fns[j].element)``, and the matrix
+    is exactly symmetric because the inner product is.
     """
     lams = [fn.lambda_n for fn in fns]
     for i in range(len(lams)):
@@ -445,7 +444,4 @@ def orthogonality_matrix(spec: ProblemSpec, fns: Sequence[EigenFunction]) -> np.
     f1 = np.array([fn.f1 for fn in fns])
     row = HilbertElement(grid, tuple(values), f1)
     column = HilbertElement(grid, tuple(v[:, None] for v in values), f1[:, None])
-    gram = inner_product(spec, column, row)
-    upper = np.triu_indices(len(fns), 1)
-    gram.T[upper] = gram[upper]
-    return gram
+    return inner_product(spec, column, row)

@@ -54,6 +54,19 @@ def propagate_constant(u: float, v: float, s: float, length: float) -> tuple[flo
     return u + length * v, v
 
 
+def step_states(steps, u: float, v: float) -> list[tuple[float, float]]:
+    """States ``(u, u')`` at every node, one 2x2 transfer ``(a, b, c, d)`` at a time.
+
+    The plain sequential recurrence, for checking a carry that multiplies the
+    same step matrices in another order.
+    """
+    states = [(u, v)]
+    for a, b, c, d in steps:
+        u, v = a * u + b * v, c * u + d * v
+        states.append((u, v))
+    return states
+
+
 # ---------------------------------------------------------------------------
 # exact characteristic value for piecewise-constant coefficients
 

@@ -8,18 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import airy_spec, baseline_spec, build_spec, mixed_spec, random_spec, steep_spec
-from oracles import airy_left, transfer_char
+from oracles import airy_left, step_states, transfer_char
 from sl2t.problem import NumericalError, piece_bounds
 from sl2t.shooting import (
     PiecewiseSolution,
     State,
     build_left,
     build_right,
-    ends_batch,
     left_terminal_batch,
     propagate_piece,
     wronskian,
 )
+from sl2t.shooting import _carry, _step
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +273,58 @@ def test_batched_terminals_agree_with_single_builds():
 
 @pytest.mark.parametrize("kind", ["left", "right"])
 def test_batched_anchor_states_agree_with_single_builds(kind):
-    # bit for bit where one step spans the piece; to rounding on Magnus meshes
     build = build_left if kind == "left" else build_right
     lams = np.array([-50.0, -3.0, 0.0, 7.5, 300.0, 4e4])
-    for spec, tol in ((random_spec(np.random.default_rng(8)), 0.0), (airy_spec(), 1e-12)):
-        ends = ends_batch(spec, lams, kind)
+    for spec in (random_spec(np.random.default_rng(8)), airy_spec()):
+        ends = build(spec, lams).ends
         for j, lam in enumerate(lams):
             sol = build(spec, float(lam))
             for name, want in vars(sol.ends).items():
                 got = getattr(ends, name)
-                scale = abs(want.u) + abs(want.v) / (1.0 + math.sqrt(abs(lam)))
-                assert abs(got.u[j] - want.u) <= tol * scale, (lam, name)
-                assert abs(got.v[j] - want.v) <= tol * scale * (1.0 + math.sqrt(abs(lam))), (lam, name)
+                assert (got.u[j], got.v[j]) == (want.u, want.v), (lam, name)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [airy_spec, mixed_spec, lambda: random_spec(np.random.default_rng(5), constant_q=False)],
+    ids=["airy_spec", "mixed_spec", "polynomial_q"],
+)
+def test_dense_builds_end_where_the_scan_does(make):
+    # the build and the scan cross each piece with one carry
+    spec = make()
+    lams = np.array([-50.0, -3.0, 0.0, 7.5, 300.0, 4e4])
+    u, v = left_terminal_batch(spec, lams)
+    right = build_left(spec, lams).ends.right
+    assert np.array_equal(right.u, u) and np.array_equal(right.v, v)
+    for j, lam in enumerate(lams.tolist()):
+        assert build_left(spec, lam).ends.right == State(u[j], v[j])
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 255, 256, 257, 513])
+@pytest.mark.parametrize("forward", [True, False], ids=["rightward", "leftward"])
+def test_carry_node_states_follow_the_step_recurrence(n_steps, forward):
+    # pairwise products and their down-sweep against one step after another,
+    # over odd tails and several blocks
+    spec = airy_spec()
+    lams = np.array([-50.0, 0.0, 7.5, 300.0])
+    a, b = piece_bounds(spec, 2)
+    xs = np.linspace(a, b, n_steps + 1)
+    xs = xs if forward else xs[::-1]
+    init = (np.array([0.3, -1.0, 0.8, 1.2]), np.array([1.0, 0.5, -2.0, 0.0]))
+    (u, v), (us, vs) = _carry(spec, 2, lams, xs, *init, nodes=True)
+    (u0, v0), none = _carry(spec, 2, lams, xs, *init)
+    assert none == (None, None) and np.array_equal(u0, u) and np.array_equal(v0, v)
+    assert us.shape == vs.shape == (xs.size, lams.size)
+    assert np.array_equal(us[0], init[0]) and np.array_equal(vs[0], init[1])
+    assert np.array_equal(us[-1], u) and np.array_equal(vs[-1], v)
+    coeffs, w2 = spec.q.pieces[1], spec.omega[1] ** 2
+    for j, lam in enumerate(lams.tolist()):
+        steps = zip(*(m.tolist() for m in _step(coeffs, w2, lam, xs[:-1], np.diff(xs))))
+        want_u, want_v = np.array(step_states(steps, init[0][j], init[1][j])).T
+        k = 1.0 + math.sqrt(abs(lam) * w2)
+        size = np.maximum(np.abs(want_u), np.abs(want_v) / k)
+        err = np.maximum(np.abs(us[:, j] - want_u), np.abs(vs[:, j] - want_v) / k)
+        assert np.all(err <= 1e-13 * size), (lam, float(np.max(err / size)))
 
 
 _BUILD_LAMS = np.array([-50.0, -7.5, 0.0, 3.7, 61.3, 4e4])
@@ -344,7 +384,7 @@ def test_batch_input_validation():
     with pytest.raises(ValueError):
         left_terminal_batch(spec, np.array([1.0, math.nan]))
     with pytest.raises(ValueError):
-        ends_batch(spec, [math.inf], "right")
+        build_right(spec, [math.inf]).ends
     for build in (build_left, build_right):
         with pytest.raises(ValueError):
             build(spec, np.array([]))
