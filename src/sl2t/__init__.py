@@ -61,7 +61,6 @@ from .shooting import (
     build_left,
     build_right,
     left_terminal_batch,
-    propagate_piece,
     wronskian,
 )
 from .spectrum import (
@@ -83,7 +82,7 @@ __all__ = [
     "NumericalError", "validate", "parse_config", "load_config", "config_dict",
     "spec_digest", "phase", "piece_bounds", "piece_index_at", "weight_at", "q_at",
     # shooting
-    "State", "BoundaryData", "PieceTrajectory", "PiecewiseSolution", "propagate_piece",
+    "State", "BoundaryData", "PieceTrajectory", "PiecewiseSolution",
     "build_left", "build_right", "wronskian", "left_terminal_batch",
     # characteristic function
     "CharValue", "char_value", "char_grid", "char_batch",

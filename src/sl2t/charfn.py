@@ -5,9 +5,10 @@ and the three per-piece constants differ only by fixed products of the jump
 constants.  The piece-1 value is taken as *the* characteristic value; the
 other two, rescaled by those products, must reproduce it, which gives a
 cheap internal consistency check on every evaluation.  ``char_grid`` reads
-each piece's Wronskian at its lower end, from the anchor states of both
-solutions for a whole batch of spectral parameters at once; ``char_value``
-is its one-``lam`` view.
+each piece's Wronskian at its lower end, from the anchor records of the
+left and right sweeps (``shooting._crossings``, no node states kept) for a
+whole batch of spectral parameters at once; ``char_value`` is its
+one-``lam`` view.
 
 For scanning, a fast path computes the same canonical value from the left
 solution alone: propagating the right boundary form onto the left solution's
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ProblemSpec
-from .shooting import build_left, build_right, left_terminal_batch
+from .shooting import _check_lams, _crossings, left_terminal_batch
 
 __all__ = ["CharValue", "char_value", "char_grid", "char_batch"]
 
@@ -47,8 +48,9 @@ def char_grid(spec: ProblemSpec, lams) -> list[CharValue]:
     """Full characteristic evaluations, with the consistency check, for many ``lam``.
 
     The Wronskians are read at ``-1``, ``h1+`` and ``h2+``, the lower end of
-    each piece, from the anchor states of one λ-batched ``build_left`` and
-    one ``build_right``.  Not at ``+1``: there the right solution is still
+    each piece, from the anchor records of one λ-batched left sweep and one
+    right sweep, the ``ends`` of ``build_left`` and ``build_right`` without
+    their node states.  Not at ``+1``: there the right solution is still
     its launch, and the piece-3 value would repeat the boundary form of
     ``char_batch``.  The values equal those of one-``lam`` builds read with
     ``wronskian`` bit for bit.
@@ -56,7 +58,8 @@ def char_grid(spec: ProblemSpec, lams) -> list[CharValue]:
     arr = np.asarray(lams, dtype=float).reshape(-1)
     if arr.size == 0:
         return []
-    f, g = build_left(spec, arr).ends, build_right(spec, arr).ends
+    arr = _check_lams(arr)
+    f, g = _crossings(spec, arr, "left"), _crossings(spec, arr, "right")
     d = [f.left.wronskian(g.left), f.h1_plus.wronskian(g.h1_plus), f.h2_plus.wronskian(g.h2_plus)]
     resid = np.maximum(np.abs(d[0] - spec.m2 * d[1]), np.abs(d[0] - spec.m3 * d[2]))
     return [

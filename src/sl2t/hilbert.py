@@ -285,15 +285,10 @@ def sample_domain_element(
     stacked = np.ndim(seed) > 0
     if grid is None:
         grid = QuadratureGrid.build(spec)
-    if stacked:
-        # each parameter as a (k, 1) column, one row per seed, broadcast against every point
-        freq, amp, b0, b1, b2, p2, s2, p3, s3 = np.array([_draw(int(k)) for k in seed]).T[..., None]
-        col = lambda a, j: a[:, j, None]
-        point = lambda a: a[:, 0]
-    else:
-        freq, amp, b0, b1, b2, p2, s2, p3, s3 = _draw(seed)
-        col = lambda a, j: a[j]
-        point = float
+    # an int seed is drawn as a stack of one; each parameter is a (k, 1)
+    # column, one row per seed, broadcast against every point
+    seeds = seed if stacked else [seed]
+    freq, amp, b0, b1, b2, p2, s2, p3, s3 = np.array([_draw(int(k)) for k in seeds]).T[..., None]
     u0, v0 = spec.left_launch
     h1, h2 = spec.h1, spec.h2
     x1, x2, x3 = grid.nodes
@@ -308,28 +303,29 @@ def sample_domain_element(
     df = amp * (-u0 * freq * sin + v0 * cos) + 2.0 * t * poly + t * t * dpoly
     d2f = (amp * (-u0 * freq**2 * cos - v0 * freq * sin)
            + 2.0 * poly + 4.0 * t * dpoly + 2.0 * t * t * b2)
-    left, h1_minus = State(col(f, 0), col(df, 0)), State(col(f, 1), col(df, 1))
+    left, h1_minus = State(f[:, 0:1], df[:, 0:1]), State(f[:, 1:2], df[:, 1:2])
     pieces = [(f[..., 2:], df[..., 2:], d2f[..., 2:])]
 
     h1_plus = State(*spec.jump(0, *h1_minus))
     f, df, d2f = _hermite(h1, h2, h1_plus.u, h1_plus.v, p2, s2, np.concatenate(((h2,), x2)))
-    h2_minus = State(col(f, 0), col(df, 0))
+    h2_minus = State(f[:, 0:1], df[:, 0:1])
     pieces.append((f[..., 1:], df[..., 1:], d2f[..., 1:]))
 
     h2_plus = State(*spec.jump(1, *h2_minus))
     f, df, d2f = _hermite(h2, 1.0, h2_plus.u, h2_plus.v, p3, s3, np.concatenate(((1.0,), x3)))
-    right = State(col(f, 0), col(df, 0))
+    right = State(f[:, 0:1], df[:, 0:1])
     pieces.append((f[..., 1:], df[..., 1:], d2f[..., 1:]))
 
     ends = BoundaryData(*(
-        State(point(st.u), point(st.v))
+        State(st.u[:, 0], st.v[:, 0])
         for st in (left, h1_minus, h1_plus, h2_minus, h2_plus, right)
     ))
     values, deriv, deriv2 = zip(*pieces)
-    return HilbertElement(
+    element = HilbertElement(
         grid=grid, values=values, f1=spec.f1_coupling(*ends.right), deriv=deriv,
         deriv2=deriv2, ends=ends,
     )
+    return element if stacked else element.rows()[0]
 
 
 def element_from_solution(

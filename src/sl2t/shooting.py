@@ -11,12 +11,7 @@ the ``rk_tol`` solver key.
 
 One carry (``_carry``) crosses a piece for every caller.  It forms the step
 matrices for a whole batch of ``lam`` at once (a scalar ``lam`` is a batch of
-one) and multiplies them pairwise.  The characteristic scan
-(``left_terminal_batch``) reads only the exit state; ``build_left``,
-``build_right`` and ``propagate_piece`` also read the state at every mesh
-node from the same product, so their anchor states equal the scan's bit for
-bit.  Interior queries step from the nearest stored node, with the same step
-vectorized over ``x``.
+one) and multiplies them pairwise.
 
 Two distinguished solutions are built here:
 
@@ -29,8 +24,15 @@ Two distinguished solutions are built here:
   carried leftward through the inverted jumps.
 
 Both follow one sweep (``_sweep``): the launch state, then the pieces in
-propagation order with the jump crossed before each; ``_crossings`` is the
-one walk along it.  The conditions themselves are read from
+propagation order with the jump crossed before each.  ``_crossings`` is the
+one walk along it and the one source of anchor states: it returns the
+sweep's ``BoundaryData``, each piece's entry and exit state.  The
+characteristic scan (``left_terminal_batch``) and ``charfn.char_grid`` read
+only that record; ``build_left`` and ``build_right`` also keep the state at
+every mesh node from the same product, so their anchor states equal the
+scan's bit for bit.  A piece's node arrays answer every query: at a node the
+stored state, elsewhere one step from the nearest node before it, with the
+same step vectorized over ``x``.  The conditions themselves are read from
 :class:`ProblemSpec`.
 
 An eigenvalue is a value of ``lam`` where the two are proportional, which
@@ -55,7 +57,6 @@ __all__ = [
     "PieceTrajectory",
     "PiecewiseSolution",
     "piece_mesh",
-    "propagate_piece",
     "build_left",
     "build_right",
     "wronskian",
@@ -239,18 +240,14 @@ class PieceTrajectory:
     """Solution on one piece, queryable anywhere between its endpoints.
 
     ``xs`` holds the mesh nodes in ascending order and ``us``/``vs`` the
-    solution there; an interior value is the transfer from the nearest node
-    at or before the query point.  When ``lam`` is an array of ``n`` values,
-    ``us``/``vs`` are shaped ``(n, xs.size)``, the ``initial`` and
-    ``terminal`` states hold arrays, and queries return one row per ``lam``.
+    solution there; a value at a node is the stored state, and any other
+    value is the transfer from the nearest node before the query point.
+    When ``lam`` is an array of ``n`` values, ``us``/``vs`` are shaped
+    ``(n, xs.size)`` and queries return one row per ``lam``.
     """
 
     piece: int
     lam: float | np.ndarray
-    x_start: float
-    x_end: float
-    initial: State
-    terminal: State
     xs: np.ndarray
     us: np.ndarray
     vs: np.ndarray
@@ -272,7 +269,7 @@ class PieceTrajectory:
         if np.any(xv < lo - _EDGE_TOL) or np.any(xv > hi + _EDGE_TOL):
             raise ValueError(f"query outside integrated range [{lo}, {hi}]")
         xv = np.clip(xv, lo, hi)
-        k = np.clip(np.searchsorted(self.xs, xv, side="right") - 1, 0, self.n_steps - 1)
+        k = np.clip(np.searchsorted(self.xs, xv, side="right") - 1, 0, self.n_steps)
         x0 = self.xs[k]
         lam = self.lam.reshape((-1,) + (1,) * xv.ndim) if _batched(self.lam) else self.lam
         a, b, c, d = _step(self.coeffs, self.w2, lam, x0, xv - x0)
@@ -300,71 +297,16 @@ def _as_batch(lam) -> tuple[float | np.ndarray, np.ndarray]:
     return lam, np.array([float(lam)])
 
 
-def _trajectory(spec: ProblemSpec, lam, piece: int, xs: np.ndarray, us, vs) -> PieceTrajectory:
-    """Trajectory of one piece from ``_carry``'s nodes ``xs`` and states ``us``/``vs`` there.
-
-    The nodes are stored ascending; for a scalar ``lam`` the batch of one is
-    squeezed to 1-d node arrays and float states.
-    """
-    initial, terminal = State(us[0], vs[0]), State(us[-1], vs[-1])
-    us, vs = us.T, vs.T
-    if not _batched(lam):
-        us, vs = us[0], vs[0]
-        initial, terminal = (State(st.u.item(), st.v.item()) for st in (initial, terminal))
-    x_start, x_end = float(xs[0]), float(xs[-1])
-    if x_start > x_end:
-        xs, us, vs = xs[::-1], us[..., ::-1], vs[..., ::-1]
-    return PieceTrajectory(
-        piece=piece, lam=lam, x_start=x_start, x_end=x_end, initial=initial, terminal=terminal,
-        xs=xs, us=us, vs=vs, coeffs=spec.q.pieces[piece - 1], w2=spec.omega[piece - 1] ** 2,
-    )
-
-
-def propagate_piece(
-    spec: ProblemSpec,
-    lam,
-    piece: int,
-    x_from: float,
-    x_to: float,
-    init: State,
-) -> PieceTrajectory:
-    """Carry ``init`` across one piece from ``x_from`` to ``x_to`` (either direction).
-
-    Both endpoints must lie in the closure of piece ``piece`` (1-based).  The
-    steps are the piece's mesh cut to ``[x_from, x_to]``; the returned
-    trajectory stores the solution at every node, and its ``terminal`` state
-    is the solution at ``x_to``.  ``lam`` is a scalar or a nonempty 1-d
-    array; with an array, ``init`` holds one state per ``lam`` (or one for
-    all), and every ``lam`` is stepped as a scalar build steps it.
-    """
-    lam, lams = _as_batch(lam)
-    u, v = (np.full(lams.size, s, dtype=float) for s in init)
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError(f"initial state {init!r} is not finite")
-    a, b = piece_bounds(spec, piece)
-    for name, x in (("x_from", x_from), ("x_to", x_to)):
-        if not (a - _EDGE_TOL <= x <= b + _EDGE_TOL):
-            raise ValueError(f"{name}={x!r} lies outside piece {piece} = [{a}, {b}]")
-    if x_from == x_to:
-        raise ValueError("x_from and x_to coincide")
-
-    lo, hi = sorted((x_from, x_to))
-    mesh = piece_mesh(spec, piece)
-    xs = np.concatenate(([lo], mesh[(mesh > lo) & (mesh < hi)], [hi]))
-    xs = xs if x_from < x_to else xs[::-1]
-    _, (us, vs) = _carry(spec, piece, lams, xs, u, v, nodes=True)
-    return _trajectory(spec, lam, piece, xs, us, vs)
-
-
 @dataclass(frozen=True)
 class PiecewiseSolution:
     """A solution of the full problem assembled from three piece trajectories.
 
-    ``kind`` records the launch end ("left" or "right").  The one-sided
-    anchor states in ``ends`` are stored exactly as produced by the launch,
-    jump application, and piece terminals; interior queries are transfers
-    from the nearest mesh node.  When ``lam`` is an array, every state and
-    query holds one entry (or row) per ``lam``.
+    ``kind`` records the launch end ("left" or "right").  ``ends`` is the
+    sweep's anchor record: the launch, each jump's image and each piece's
+    exit state.  Every query goes to one piece's node arrays, whose end
+    nodes hold those same states, so a query exactly at an anchor returns
+    its ``ends`` field bit for bit.  When ``lam`` is an array, every state
+    and query holds one entry (or row) per ``lam``.
     """
 
     kind: Literal["left", "right"]
@@ -374,16 +316,8 @@ class PiecewiseSolution:
     ends: BoundaryData
 
     def state(self, x: float, side: Side | None = None) -> State:
-        """One-sided solution state at ``x``; anchors are returned exactly."""
-        h1, h2 = self.spec.h1, self.spec.h2
-        # the anchor points, in the field order of ``BoundaryData``
-        points = ((-1.0, None), (h1, "left"), (h1, "right"), (h2, "left"), (h2, "right"), (1.0, None))
-        for (ax, aside), st in zip(points, vars(self.ends).values()):
-            if abs(x - ax) <= _EDGE_TOL and (aside is None or aside == side):
-                if aside is None or side is not None:
-                    return st
-        index = piece_index_at(self.spec, x, side)
-        return self.pieces[index - 1].state(x)
+        """One-sided solution state at ``x``; at a node, the stored state."""
+        return self.pieces[piece_index_at(self.spec, x, side) - 1].state(x)
 
     def eval(self, x, side: Side | None = None):
         """Vectorized value/slope query; ``side`` only matters at interfaces.
@@ -427,40 +361,50 @@ def _sweep(spec: ProblemSpec, kind: Literal["left", "right"], lam):
     )
 
 
-def _anchors(kind: Literal["left", "right"], crossings: dict) -> BoundaryData:
-    """Anchor record from each piece's ``(entry, exit)`` states, keyed by piece."""
-    pairs = (crossings[i] if kind == "left" else crossings[i][::-1] for i in (1, 2, 3))
-    return BoundaryData(*(st for pair in pairs for st in pair))
-
-
 def _crossings(
     spec: ProblemSpec, lams: np.ndarray, kind: Literal["left", "right"], nodes: bool = False
 ):
-    """Yield ``(piece, xs, exit, nodes)`` along the sweep, as ``_carry`` gives them.
+    """Carry one launch end's solution along its sweep, for checked ``lams``.
 
-    Each piece is carried from just past the jump into it (from the launch
-    for the first piece) across its whole mesh ``xs``, in propagation order.
+    Each piece is crossed by ``_carry`` over its whole mesh, from just past
+    the jump into it (from the launch, for the first piece).  Returns the
+    sweep's anchor record: each piece's entry and exit state, one entry per
+    ``lam``.  With ``nodes`` it also returns, for pieces 1, 2 and 3, the
+    ascending mesh ``xs`` and the states ``us``/``vs`` there, shaped
+    ``(n_lam, xs.size)``.
     """
     launch, legs = _sweep(spec, kind, lams)
     u, v = (np.full(lams.size, s) for s in launch)
+    order = 1 if kind == "left" else -1
+    anchors, paths = {}, {}
     for piece, jump in legs:
         if jump is not None:
             u, v = jump(u, v)
-        mesh = piece_mesh(spec, piece)
-        xs = mesh if kind == "left" else mesh[::-1]
-        (u, v), states = _carry(spec, piece, lams, xs, u, v, nodes)
-        yield piece, xs, (u, v), states
+        entry = State(u, v)
+        xs = piece_mesh(spec, piece)
+        (u, v), (us, vs) = _carry(spec, piece, lams, xs[::order], u, v, nodes)
+        anchors[piece] = (entry, State(u, v))[::order]
+        if nodes:
+            paths[piece] = (xs, us[::order].T, vs[::order].T)
+    ends = BoundaryData(*(st for piece in (1, 2, 3) for st in anchors[piece]))
+    return (ends, tuple(paths[piece] for piece in (1, 2, 3))) if nodes else ends
 
 
 def _build(spec: ProblemSpec, lam, kind: Literal["left", "right"]) -> PiecewiseSolution:
     lam, lams = _as_batch(lam)
-    trajs = {
-        piece: _trajectory(spec, lam, piece, xs, *states)
-        for piece, xs, _, states in _crossings(spec, lams, kind, nodes=True)
-    }
+    ends, paths = _crossings(spec, lams, kind, nodes=True)
+    # a scalar lam squeezes the batch of one to float anchor states and 1-d node arrays
+    row = slice(None) if _batched(lam) else 0
+    pieces = tuple(
+        PieceTrajectory(
+            piece=piece, lam=lam, xs=xs, us=us[row], vs=vs[row],
+            coeffs=spec.q.pieces[piece - 1], w2=spec.omega[piece - 1] ** 2,
+        )
+        for piece, (xs, us, vs) in enumerate(paths, start=1)
+    )
     return PiecewiseSolution(
-        kind=kind, lam=lam, spec=spec, pieces=(trajs[1], trajs[2], trajs[3]),
-        ends=_anchors(kind, {i: (t.initial, t.terminal) for i, t in trajs.items()}),
+        kind=kind, lam=lam, spec=spec, pieces=pieces,
+        ends=ends if _batched(lam) else ends.rows()[0],
     )
 
 
@@ -508,5 +452,5 @@ def left_terminal_batch(spec: ProblemSpec, lams: np.ndarray) -> tuple[np.ndarray
     The sweep of ``build_left`` without its node states: each piece is
     crossed by ``_carry`` and the jumps are applied between pieces.
     """
-    *_, (_, _, terminal, _) = _crossings(spec, _check_lams(lams), "left")
-    return terminal
+    right = _crossings(spec, _check_lams(lams), "left").right
+    return right.u, right.v

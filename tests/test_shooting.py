@@ -12,11 +12,12 @@ from oracles import airy_left, step_states, transfer_char
 from sl2t.problem import NumericalError, piece_bounds
 from sl2t.shooting import (
     PiecewiseSolution,
+    PieceTrajectory,
     State,
     build_left,
     build_right,
     left_terminal_batch,
-    propagate_piece,
+    piece_mesh,
     wronskian,
 )
 from sl2t.shooting import _carry, _step
@@ -26,13 +27,29 @@ from sl2t.shooting import _carry, _step
 # single-piece integration against closed forms
 
 
+def carry_piece(spec, lam, piece, init, leftward=False):
+    """``_carry`` of ``init`` across the whole mesh of ``piece``, for one ``lam``.
+
+    Returns the exit state and the piece's trajectory on ascending nodes.
+    """
+    xs = piece_mesh(spec, piece)
+    order = -1 if leftward else 1
+    u0, v0 = (np.array([float(s)]) for s in init)
+    (u, v), (us, vs) = _carry(spec, piece, np.array([lam]), xs[::order], u0, v0, nodes=True)
+    traj = PieceTrajectory(
+        piece=piece, lam=lam, xs=xs, us=us[::order, 0], vs=vs[::order, 0],
+        coeffs=spec.q.pieces[piece - 1], w2=spec.omega[piece - 1] ** 2,
+    )
+    return State(u.item(), v.item()), traj
+
+
 def test_free_oscillation_matches_sine():
     # u'' = -4u, u(-1) = 0, u'(-1) = 1  ->  u = sin(2(x+1))/2
     spec = baseline_spec()
-    traj = propagate_piece(spec, 4.0, 1, -1.0, spec.h1, State(0.0, 1.0))
+    end, traj = carry_piece(spec, 4.0, 1, State(0.0, 1.0))
     width = spec.h1 + 1.0
-    assert traj.terminal.u == pytest.approx(math.sin(2.0 * width) / 2.0, abs=1e-11)
-    assert traj.terminal.v == pytest.approx(math.cos(2.0 * width), abs=1e-11)
+    assert end.u == pytest.approx(math.sin(2.0 * width) / 2.0, abs=1e-11)
+    assert end.v == pytest.approx(math.cos(2.0 * width), abs=1e-11)
     xs = np.linspace(-1.0, spec.h1, 17)
     u, v = traj.eval(xs)
     assert np.max(np.abs(u - np.sin(2.0 * (xs + 1.0)) / 2.0)) < 1e-11
@@ -41,65 +58,60 @@ def test_free_oscillation_matches_sine():
 
 def test_lambda_zero_keeps_constants():
     spec = baseline_spec()
-    traj = propagate_piece(spec, 0.0, 1, -1.0, spec.h1, State(1.0, 0.0))
-    assert traj.terminal.u == pytest.approx(1.0, abs=1e-14)
-    assert traj.terminal.v == pytest.approx(0.0, abs=1e-14)
+    end, _ = carry_piece(spec, 0.0, 1, State(1.0, 0.0))
+    assert end.u == pytest.approx(1.0, abs=1e-14)
+    assert end.v == pytest.approx(0.0, abs=1e-14)
 
 
 def test_negative_lambda_grows_exponentially():
     # u'' = u with u(-1) = u'(-1) = 1  ->  u = exp(x+1)
     spec = baseline_spec()
-    traj = propagate_piece(spec, -1.0, 1, -1.0, spec.h1, State(1.0, 1.0))
-    assert traj.terminal.u == pytest.approx(math.exp(spec.h1 + 1.0), rel=1e-11)
-    assert traj.terminal.v == pytest.approx(math.exp(spec.h1 + 1.0), rel=1e-11)
+    end, _ = carry_piece(spec, -1.0, 1, State(1.0, 1.0))
+    assert end.u == pytest.approx(math.exp(spec.h1 + 1.0), rel=1e-11)
+    assert end.v == pytest.approx(math.exp(spec.h1 + 1.0), rel=1e-11)
 
 
 def test_potential_enters_the_equation():
     # constant q = 5, lam = 1, w = 1: u'' = 4u on piece 2
     spec = build_spec(q=[[0.0], [5.0], [0.0]])
-    traj = propagate_piece(spec, 1.0, 2, spec.h1, spec.h2, State(1.0, 2.0))
+    end, _ = carry_piece(spec, 1.0, 2, State(1.0, 2.0))
     width = spec.h2 - spec.h1
     expected_u = math.cosh(2.0 * width) + math.sinh(2.0 * width)
-    assert traj.terminal.u == pytest.approx(expected_u, rel=1e-11)
+    assert end.u == pytest.approx(expected_u, rel=1e-11)
 
 
 def test_reversibility_returns_to_start():
     spec = mixed_spec()
     init = State(0.7, -0.4)
-    fwd = propagate_piece(spec, 7.3, 2, spec.h1, spec.h2, init)
-    back = propagate_piece(spec, 7.3, 2, spec.h2, spec.h1, fwd.terminal)
+    fwd, _ = carry_piece(spec, 7.3, 2, init)
+    back, _ = carry_piece(spec, 7.3, 2, fwd, leftward=True)
     tol = 10.0 * spec.solver.rk_tol
-    assert abs(back.terminal.u - init.u) <= tol * (1.0 + abs(init.u))
-    assert abs(back.terminal.v - init.v) <= tol * (1.0 + abs(init.v))
+    assert abs(back.u - init.u) <= tol * (1.0 + abs(init.u))
+    assert abs(back.v - init.v) <= tol * (1.0 + abs(init.v))
 
 
 def test_linearity_of_the_flow():
     spec = mixed_spec()
     lam = 11.0
-    s1, s2 = State(1.0, 0.0), State(0.0, 1.0)
-    t1 = propagate_piece(spec, lam, 1, -1.0, spec.h1, s1)
-    t2 = propagate_piece(spec, lam, 1, -1.0, spec.h1, s2)
+    t1, _ = carry_piece(spec, lam, 1, State(1.0, 0.0))
+    t2, _ = carry_piece(spec, lam, 1, State(0.0, 1.0))
     c1, c2 = 1.7, -0.3
-    t12 = propagate_piece(spec, lam, 1, -1.0, spec.h1, State(c1, c2))
-    assert t12.terminal.u == pytest.approx(c1 * t1.terminal.u + c2 * t2.terminal.u, abs=1e-10)
-    assert t12.terminal.v == pytest.approx(c1 * t1.terminal.v + c2 * t2.terminal.v, abs=1e-10)
+    t12, _ = carry_piece(spec, lam, 1, State(c1, c2))
+    assert t12.u == pytest.approx(c1 * t1.u + c2 * t2.u, abs=1e-10)
+    assert t12.v == pytest.approx(c1 * t1.v + c2 * t2.v, abs=1e-10)
 
 
 def test_endpoints_validated():
+    # the spectral parameter a build launches with must be finite
     spec = baseline_spec()
-    with pytest.raises(ValueError, match="outside piece"):
-        propagate_piece(spec, 1.0, 1, -1.0, 0.9, State(1.0, 0.0))
-    with pytest.raises(ValueError, match="coincide"):
-        propagate_piece(spec, 1.0, 1, -1.0, -1.0, State(1.0, 0.0))
-    with pytest.raises(ValueError, match="finite"):
-        propagate_piece(spec, math.nan, 1, -1.0, spec.h1, State(1.0, 0.0))
-    with pytest.raises(ValueError, match="finite"):
-        propagate_piece(spec, 1.0, 1, -1.0, spec.h1, State(math.inf, 0.0))
+    for build in (build_left, build_right):
+        with pytest.raises(ValueError, match="finite"):
+            build(spec, math.nan)
 
 
 def test_trajectory_query_range_enforced():
     spec = baseline_spec()
-    traj = propagate_piece(spec, 2.0, 2, spec.h1, spec.h2, State(1.0, 0.0))
+    traj = build_left(spec, 2.0).pieces[1]
     with pytest.raises(ValueError, match="outside"):
         traj.eval(0.9)
 
@@ -377,6 +389,28 @@ def test_wronskian_of_batched_solutions_is_per_lambda():
         wronskian(f, build_right(spec, 3.7), 0.0)
 
 
+@pytest.mark.parametrize("build", [build_left, build_right], ids=["left", "right"])
+@pytest.mark.parametrize(
+    "make",
+    [baseline_spec, mixed_spec, airy_spec,
+     lambda: random_spec(np.random.default_rng(5), constant_q=False)],
+    ids=["baseline_spec", "mixed_spec", "airy_spec", "polynomial_q"],
+)
+def test_anchors_are_exact_through_every_query_path(build, make):
+    # a scalar and an array query at an anchor both return its ends field,
+    # the far end of each piece included
+    spec = make()
+    points = ((-1.0, None), (spec.h1, "left"), (spec.h1, "right"),
+              (spec.h2, "left"), (spec.h2, "right"), (1.0, None))
+    for lam in (3.7, _BUILD_LAMS):
+        sol = build(spec, lam)
+        for (x, side), (name, want) in zip(points, vars(sol.ends).items()):
+            got = sol.state(x, side)
+            u, v = sol.eval(np.array([x]), side)
+            assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v), name
+            assert np.array_equal(u[..., 0], want.u) and np.array_equal(v[..., 0], want.v), name
+
+
 def test_batch_input_validation():
     spec = baseline_spec()
     with pytest.raises(ValueError):
@@ -418,7 +452,7 @@ def test_oracle_agreement_property(seed, lam):
 )
 def test_flow_scales_with_initial_data(lam, c):
     spec = baseline_spec()
-    base = propagate_piece(spec, lam, 1, -1.0, spec.h1, State(1.0, 0.5))
-    scaled = propagate_piece(spec, lam, 1, -1.0, spec.h1, State(c * 1.0, c * 0.5))
-    assert scaled.terminal.u == pytest.approx(c * base.terminal.u, rel=1e-9, abs=1e-9)
-    assert scaled.terminal.v == pytest.approx(c * base.terminal.v, rel=1e-9, abs=1e-9)
+    base, _ = carry_piece(spec, lam, 1, State(1.0, 0.5))
+    scaled, _ = carry_piece(spec, lam, 1, State(c * 1.0, c * 0.5))
+    assert scaled.u == pytest.approx(c * base.u, rel=1e-9, abs=1e-9)
+    assert scaled.v == pytest.approx(c * base.v, rel=1e-9, abs=1e-9)
