@@ -3,9 +3,14 @@
 The search scans the characteristic function on a grid uniform in
 ``nu = sign(lam) * sqrt(|lam|)`` -- the natural spacing, since consecutive
 large eigenvalues differ by about ``pi/Theta(1)`` in ``mu = sqrt(lam)`` --
-brackets every sign change, and refines each bracket by bisection followed
-by a short secant polish.  Every returned eigenvalue carries its bracket as
-a sign-change certificate.
+and brackets every sign change.  All brackets are then refined in lockstep,
+on arrays of bracket ends and end values: each round probes every unfinished
+root in one ``char_batch`` call at its ITP point (interpolate, truncate,
+project; Oliveira & Takahashi, ACM TOMS 47, 2020), a regula falsi step whose
+projection keeps each root within four rounds of bisection.  Two secant
+polishes follow, and a symmetric window around each root is checked for a
+sign change.  Every returned eigenvalue carries that window (or its
+refinement bracket) as a sign-change certificate.
 
 Only odd-multiplicity roots (sign changes) are found; a double root of the
 characteristic function would be missed.  This is a documented limitation
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -46,7 +51,8 @@ class EigenRecord:
 
     ``bracket`` strictly contains ``lambda_n`` and the characteristic value
     changes sign across it; ``abs_delta`` is the characteristic magnitude at
-    the returned point.
+    the returned point; ``refinement_iters`` counts the characteristic
+    evaluations refinement spent on this root, polish included.
     """
 
     n: int
@@ -57,17 +63,49 @@ class EigenRecord:
     refinement_iters: int
 
 
-@dataclass(frozen=True)
+#: one row per located root, in ascending order of ``lambda_n``
+_ROOT_TABLE = np.dtype(
+    [
+        ("lambda_n", np.float64),
+        ("bracket_lo", np.float64),
+        ("bracket_hi", np.float64),
+        ("abs_delta", np.float64),
+        ("refinement_iters", np.int64),
+    ]
+)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class ScanResult:
     """Outcome of an eigenvalue search.
 
-    ``exhausted`` is set when the scan budget ran out before ``n_max`` sign
-    changes were found; the records list is then a verified prefix.
+    ``table`` holds the located roots as one read-only structured array, row
+    ``n - 1`` for eigenvalue ``n``, with the columns ``lambda_n``,
+    ``bracket_lo``, ``bracket_hi``, ``abs_delta`` and ``refinement_iters``.
+    ``records`` builds the ``EigenRecord`` tuple from it anew on every
+    access, so a kept result holds the numbers only; compare results by
+    their records, not with ``==``.  ``exhausted`` is set when the scan
+    budget ran out before ``n_max`` sign changes were found; the records are
+    then a verified prefix.
     """
 
-    records: tuple[EigenRecord, ...]
+    table: np.ndarray
     exhausted: bool
     scanned_to: float
+
+    @property
+    def records(self) -> tuple[EigenRecord, ...]:
+        return tuple(
+            EigenRecord(
+                n=n,
+                lambda_n=lam,
+                mu_n=math.sqrt(lam) if lam > 0.0 else None,
+                bracket=(lo, hi),
+                abs_delta=delta,
+                refinement_iters=iters,
+            )
+            for n, (lam, lo, hi, delta, iters) in enumerate(self.table.tolist(), start=1)
+        )
 
 
 def scan_floor(spec: ProblemSpec) -> float:
@@ -87,74 +125,125 @@ def scan_floor(spec: ProblemSpec) -> float:
     return -spec.solver.scan_floor_factor * (1.0 + max_q / min_w)
 
 
-class _Refine:
-    """Mutable bracket state during lockstep refinement."""
-
-    __slots__ = ("lo", "hi", "flo", "fhi", "best_x", "best_f", "cert", "iters", "done")
-
-    def __init__(self, lo, hi, flo, fhi):
-        self.lo, self.hi, self.flo, self.fhi = lo, hi, flo, fhi
-        self.best_x = 0.5 * (lo + hi)
-        self.best_f = math.inf
-        self.cert = (lo, hi)
-        self.iters = 0
-        self.done = False
-
-    def absorb(self, x: float, fx: float) -> None:
-        self.iters += 1
-        if abs(fx) < abs(self.best_f):
-            # remember the bracket as it was when this point was probed:
-            # the point is strictly inside it, giving a valid certificate
-            self.cert = (self.lo, self.hi)
-            self.best_x, self.best_f = x, fx
-        if fx == 0.0:
-            self.done = True
-            return
-        if (fx > 0.0) == (self.flo > 0.0):
-            self.lo, self.flo = x, fx
-        else:
-            self.hi, self.fhi = x, fx
-
-    def width_target(self, root_tol: float) -> float:
-        return max(root_tol, 8.0 * np.finfo(float).eps * max(abs(self.lo), abs(self.hi)))
+_EPS = float(np.finfo(float).eps)
+#: ITP's slack: a bracket takes at most this many rounds more than bisection
+_ITP_N0 = 4
+#: ITP's truncation is ``_ITP_K1 * width**2 / w0``, ``w0`` the scan bracket's
+#: width (the usual 0.2 spends the first rounds overshooting the root), but at
+#: least ``_ITP_FLOOR`` of the stop width: once the regula falsi point has
+#: converged, one probe on each side of it closes the bracket
+_ITP_K1 = 0.01
+_ITP_FLOOR = 0.4
 
 
-def _refine_lockstep(spec: ProblemSpec, brackets) -> list[_Refine]:
-    """Bisect all brackets to tolerance, then give each two secant polishes.
+def _stop_width(root_tol: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bracket width at which refinement stops: ``max(root_tol, 8 eps max|end|)``."""
+    return np.maximum(root_tol, 8.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
 
-    Probe evaluations across roots are batched into single ``char_batch`` calls.
+
+@dataclass
+class _Refinement:
+    """Lockstep refinement of many brackets, one array entry per root.
+
+    ``lo``/``hi`` are the brackets and ``flo``/``fhi`` their end values, of
+    opposite sign throughout.  ``x``/``fx`` is the probe with the smallest
+    ``|f|`` so far and ``cert_lo``/``cert_hi`` the bracket it was probed in,
+    which holds it strictly inside.  ``iters`` counts each root's
+    evaluations; ``rounds`` the lockstep ITP rounds, polish excluded.
     """
-    roots = [_Refine(*b) for b in brackets]
-    root_tol = spec.solver.root_tol
-    # bisection stage
-    for _ in range(128):
-        active = [r for r in roots if not r.done]
-        if not active:
+
+    lo: np.ndarray
+    hi: np.ndarray
+    flo: np.ndarray
+    fhi: np.ndarray
+    x: np.ndarray
+    fx: np.ndarray
+    cert_lo: np.ndarray
+    cert_hi: np.ndarray
+    iters: np.ndarray
+    rounds: int = 0
+
+    def absorb(self, idx: np.ndarray, x: np.ndarray, fx: np.ndarray) -> None:
+        """Take the values ``fx`` probed at ``x`` inside the brackets ``idx``."""
+        self.iters[idx] += 1
+        better = np.abs(fx) < np.abs(self.fx[idx])
+        won = idx[better]
+        # the bracket as it was when the point was probed certifies it
+        self.cert_lo[won], self.cert_hi[won] = self.lo[won], self.hi[won]
+        self.x[won], self.fx[won] = x[better], fx[better]
+        low = (fx != 0.0) & ((fx > 0.0) == (self.flo[idx] > 0.0))
+        high = (fx != 0.0) & ~low
+        self.lo[idx[low]], self.flo[idx[low]] = x[low], fx[low]
+        self.hi[idx[high]], self.fhi[idx[high]] = x[high], fx[high]
+
+
+def _refine(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    flo: np.ndarray,
+    fhi: np.ndarray,
+    root_tol: float,
+) -> _Refinement:
+    """Refine sign-change brackets of ``f`` in lockstep, then polish each root.
+
+    ``f`` maps an array of points to an array of values; each round calls it
+    once, on one probe per unfinished root.  A root is finished when its
+    bracket is no wider than ``_stop_width`` or a probe hits an exact zero.
+    The probe is ITP's (interpolate, truncate, project): the regula falsi
+    point, moved towards the midpoint by the truncation and then into the
+    interval about the midpoint that keeps the ITP guarantee, at most
+    ``ceil(log2(w0 / target)) + _ITP_N0`` rounds for a bracket of width
+    ``w0`` whose narrowest reachable stop width is ``target``.  Two secant
+    polishes on the final brackets follow.  The inputs are not modified.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)
+    n = lo.size
+    # absorb updates these arrays in place
+    r = _Refinement(
+        lo=lo, hi=hi, flo=flo, fhi=fhi, x=0.5 * (lo + hi), fx=np.full(n, np.inf),
+        cert_lo=lo.copy(), cert_hi=hi.copy(), iters=np.zeros(n, dtype=np.int64),
+    )
+    w0 = hi - lo
+    k1 = _ITP_K1 / w0
+    nearest = np.where(lo * hi > 0.0, np.minimum(np.abs(lo), np.abs(hi)), 0.0)
+    target = _stop_width(root_tol, nearest, nearest)
+    budget = np.ceil(np.log2(w0 / target)) + _ITP_N0
+    # the projection aims a quarter below the target: an ulp is at most an
+    # eighth of any stop width, so probes rounded to floats still close every
+    # bracket within the budget
+    aim = 0.75 * target
+    active = np.arange(n)
+    while True:
+        stop = _stop_width(root_tol, lo[active], hi[active])
+        unfinished = hi[active] - lo[active] > stop
+        active, stop = active[unfinished], stop[unfinished]
+        if not active.size:
             break
-        probes = np.array([0.5 * (r.lo + r.hi) for r in active])
-        fs = char_batch(spec, probes)
-        for r, x, fx in zip(active, probes, fs):
-            r.absorb(float(x), float(fx))
-            if r.hi - r.lo <= r.width_target(root_tol):
-                r.done = True
-    # secant polish stage
+        a, b, fa, fb = lo[active], hi[active], flo[active], fhi[active]
+        w, mid = b - a, 0.5 * (a + b)
+        xf = a - fa * w / (fb - fa)
+        sigma = np.sign(mid - xf)
+        delta = np.maximum(k1[active] * w * w, _ITP_FLOOR * stop)
+        xt = np.where(delta <= np.abs(mid - xf), xf + sigma * delta, mid)
+        # after this round the width is at most aim * 2**(budget - rounds - 1)
+        radius = np.maximum(0.5 * (aim[active] * 2.0 ** (budget[active] - r.rounds) - w), 0.0)
+        x = np.where(np.abs(xt - mid) <= radius, xt, mid - sigma * radius)
+        x = np.where((a < x) & (x < b), x, mid)
+        fx = np.asarray(f(x), dtype=float)
+        r.absorb(active, x, fx)
+        r.rounds += 1
+        active = active[fx != 0.0]
+    everyone = np.arange(n)
     for _ in range(2):
-        polish = [r for r in roots if r.flo != r.fhi and r.hi > r.lo]
-        xs = []
-        for r in polish:
-            x = r.hi - r.fhi * (r.hi - r.lo) / (r.fhi - r.flo)
-            if not (r.lo < x < r.hi) or not math.isfinite(x):
-                x = 0.5 * (r.lo + r.hi)
-            xs.append(x)
-        if not polish:
-            break
-        fs = char_batch(spec, np.array(xs))
-        for r, x, fx in zip(polish, xs, fs):
-            r.absorb(float(x), float(fx))
-    return roots
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        r.absorb(everyone, x, np.asarray(f(x), dtype=float))
+    return r
 
 
-def _certify(spec: ProblemSpec, refined: list[_Refine]) -> list[tuple[float, float]]:
+def _certify(spec: ProblemSpec, refined: _Refinement) -> tuple[np.ndarray, np.ndarray]:
     """Re-checkable sign-change brackets around already-polished roots.
 
     The refinement's final brackets sit at rounding width, where a fresh
@@ -162,40 +251,66 @@ def _certify(spec: ProblemSpec, refined: list[_Refine]) -> list[tuple[float, flo
     arbitrary sign.  Probe a symmetric window around each root instead: wide
     enough to clear the noise floor, far narrower than the gap to either
     neighbour, expanded geometrically in the rare case the endpoint signs
-    still agree.
+    still agree.  A root whose window never changes sign keeps the
+    refinement's bracket, whose recorded end values did.
     """
-    lams = [r.best_x for r in refined]
-    n = len(lams)
-    widths, caps = [], []
-    for i, lam in enumerate(lams):
-        gap = math.inf
-        if i > 0:
-            gap = min(gap, lam - lams[i - 1])
-        if i + 1 < n:
-            gap = min(gap, lams[i + 1] - lam)
-        caps.append(0.45 * gap)
-        widths.append(min(1e-8 * (1.0 + abs(lam)), caps[i]))
-    certs: list[Optional[tuple[float, float]]] = [None] * n
-    pending = list(range(n))
+    lams = refined.x
+    gaps = np.diff(lams)
+    caps = 0.45 * np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    widths = np.minimum(1e-8 * (1.0 + np.abs(lams)), caps)
+    lo, hi = refined.cert_lo.copy(), refined.cert_hi.copy()
+    pending = np.arange(lams.size)
     for _ in range(6):
-        if not pending:
+        if not pending.size:
             break
-        probes = np.array([lams[i] + s * widths[i] for i in pending for s in (-1.0, 1.0)])
-        fs = char_batch(spec, probes)
-        still = []
-        for k, i in enumerate(pending):
-            if float(fs[2 * k]) * float(fs[2 * k + 1]) < 0.0:
-                certs[i] = (lams[i] - widths[i], lams[i] + widths[i])
-            elif widths[i] < caps[i]:
-                widths[i] = min(8.0 * widths[i], caps[i])
-                still.append(i)
-        pending = still
-    for i, cert in enumerate(certs):
-        if cert is None:
-            # fall back on the refinement's own bracket, whose recorded
-            # endpoint evaluations did change sign
-            certs[i] = refined[i].cert
-    return certs
+        lam, w = lams[pending], widths[pending]
+        fs = char_batch(spec, np.stack([lam - w, lam + w], axis=1).reshape(-1))
+        ok = fs[0::2] * fs[1::2] < 0.0
+        done = pending[ok]
+        lo[done], hi[done] = lam[ok] - w[ok], lam[ok] + w[ok]
+        pending = pending[~ok & (w < caps[pending])]
+        widths[pending] = np.minimum(8.0 * widths[pending], caps[pending])
+    return lo, hi
+
+
+def _scan(spec: ProblemSpec, n_max: int, nu_budget: Optional[float]):
+    """Sign-change brackets of the lowest ``n_max`` roots, in ascending order.
+
+    Returns ``(lo, hi, flo, fhi, exhausted, scanned_to)``; the brackets join
+    consecutive samples with nonzero values of opposite sign (an exact zero
+    on a grid point is skipped, the surrounding sign change still brackets
+    it).  The grid is scanned in chunks of 96 samples, up to ``nu_budget``.
+    """
+    total = phase(spec, 1.0)
+    dnu = math.pi / (total * spec.solver.bracket_subdiv)
+    lam_floor = scan_floor(spec)
+    nu_floor = -math.sqrt(-lam_floor)
+    if nu_budget is None:
+        nu_budget = 1.25 * (n_max + 6) * math.pi / total
+    last_step = int(math.floor((nu_budget - nu_floor) / dnu))
+
+    found = [(np.empty(0),) * 4]
+    count, step_index, chunk = 0, 0, 96
+    prev_lam, prev_f = np.empty(0), np.empty(0)
+    scanned_to = lam_floor
+    while count < n_max:
+        take = min(chunk, last_step - step_index + 1)
+        if take <= 0:
+            break
+        nus = nu_floor + dnu * np.arange(step_index, step_index + take)
+        step_index += take
+        lams = nus * np.abs(nus)
+        fs = char_batch(spec, lams)
+        nonzero = fs != 0.0
+        xs = np.concatenate([prev_lam, lams[nonzero]])
+        vs = np.concatenate([prev_f, fs[nonzero]])
+        at = np.flatnonzero((vs[:-1] > 0.0) != (vs[1:] > 0.0))[: n_max - count]
+        found.append((xs[at], xs[at + 1], vs[at], vs[at + 1]))
+        count += at.size
+        scanned_to = float(xs[at[-1] + 1]) if count == n_max else float(lams[-1])
+        prev_lam, prev_f = xs[-1:], vs[-1:]
+    lo, hi, flo, fhi = (np.concatenate(cols) for cols in zip(*found))
+    return lo, hi, flo, fhi, count < n_max, scanned_to
 
 
 def locate_eigenvalues(
@@ -210,73 +325,20 @@ def locate_eigenvalues(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    total = phase(spec, 1.0)
-    dnu = math.pi / (total * spec.solver.bracket_subdiv)
-    lam_floor = scan_floor(spec)
-    nu_floor = -math.sqrt(-lam_floor)
-    if nu_budget is None:
-        nu_budget = 1.25 * (n_max + 6) * math.pi / total
-
-    brackets: list[tuple[float, float, float, float]] = []
-    exhausted = False
-    chunk = 96
-    step_index = 0
-    # last sample with a nonzero characteristic value; exact zeros on grid
-    # points are skipped -- the surrounding sign change still brackets them
-    prev: Optional[tuple[float, float]] = None
-    scanned_to = lam_floor
-
-    last_step = int(math.floor((nu_budget - nu_floor) / dnu))
-    while len(brackets) < n_max:
-        take = min(chunk, last_step - step_index + 1)
-        if take <= 0:
-            exhausted = True
-            break
-        nus = nu_floor + dnu * np.arange(step_index, step_index + take)
-        step_index += take
-        lams = nus * np.abs(nus)
-        fs = char_batch(spec, lams)
-        for lam, f in zip(lams, fs):
-            lam, f = float(lam), float(f)
-            scanned_to = lam
-            if f == 0.0:
-                continue
-            if prev is not None and (prev[1] > 0.0) != (f > 0.0):
-                brackets.append((prev[0], lam, prev[1], f))
-            prev = (lam, f)
-            if len(brackets) >= n_max:
-                break
-
-    brackets = brackets[:n_max]
-    if not brackets:
-        return ScanResult(records=(), exhausted=True, scanned_to=scanned_to)
-
-    refined = _refine_lockstep(spec, brackets)
-    certs = _certify(spec, refined)
-    records = []
-    last = -math.inf
-    for idx, (r, cert) in enumerate(zip(refined, certs), start=1):
-        lam = r.best_x
-        if not (cert[0] < lam < cert[1]):
+    lo, hi, flo, fhi, exhausted, scanned_to = _scan(spec, n_max, nu_budget)
+    table = np.empty(lo.size, dtype=_ROOT_TABLE)
+    if lo.size:
+        refined = _refine(lambda lams: char_batch(spec, lams), lo, hi, flo, fhi, spec.solver.root_tol)
+        cert_lo, cert_hi = _certify(spec, refined)
+        lams = refined.x
+        if not np.all((cert_lo < lams) & (lams < cert_hi)):
             raise NumericalError("refinement produced an invalid certificate")
-        if lam <= last:
+        if np.any(np.diff(lams) <= 0.0):
             raise NumericalError("eigenvalues not strictly increasing after refinement")
-        last = lam
-        records.append(
-            EigenRecord(
-                n=idx,
-                lambda_n=lam,
-                mu_n=math.sqrt(lam) if lam > 0.0 else None,
-                bracket=cert,
-                abs_delta=abs(r.best_f),
-                refinement_iters=r.iters,
-            )
-        )
-    return ScanResult(
-        records=tuple(records),
-        exhausted=exhausted or len(records) < n_max,
-        scanned_to=scanned_to,
-    )
+        table["lambda_n"], table["bracket_lo"], table["bracket_hi"] = lams, cert_lo, cert_hi
+        table["abs_delta"], table["refinement_iters"] = np.abs(refined.fx), refined.iters
+    table.setflags(write=False)
+    return ScanResult(table=table, exhausted=exhausted, scanned_to=scanned_to)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Eigenvalue search, certificates, and eigenfunction invariants."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +23,10 @@ from oracles import (
     steep_mu_roots,
     steep_negative_lambda,
 )
+import sl2t.spectrum as spectrum
 from sl2t.charfn import char_batch
 from sl2t.hilbert import QuadratureGrid, inner_product
-from sl2t.problem import NumericalError, load_config
+from sl2t.problem import NumericalError, load_config, phase
 from sl2t.spectrum import (
     EigenRecord,
     eigenfunction,
@@ -143,6 +146,41 @@ def test_interlacing_of_baseline_gaps():
         assert abs(gap - math.pi / 2.0) <= 0.5 / n
 
 
+def _loop_scan(spec, n_max, nu_budget):
+    """Sample-by-sample scan over the same grid: the reference for ``_scan``."""
+    total = phase(spec, 1.0)
+    dnu = math.pi / (total * spec.solver.bracket_subdiv)
+    nu_floor = -math.sqrt(-scan_floor(spec))
+    last_step = int(math.floor((nu_budget - nu_floor) / dnu))
+    brackets, prev, scanned_to = [], None, scan_floor(spec)
+    for k in range(last_step + 1):
+        nu = nu_floor + dnu * k
+        lam = nu * abs(nu)
+        f = float(char_batch(spec, [lam])[0])
+        scanned_to = lam
+        if f == 0.0:
+            continue
+        if prev is not None and (prev[1] > 0.0) != (f > 0.0):
+            brackets.append((prev[0], lam, prev[1], f))
+        prev = (lam, f)
+        if len(brackets) == n_max:
+            break
+    return brackets, len(brackets) < n_max, scanned_to
+
+
+@pytest.mark.parametrize(
+    "make, n_max, nu_budget", [(baseline_spec, 10, 2.0), (steep_spec, 12, 30.0), (mixed_spec, 40, 60.0)]
+)
+def test_chunked_scan_matches_sample_loop(make, n_max, nu_budget):
+    spec = make()
+    lo, hi, flo, fhi, exhausted, scanned_to = spectrum._scan(spec, n_max, nu_budget)
+    brackets, loop_exhausted, loop_scanned_to = _loop_scan(spec, n_max, nu_budget)
+    got = list(zip(lo.tolist(), hi.tolist(), flo.tolist(), fhi.tolist()))
+    assert got == pytest.approx(brackets, rel=1e-12)
+    assert [b[:2] for b in got] == [b[:2] for b in brackets]
+    assert (exhausted, scanned_to) == (loop_exhausted, loop_scanned_to)
+
+
 def test_scan_budget_exhaustion_is_reported():
     res = locate_eigenvalues(baseline_spec(), 10, nu_budget=2.0)
     assert res.exhausted
@@ -164,6 +202,98 @@ def test_indefinite_form_is_still_solvable():
     for rec in res.records:
         lo, hi = rec.bracket
         assert lo < rec.lambda_n < hi
+
+
+@pytest.mark.parametrize("name", ["s0", "case1"])
+def test_deep_locate_evaluation_counts(monkeypatch, name):
+    # the scan, every refinement round, both polishes and the certificate,
+    # each one batched characteristic evaluation
+    spec = load_config(CONFIG_DIR / f"{name}.json")
+    calls = []
+
+    def counted(spec, lams):
+        calls.append(np.size(lams))
+        return char_batch(spec, lams)
+
+    monkeypatch.setattr(spectrum, "char_batch", counted)
+    res = locate_eigenvalues(spec, 100)
+    iters = np.array([rec.refinement_iters for rec in res.records])
+    assert len(iters) == 100 and not res.exhausted
+    assert len(calls) <= 36
+    assert np.median(iters) <= 8
+    # bisection's 44 rounds plus the two polishes
+    assert iters.max() <= 44 + 2
+
+
+def _root_brackets(r):
+    """Brackets about ``r``, two of them with an end one ulp from it."""
+    below, above = np.nextafter(r, -np.inf), np.nextafter(r, np.inf)
+    lo = np.array([r - 1.0, r - 0.9, r - 1e-3, r - 40.0, below, r - 2.0, r - 1e-9])
+    hi = np.array([r + 1.0, r + 0.1, r + 2.0, r + 1e-6, r + 1.0, above, r + 5.0])
+    return lo, hi
+
+
+@pytest.mark.parametrize("shape", ["near-step", "flat-cubic"])
+@pytest.mark.parametrize("r, root_tol", [(0.3, 1e-11), (1000.0, 1e-15)])
+def test_refinement_keeps_sign_changes_within_itp_bound(shape, r, root_tol):
+    # at r = 1000 the 8-eps relative floor of the stop width dominates root_tol
+    def f(x):
+        return np.tanh(1e6 * (x - r)) if shape == "near-step" else (x - r) ** 3
+
+    lo, hi = _root_brackets(r)
+    flo, fhi = f(lo), f(hi)
+    assert np.all(flo * fhi < 0.0)
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+
+    ref = spectrum._refine(counted, lo, hi, flo, fhi, root_tol)
+    # every bracket still changes sign, in its recorded and in fresh values
+    assert np.all(ref.lo < ref.hi)
+    assert np.all(np.sign(ref.flo) == np.sign(flo)) and np.all(np.sign(ref.fhi) == np.sign(fhi))
+    assert np.all(ref.flo == f(ref.lo)) and np.all(ref.fhi == f(ref.hi))
+    assert np.all((ref.lo <= r) & (r <= ref.hi))
+    assert np.all((ref.cert_lo < ref.x) & (ref.x < ref.cert_hi))
+    converged = ref.hi - ref.lo <= spectrum._stop_width(root_tol, ref.lo, ref.hi)
+    assert np.all(converged | (ref.fx == 0.0))
+    # ITP: no root takes more than n0 rounds beyond bisection to its narrowest stop width
+    nearest = np.where(lo * hi > 0.0, np.minimum(np.abs(lo), np.abs(hi)), 0.0)
+    target = np.maximum(root_tol, 8.0 * np.finfo(float).eps * nearest)
+    bound = np.ceil(np.log2((hi - lo) / target)) + spectrum._ITP_N0
+    assert np.all(ref.iters - 2 <= bound)
+    assert ref.rounds <= bound.max()
+    assert len(calls) == ref.rounds + 2
+    # the inputs are left as they were
+    assert np.array_equal((lo, hi), _root_brackets(r))
+
+
+def test_scan_result_keeps_numbers_only():
+    spec = load_config(CONFIG_DIR / "s0.json")
+    tracemalloc.start()
+    try:
+        # the first result, traced, takes the one-time allocations along
+        kept = [locate_eigenvalues(spec, 100)]
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        kept += [locate_eigenvalues(spec, 100) for _ in range(50)]
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert grown / 50 <= 8 * 1024
+    res = kept[0]
+    # the table owns its numbers; the records are built anew on each access
+    assert res.table.base is None and not res.table.flags.writeable
+    assert res.records is not res.records
+    assert res.records == res.records
+    rows = res.table.tolist()
+    assert len(rows) == len(res.records) == 100
+    for rec, row in zip(res.records, rows):
+        assert (rec.lambda_n, *rec.bracket, rec.abs_delta, rec.refinement_iters) == row
+        assert rec.mu_n == math.sqrt(rec.lambda_n)
+    assert [rec.n for rec in res.records] == list(range(1, 101))
 
 
 # ---------------------------------------------------------------------------
