@@ -17,7 +17,6 @@ from .asymptotics import (
     case_of,
     decay_check,
     delta_leading,
-    eigenfunction_asymptotic,
     mu_asymptotic,
     phase_coherent,
     phi_asymptotic,
@@ -92,8 +91,7 @@ __all__ = [
     "orthogonality_matrix",
     # asymptotics
     "AsymptoticCase", "DecayReport", "case_of", "mu_asymptotic",
-    "phi_asymptotic", "delta_leading", "eigenfunction_asymptotic",
-    "phase_coherent", "decay_check",
+    "phi_asymptotic", "delta_leading", "phase_coherent", "decay_check",
     # weighted space
     "QuadratureGrid", "HilbertElement", "inner_product",
     "norm", "apply_operator",

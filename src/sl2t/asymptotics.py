@@ -1,24 +1,30 @@
-"""Closed-form large-eigenvalue formulas and decay-order verification.
+"""Large-eigenvalue leading terms and decay-order verification.
 
-For large ``mu = sqrt(lam)`` the left solution oscillates like a single wave
-in the accumulated phase ``Theta(x)``, and the characteristic value inherits
-a leading term of the form ``C * mu^p * trig(mu*Theta(1))``.  Which trig
-function, power, and constant appear depends on two independent boolean
-facts about the problem: whether the eigenvalue part of the right boundary
-condition involves ``u'(1)`` (``beta2' != 0``) and whether the left boundary
-condition involves ``u'(-1)`` (``sin(alpha) != 0``).  That gives a four-way
-case split; each case carries its own eigenvalue spacing formula.
+For large ``mu = sqrt(lam)`` the left solution is, to leading order, a wave
+in the accumulated phase ``Theta(x)`` on each piece.  ``_leading_wave``
+carries the launch's leading part through the three pieces and both
+transmission conditions: in scaled coordinates ``(u, u'/(mu*omega_i))`` each
+piece is a rotation and each interface is ``ProblemSpec.jump`` with the slope
+rescaled by ``omega_before/omega_after``.  ``phi_asymptotic`` reads that
+product at ``x`` and ``delta_leading`` reads it at ``x = 1`` through the
+right condition's top power of ``lam``.  Both hold with O(1/mu) relative
+remainder whether or not the interfaces reflect.
 
-The leading forms here are exact only in the reflection-free regime: each
-interface must scale value and slope so that a single right-moving wave
-stays a single wave, which happens exactly when
+The frequency formula ``mu_asymptotic`` and the decay check built on it are
+still the closed form of the reflection-free regime, in which each interface
+scales value and slope so that a single right-moving wave stays a single
+wave:
 
     (gamma1/delta1) * omega2 == (gamma2/delta2) * omega1      (at h1)
     (gamma3/delta3) * omega3 == (gamma4/delta4) * omega2      (at h2)
 
-``phase_coherent`` tests this; callers should not expect the O(1/n)
-remainder behavior on problems that violate it, since reflected waves
-contribute at the same order as the primary one.
+There ``delta_leading`` is a single trig term in ``mu*Theta(1)``, and which
+one depends on whether the right condition's eigenvalue part involves
+``u'(1)`` (``beta2' != 0``) and whether the left condition involves
+``u'(-1)`` (``sin(alpha) != 0``): four cases, each with its own index shift
+in ``mu_n = pi*(n + shift)/Theta(1)``.  ``phase_coherent`` tests the
+regime; with reflection the zeros of the leading term are not evenly
+spaced, so ``mu_asymptotic`` does not apply.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ __all__ = [
     "mu_asymptotic",
     "phi_asymptotic",
     "delta_leading",
-    "eigenfunction_asymptotic",
     "phase_coherent",
     "DecayReport",
     "decay_check",
@@ -50,7 +55,7 @@ _SIN_ALPHA_TOL = 1e-12
 
 
 class AsymptoticCase(Enum):
-    """Four-way split controlling every asymptotic formula.
+    """Four-way split behind the reflection-free frequency formula.
 
     CASE1: beta2' != 0 and sin(alpha) != 0
     CASE2: beta2' != 0 and sin(alpha) == 0
@@ -98,20 +103,42 @@ def mu_asymptotic(spec: ProblemSpec, n, *, phase_total: Optional[float] = None):
     return math.pi * (n + _MU_SHIFT[case_of(spec)]) / total
 
 
-def _gamma_product(spec: ProblemSpec, piece: int) -> float:
-    """Amplitude carried across the interfaces up to the given piece."""
-    if piece == 1:
-        return 1.0
-    if piece == 2:
-        return spec.gamma[0] / spec.delta[0]
-    return (spec.gamma[0] * spec.gamma[2]) / (spec.delta[0] * spec.delta[2])
+def _leading_wave(spec: ProblemSpec, mu: float, x):
+    """``(u, u')`` of the left solution's leading term at ``x``, for real ``mu > 0``.
+
+    In scaled coordinates ``y = (u, u'/(mu*omega_i))`` the leading term
+    rotates by ``mu*omega_i`` per unit distance on piece ``i``, so on that
+    piece ``y(x) = R(mu*Theta(x)) c_i`` with ``R(t) = [[cos t, sin t],
+    [-sin t, cos t]]``, the phase clock ``Theta`` and one coefficient pair
+    ``c_i``.  ``c_1`` is the launch's leading part: ``(sin alpha, 0)``, or
+    ``(0, -cos alpha/(mu*omega_1))`` when ``sin alpha`` vanishes.  Each
+    interface applies ``spec.jump`` to ``y``, its slope factor also times
+    ``omega_before/omega_after``, and rotates the result back to the next
+    coefficient pair.  Interface points resolve to the right-hand piece.
+    """
+    w = spec.omega
+    s0, v0 = spec.left_launch
+    coeffs = [(s0, 0.0) if abs(s0) > _SIN_ALPHA_TOL else (0.0, v0 / (mu * w[0]))]
+    for k, h in enumerate((spec.h1, spec.h2)):
+        t = mu * phase(spec, h)
+        cos_t, sin_t = math.cos(t), math.sin(t)
+        a, b = coeffs[-1]
+        u, s = spec.jump(k, a * cos_t + b * sin_t, (b * cos_t - a * sin_t) * w[k] / w[k + 1])
+        coeffs.append((u * cos_t - s * sin_t, u * sin_t + s * cos_t))
+    piece = np.searchsorted((spec.h1, spec.h2), x, side="right")
+    a, b = np.array(coeffs)[piece].T
+    t = mu * phase(spec, x)
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    return a * cos_t + b * sin_t, mu * np.array(w)[piece] * (b * cos_t - a * sin_t)
 
 
 def phi_asymptotic(spec: ProblemSpec, mu: float, x, k: int = 0):
     """Leading term of the left solution (``k = 0``) or its slope (``k = 1``).
 
     Accepts scalar or array ``x`` in ``[-1, 1]``; interface points resolve
-    to the right-hand piece.  The remainder is dropped entirely; on
+    to the right-hand piece.  The remainder is O(1/mu) relative, with or
+    without reflecting interfaces; its constant grows like
+    ``|cot(alpha)|/omega1`` for a launch close to ``sin(alpha) = 0``.  On
     zero-potential, reflection-free problems the returned value is the
     solution itself.
     """
@@ -122,60 +149,26 @@ def phi_asymptotic(spec: ProblemSpec, mu: float, x, k: int = 0):
     xv = np.asarray(x, dtype=float)
     if np.any(np.abs(xv) > 1.0 + _BREAK_TOL):
         raise ValueError(f"x={x!r} lies outside [-1, 1]")
-    piece = np.searchsorted((spec.h1, spec.h2), xv, side="right")
-    gp = np.array([_gamma_product(spec, i) for i in (1, 2, 3)])[piece]
-    w = np.array(spec.omega)[piece]
-    th = phase(spec, xv)
-    sa, ca = math.sin(spec.alpha), math.cos(spec.alpha)
-    if abs(sa) > _SIN_ALPHA_TOL:
-        amp, wave, slope = sa * gp, np.cos(mu * th), -np.sin(mu * th)
-    else:
-        # pure-displacement launch: amplitude carries the 1/(mu*omega1) factor
-        amp, wave, slope = -ca / (mu * spec.omega[0]) * gp, np.sin(mu * th), np.cos(mu * th)
-    out = amp * wave if k == 0 else amp * mu * w * slope
+    out = _leading_wave(spec, mu, xv)[k]
     if np.ndim(x) == 0:
         return float(out)
     return out
 
 
 def delta_leading(spec: ProblemSpec, mu: float) -> float:
-    """Leading term of the canonical characteristic value, any case.
+    """Leading term of the canonical characteristic value.
 
-    Only CASE1's form has a worked derivation behind it; the other three are
-    obtained the same way (substitute the matching solution asymptotics into
-    the boundary form and rescale to the piece-1 normalization) and are
-    validated against the numeric characteristic value by ratio tests.  Use
-    for scale estimates and probe seeding, not as ground truth.
+    ``spec.m3`` times the right condition's top power of ``lam = mu**2``
+    applied to the leading wave at ``x = 1``: ``-beta2' lam u'(1)`` when
+    ``beta2' != 0``, else ``beta1' lam u(1)``.  The remainder is O(1/mu)
+    relative to the envelope, with or without reflecting interfaces.
     """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    which = case_of(spec)
-    p = (spec.delta[1] * spec.delta[3]) / (spec.gamma[1] * spec.gamma[3])
-    total = phase(spec, 1.0)
-    sa, ca = math.sin(spec.alpha), math.cos(spec.alpha)
-    w1, w3 = spec.omega[0], spec.omega[2]
+    u, v = _leading_wave(spec, mu, 1.0)
     b1p, b2p = spec.beta_prime
-    if which is AsymptoticCase.CASE1:
-        return p * w3 * b2p * sa * mu**3 * math.sin(mu * total)
-    if which is AsymptoticCase.CASE2:
-        return p * (w3 / w1) * b2p * ca * mu**2 * math.cos(mu * total)
-    if which is AsymptoticCase.CASE3:
-        return p * b1p * sa * mu**2 * math.cos(mu * total)
-    return -p * (b1p * ca / w1) * mu * math.sin(mu * total)
-
-
-def eigenfunction_asymptotic(
-    spec: ProblemSpec, n: int, x, *, phase_total: Optional[float] = None
-):
-    """Leading eigenfunction shape at asymptotic index ``n``.
-
-    The leading term ``phi_asymptotic`` of the left solution at
-    ``mu_asymptotic(spec, n)``: cases with ``sin(alpha) != 0`` give a cosine
-    profile with amplitude ``sin(alpha)``, the others a sine profile with
-    amplitude ``-cos(alpha)/(mu*omega1)``; interface amplitudes are carried
-    by the jump products.  Accepts scalar or array ``x``.
-    """
-    return phi_asymptotic(spec, mu_asymptotic(spec, n, phase_total=phase_total), x)
+    top = -b2p * v if b2p != 0.0 else b1p * u
+    return float(spec.m3 * mu * mu * top)
 
 
 def phase_coherent(spec: ProblemSpec, rel_tol: float = 1e-9) -> bool:

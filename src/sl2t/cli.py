@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from dataclasses import dataclass
@@ -34,12 +33,10 @@ from .hilbert import (
     symmetry_residual,
 )
 from .problem import (
-    _SOLVER_INT_KEYS,
-    _SOLVER_KEYS,
     ConfigError,
     NumericalError,
     ProblemSpec,
-    parse_config,
+    load_config,
     piece_bounds,
     spec_digest,
 )
@@ -106,36 +103,6 @@ def _emit(lines: list[str], out: Optional[str]) -> tuple[str, ...]:
 def _report(rep: RunReport) -> None:
     for line in rep.render():
         print(line, file=sys.stderr)
-
-
-def _parse_overrides(pairs: Optional[Sequence[str]]) -> dict:
-    out = {}
-    for item in pairs or ():
-        key, sep, value = item.partition("=")
-        if not sep or key not in _SOLVER_KEYS:
-            raise ValueError(
-                f"--tol-override expects KEY=VALUE with KEY in {_SOLVER_KEYS}; got {item!r}"
-            )
-        try:
-            out[key] = int(value) if key in _SOLVER_INT_KEYS else float(value)
-        except ValueError:
-            raise ValueError(f"--tol-override value is not numeric: {item!r}") from None
-    return out
-
-
-def _load_spec(path: str, overrides: dict) -> ProblemSpec:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError([f"cannot read config {path!r}: {exc}"]) from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-    # anything but an object or an absent solver block is left to parse_config
-    if overrides and isinstance(data, dict) and isinstance(data.get("solver", {}), dict):
-        data["solver"] = {**data.get("solver", {}), **overrides}
-    return parse_config(data)
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +425,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"sl2t {args.command}: error: {problem}", file=sys.stderr)
         return 1
     try:
-        overrides = _parse_overrides(args.tol_override)
-    except ValueError as exc:
-        print(f"sl2t: error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        spec = _load_spec(args.config, overrides)
+        spec = load_config(args.config, args.tol_override or ())
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a malformed --tol-override
+        print(f"sl2t: error: --tol-override {exc}", file=sys.stderr)
+        return 1
     try:
         code = _DISPATCH[args.command](spec, args)
     except NumericalError as exc:

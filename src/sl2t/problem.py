@@ -367,6 +367,27 @@ _SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
 _SOLVER_INT_KEYS = tuple(f.name for f in fields(SolverConfig) if f.type == "int")
 
 
+def _decode(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+
+
+def _solver_overrides(pairs: Sequence[str]) -> dict:
+    """``KEY=VALUE`` strings as solver settings; a malformed one raises ``ValueError``."""
+    out = {}
+    for item in pairs:
+        key, sep, value = item.partition("=")
+        if not sep or key not in _SOLVER_KEYS:
+            raise ValueError(f"expects KEY=VALUE with KEY in {_SOLVER_KEYS}; got {item!r}")
+        try:
+            out[key] = int(value) if key in _SOLVER_INT_KEYS else float(value)
+        except ValueError:
+            raise ValueError(f"value is not numeric: {item!r}") from None
+    return out
+
+
 def _as_number(value, path: str, errs: list[str]) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errs.append(f"{path}: expected a number")
@@ -395,10 +416,7 @@ def parse_config(data) -> ProblemSpec:
     their paths ("gamma[2]", "solver.rk_tol", ...), all at once.
     """
     if isinstance(data, (str, bytes)):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+        data = _decode(data)
     if not isinstance(data, dict):
         raise ConfigError(["config root: expected a JSON object"])
 
@@ -477,11 +495,26 @@ def parse_config(data) -> ProblemSpec:
     return validate(spec)
 
 
-def load_config(path) -> ProblemSpec:
-    """Read a JSON config file and return the validated problem."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config(text)
+def load_config(path, overrides: Sequence[str] = ()) -> ProblemSpec:
+    """Read a JSON config file and return the validated problem.
+
+    ``overrides`` are ``KEY=VALUE`` solver settings (``"rk_tol=1e-10"``),
+    merged over the file's ``solver`` block before parsing; a malformed one
+    raises a plain ``ValueError`` before the file is read.  An unreadable
+    file, invalid JSON and every admissibility violation raise
+    :class:`ConfigError` (itself a ``ValueError``, so catch it first).
+    """
+    solver = _solver_overrides(overrides)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read config {str(path)!r}: {exc}"]) from exc
+    data = _decode(text)
+    # anything but an object or an absent solver block is left to parse_config
+    if solver and isinstance(data, dict) and isinstance(data.get("solver", {}), dict):
+        data["solver"] = {**data.get("solver", {}), **solver}
+    return parse_config(data)
 
 
 def config_dict(spec: ProblemSpec) -> dict:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CONFIG_DIR,
     baseline_spec,
     build_spec,
     indefinite_spec,
@@ -20,13 +21,12 @@ from sl2t.asymptotics import (
     case_of,
     decay_check,
     delta_leading,
-    eigenfunction_asymptotic,
     mu_asymptotic,
     phase_coherent,
     phi_asymptotic,
 )
 from sl2t.charfn import char_batch, char_value
-from sl2t.problem import phase
+from sl2t.problem import load_config, phase
 from sl2t.shooting import build_left
 from sl2t.spectrum import EigenRecord, locate_eigenvalues
 
@@ -213,29 +213,77 @@ def test_delta_leading_validation():
 
 
 # ---------------------------------------------------------------------------
+# reflecting interfaces: the remainder of both leading terms is O(1/mu)
+
+
+def _reflecting_specs():
+    # indefinite.json and seeded constant-q draws.  The launch's leading part
+    # drops |cot(alpha)|/(mu*omega1) of it, so a near-Dirichlet draw would
+    # enter the O(1/mu) regime only far above mu = 20; those are not drawn.
+    rng = np.random.default_rng(12)
+    specs = [load_config(CONFIG_DIR / "indefinite.json")]
+    while len(specs) < 7:
+        spec = random_spec(rng)
+        if abs(math.cos(spec.alpha)) <= 5.0 * spec.omega[0] * abs(math.sin(spec.alpha)):
+            specs.append(spec)
+    return specs
+
+
+_BANDS = ((20.0, 40.0), (160.0, 320.0))
+_XS = np.linspace(-1.0, 1.0, 41)
+
+
+def _delta_band_defect(spec, lo, hi):
+    # mu * |D - D0| over the band, relative to the band's largest |D0|
+    mus = np.linspace(lo, hi, 240, endpoint=False)
+    lead = np.array([delta_leading(spec, mu) for mu in mus])
+    return np.max(mus * np.abs(char_batch(spec, mus * mus) - lead)) / np.max(np.abs(lead))
+
+
+def _phi_band_defect(spec, lo, hi):
+    # band maximum of mu * max|u - phi0| / max|u| over the x samples
+    mus = np.linspace(lo, hi, 16, endpoint=False)
+    u, _ = build_left(spec, mus * mus).eval(_XS)
+    lead = np.array([phi_asymptotic(spec, mu, _XS) for mu in mus])
+    return np.max(mus * np.max(np.abs(u - lead), axis=1) / np.max(np.abs(u), axis=1))
+
+
+@pytest.mark.parametrize("idx", range(7))
+def test_leading_terms_hold_on_reflecting_interfaces(idx):
+    spec = _reflecting_specs()[idx]
+    assert not phase_coherent(spec)
+    for defect in (_delta_band_defect, _phi_band_defect):
+        low, high = (defect(spec, lo, hi) for lo, hi in _BANDS)
+        # an O(1) miss grows 8x between the bands; 1e-9 absorbs a rounding-level
+        # remainder (q = 0 with a Dirichlet launch makes phi0 exact)
+        assert high <= 3.0 * low + 1e-9, (defect.__name__, low, high)
+
+
+# ---------------------------------------------------------------------------
 # eigenfunction shape
 
 
 def test_eigenfunction_asymptotic_end_values():
     spec = steep_spec()
-    assert eigenfunction_asymptotic(spec, 4, -1.0) == pytest.approx(1.0, abs=1e-15)
-    assert eigenfunction_asymptotic(baseline_spec(), 4, -1.0) == pytest.approx(0.0, abs=1e-15)
+    assert phi_asymptotic(spec, mu_asymptotic(spec, 4), -1.0) == pytest.approx(1.0, abs=1e-15)
+    spec = baseline_spec()
+    assert phi_asymptotic(spec, mu_asymptotic(spec, 4), -1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_eigenfunction_asymptotic_interface_amplification():
     spec = build_spec(alpha=math.pi / 2, beta=(-1.0, 0.0), beta_prime=(0.0, 1.0),
                       gamma=(2.0, 2.0, 3.0, 3.0))
     # CASE1: mu_n * Theta(1) is a multiple of pi, so both ends sit at extrema
-    left = eigenfunction_asymptotic(spec, 6, -1.0)
-    right = eigenfunction_asymptotic(spec, 6, 1.0)
+    left = phi_asymptotic(spec, mu_asymptotic(spec, 6), -1.0)
+    right = phi_asymptotic(spec, mu_asymptotic(spec, 6), 1.0)
     assert abs(right) / abs(left) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_eigenfunction_asymptotic_vectorized():
     spec = mixed_spec()
     xs = np.linspace(-1.0, 1.0, 41)
-    arr = eigenfunction_asymptotic(spec, 7, xs)
-    scalars = [eigenfunction_asymptotic(spec, 7, float(x)) for x in xs]
+    arr = phi_asymptotic(spec, mu_asymptotic(spec, 7), xs)
+    scalars = [phi_asymptotic(spec, mu_asymptotic(spec, 7), float(x)) for x in xs]
     assert np.allclose(arr, scalars, rtol=0.0, atol=0.0)
 
 
@@ -247,7 +295,7 @@ def test_eigenfunction_asymptotic_is_the_left_solution_leading_term():
     mu = mu_asymptotic(spec, 7)
     xs = np.array([-0.9, -0.5, 0.0, 0.5, 0.9])
     u, _ = build_left(spec, mu * mu).eval(xs)
-    got = eigenfunction_asymptotic(spec, 7, xs)
+    got = phi_asymptotic(spec, mu_asymptotic(spec, 7), xs)
     assert np.max(np.abs(got - u)) <= 1e-8 * np.max(np.abs(u))
     assert np.array_equal(got, phi_asymptotic(spec, mu, xs))
 
@@ -261,7 +309,7 @@ def test_eigenfunction_asymptotic_matches_computed_shape():
     ef = eigenfunction(spec, rec, samples_per_piece=30)
     xs = np.concatenate([p.xs for p in ef.pieces])
     got = np.concatenate([p.u for p in ef.pieces])
-    want = eigenfunction_asymptotic(spec, 10, xs)
+    want = phi_asymptotic(spec, mu_asymptotic(spec, 10), xs)
     got = got / np.max(np.abs(got))
     want = want / np.max(np.abs(want))
     if float(np.dot(got, want)) < 0.0:

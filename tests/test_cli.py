@@ -20,6 +20,7 @@ VERIFY_STAGES = ("consistency", "wronskian-constancy", "symmetry",
 S0 = str(CONFIG_DIR / "s0.json")
 CASE1 = str(CONFIG_DIR / "case1.json")
 INDEFINITE = str(CONFIG_DIR / "indefinite.json")
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def _rows(text):
@@ -102,6 +103,14 @@ def test_asym_table(capsys):
     want = [math.pi / 2, math.pi, 1.5 * math.pi]
     for row, mu in zip(rows, want):
         assert float(row[2]) == pytest.approx(mu, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["s0", "case1", "indefinite"])
+def test_asym_table_matches_golden_file(name, capsys):
+    # tests/data/asym_<name>.txt pins mu_asym and the case column, byte for byte
+    code, out, _ = _run(capsys, "asym", str(CONFIG_DIR / f"{name}.json"), "--n-max", "100")
+    assert code == 0
+    assert out.encode() == (DATA_DIR / f"asym_{name}.txt").read_bytes()
 
 
 def test_asym_cases_two_and_three_coincide(tmp_path, capsys):

@@ -296,6 +296,33 @@ def test_load_config_reads_files(tmp_path):
     assert load_config(path) == baseline_spec()
 
 
+def test_load_config_merges_solver_overrides(tmp_path):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(dict(S0_CONFIG, solver={"rk_tol": 1e-9, "quad_nodes": 33})))
+    spec = load_config(path, ["quad_nodes=65", "root_tol=1e-10"])
+    assert spec.solver == SolverConfig(rk_tol=1e-9, root_tol=1e-10, quad_nodes=65)
+    assert isinstance(spec.solver.quad_nodes, int)
+
+
+def test_load_config_rejects_malformed_override_before_reading(tmp_path):
+    for item in ("bogus=1", "rk_tol", "rk_tol=abc", "quad_nodes=6.5"):
+        with pytest.raises(ValueError) as info:
+            load_config(tmp_path / "absent.json", [item])
+        assert not isinstance(info.value, ConfigError), item
+
+
+def test_load_config_file_errors_are_config_errors(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(tmp_path / "absent.json")
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(path)
+
+
 def test_digest_ignores_formatting_but_not_values(tmp_path):
     a = json.dumps(S0_CONFIG, indent=4)
     b = json.dumps(dict(reversed(list(S0_CONFIG.items()))))
