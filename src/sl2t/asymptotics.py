@@ -192,9 +192,16 @@ def phase_coherent(spec: ProblemSpec, rel_tol: float = 1e-9) -> bool:
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Outcome of comparing computed frequencies with the case formula."""
+    """Outcome of comparing computed frequencies with the case formula.
+
+    Per asymptotic index in ``ns``: the computed frequency ``mu_computed``
+    (of the record at computed index ``n - offset``), the prediction
+    ``mu_asym``, their distance ``errors`` and ``products = n * errors``.
+    """
 
     ns: tuple[int, ...]
+    mu_computed: tuple[float, ...]
+    mu_asym: tuple[float, ...]
     errors: tuple[float, ...]
     products: tuple[float, ...]
     max_product: float
@@ -256,11 +263,14 @@ def decay_check(
                 f"missing computed record for asymptotic index {n} (computed index {j})"
             )
         mus.append(rec.mu_n)
-    errors = np.abs(np.array(mus) - mu_asymptotic(spec, ns, phase_total=total))
+    asyms = mu_asymptotic(spec, ns, phase_total=total)
+    errors = np.abs(np.array(mus) - asyms)
     products = (ns * errors).tolist()
     max_product = max(products)
     return DecayReport(
         ns=tuple(ns.tolist()),
+        mu_computed=tuple(mus),
+        mu_asym=tuple(asyms.tolist()),
         errors=tuple(errors.tolist()),
         products=tuple(products),
         max_product=max_product,

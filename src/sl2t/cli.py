@@ -149,15 +149,13 @@ def _cmd_compare(spec: ProblemSpec, args) -> int:
         )
     except ValueError as exc:
         raise NumericalError(str(exc)) from exc
-    by_index = {rec.n: rec for rec in res.records}
     params = f"n_lo={args.n_lo} n_hi={args.n_hi} bound={_fmt(args.bound)}"
     if args.phase_override is not None:
         params += f" phase_override={_fmt(args.phase_override)}"
     lines = _header(spec, "compare", params, "n,mu_computed,mu_asym,err,n_times_err")
-    asyms = mu_asymptotic(spec, np.array(report.ns), phase_total=args.phase_override)
-    for n, asym, err, prod in zip(report.ns, asyms.tolist(), report.errors, report.products):
-        rec = by_index[n - report.offset]
-        lines.append(f"{n},{_fmt(rec.mu_n)},{_fmt(asym)},{_fmt(err)},{_fmt(prod)}")
+    rows = zip(report.ns, report.mu_computed, report.mu_asym, report.errors, report.products)
+    for n, mu, asym, err, prod in rows:
+        lines.append(f"{n},{_fmt(mu)},{_fmt(asym)},{_fmt(err)},{_fmt(prod)}")
     verdict = "PASS" if report.verdict else "FAIL"
     lines.append(f"# verdict: {verdict}")
     outputs = _emit(lines, args.out)

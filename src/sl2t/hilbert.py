@@ -47,7 +47,6 @@ __all__ = [
     "inner_product",
     "norm",
     "apply_operator",
-    "domain_residuals",
     "sample_domain_element",
     "element_from_solution",
     "symmetry_residual",

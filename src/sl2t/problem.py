@@ -18,10 +18,17 @@ and jump conditions tying the one-sided limits at the interfaces:
     gamma1 u(h1-) = delta1 u(h1+),    gamma2 u'(h1-) = delta2 u'(h1+),
     gamma3 u(h2-) = delta3 u(h2+),    gamma4 u'(h2-) = delta4 u'(h2+).
 
-This module owns the raw problem record (:class:`ProblemSpec`), the standing
-admissibility checks (:func:`validate`), piecewise coefficient evaluation,
-the accumulated phase function used by all asymptotic formulas, and the JSON
-config front end used by the command-line tools.
+This module owns the raw problem record (:class:`ProblemSpec`), its one
+validator, piecewise coefficient evaluation, the accumulated phase function
+used by all asymptotic formulas, and the JSON config front end used by the
+command-line tools.
+
+:meth:`ProblemSpec.check` (with :meth:`SolverConfig.check`) is the only code
+that judges a value: types, list lengths, finiteness, ranges and the standing
+hypotheses.  It reports each violation once, with its path (``omega[1]``,
+``q.pieces[2][0]``, ``solver.rk_tol``), whether the spec was built directly
+or parsed.  :func:`parse_config` only maps JSON onto the record: it reports
+unknown keys, converts lists and numbers, and hands every value to ``check``.
 """
 
 from __future__ import annotations
@@ -44,12 +51,9 @@ __all__ = [
     "validate",
     "piece_bounds",
     "piece_index_at",
-    "weight_at",
-    "q_at",
     "phase",
     "parse_config",
     "load_config",
-    "config_dict",
     "spec_digest",
 ]
 
@@ -98,9 +102,53 @@ class PiecewisePotential:
         return all(all(c == 0.0 for c in piece) for piece in self.pieces)
 
 
+#: the numeric fields of a spec, each with its list length (0 for a scalar)
+_NUMERIC_FIELDS = {
+    "h1": 0, "h2": 0, "alpha": 0,
+    "omega": 3, "beta": 2, "beta_prime": 2, "gamma": 4, "delta": 4,
+}
+
+#: stands in for a key a config leaves out; ``check`` reports it by path
+_MISSING = object()
+
+
+def _number_errors(path: str, value) -> list[str]:
+    """The one message, if any, that says why ``value`` is not a finite number."""
+    if value is _MISSING:
+        return [f"{path}: missing required key"]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return [f"{path}: expected a number"]
+    if not math.isfinite(value):
+        return [f"{path}: must be finite"]
+    return []
+
+
+def _list_errors(path: str, value, n: int) -> list[str]:
+    """Messages for a list of ``n`` numbers (of any nonempty length when ``n`` is 0)."""
+    if value is _MISSING:
+        return [f"{path}: missing required key"]
+    if not isinstance(value, (list, tuple)) or (len(value) != n if n else not value):
+        return [f"{path}: expected a {f'list of {n}' if n else 'nonempty list of'} numbers"]
+    return [e for i, v in enumerate(value) for e in _number_errors(f"{path}[{i}]", v)]
+
+
+#: the admissible range of each solver setting, and the message when it is left
+_SOLVER_RANGES = {
+    "rk_tol": (lambda v: 0.0 < v <= 1e-4, "must lie in (0, 1e-4]"),
+    "root_tol": (lambda v: 0.0 < v <= 1e-4, "must lie in (0, 1e-4]"),
+    "quad_nodes": (lambda v: v >= 2, "must be an integer >= 2"),
+    "bracket_subdiv": (lambda v: v >= 4, "must be an integer >= 4"),
+    "scan_floor_factor": (lambda v: 1.0 <= v <= 1e6, "must lie in [1, 1e6]"),
+}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs shared by the propagator, scan, and quadrature."""
+    """Numerical knobs shared by the propagator, scan, and quadrature.
+
+    A setting whose default is an ``int`` takes integers only; the others
+    take any finite number.
+    """
 
     rk_tol: float = 1e-12
     root_tol: float = 1e-11
@@ -109,19 +157,17 @@ class SolverConfig:
     scan_floor_factor: float = 10.0
 
     def check(self) -> list[str]:
+        """Return one message per setting of the wrong type or out of range."""
         errs = []
-        if not (0.0 < self.rk_tol <= 1e-4):
-            errs.append("solver.rk_tol: must lie in (0, 1e-4]")
-        if not (0.0 < self.root_tol <= 1e-4):
-            errs.append("solver.root_tol: must lie in (0, 1e-4]")
-        if not (isinstance(self.quad_nodes, int) and self.quad_nodes >= 2):
-            errs.append("solver.quad_nodes: must be an integer >= 2")
-        if not (isinstance(self.bracket_subdiv, int) and self.bracket_subdiv >= 4):
-            errs.append("solver.bracket_subdiv: must be an integer >= 4")
-        if not (1.0 <= self.scan_floor_factor <= 1e6) or not math.isfinite(
-            self.scan_floor_factor
-        ):
-            errs.append("solver.scan_floor_factor: must lie in [1, 1e6]")
+        for f in fields(self):
+            path, value = f"solver.{f.name}", getattr(self, f.name)
+            if isinstance(f.default, int):
+                ok = isinstance(value, int) and not isinstance(value, bool)
+                wrong = [] if ok else [f"{path}: expected an integer"]
+            else:
+                wrong = _number_errors(path, value)
+            admissible, rule = _SOLVER_RANGES[f.name]
+            errs.extend(wrong or ([] if admissible(value) else [f"{path}: {rule}"]))
         return errs
 
 
@@ -238,48 +284,45 @@ class ProblemSpec:
     # -- admissibility ------------------------------------------------------
 
     def check(self) -> list[str]:
-        """Return all admissibility violations (empty list when admissible)."""
-        errs: list[str] = []
-        scalars = [("h1", self.h1), ("h2", self.h2), ("alpha", self.alpha)]
-        for name, value in scalars:
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-                errs.append(f"{name}: must be a finite number")
-        for name, tup, n in [
-            ("omega", self.omega, 3),
-            ("beta", self.beta, 2),
-            ("beta_prime", self.beta_prime, 2),
-            ("gamma", self.gamma, 4),
-            ("delta", self.delta, 4),
-        ]:
-            if len(tup) != n or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
-                for v in tup
-            ):
-                errs.append(f"{name}: must be {n} finite numbers")
-        if errs:
-            return errs  # cannot sensibly check relations between bad fields
+        """Return every violation, one message per offending value, each with its path.
 
-        if not (-1.0 < self.h1 < self.h2 < 1.0):
-            errs.append("h1, h2: interface points must satisfy -1 < h1 < h2 < 1")
-        if any(w <= 0.0 for w in self.omega):
-            errs.append("omega: weight amplitudes must be positive")
-        if not (0.0 <= self.alpha < math.pi):
-            errs.append("alpha: boundary angle must lie in [0, pi)")
-        if self.beta_prime == (0.0, 0.0):
-            errs.append("beta_prime: (0, 0) makes the right boundary condition eigenvalue-independent")
-        if self.rho <= 0.0:
-            errs.append("beta, beta_prime: need beta1'*beta2 - beta1*beta2' > 0")
-        for name, tup in [("gamma", self.gamma), ("delta", self.delta)]:
-            for k, v in enumerate(tup):
-                if v == 0.0:
-                    errs.append(f"{name}[{k}]: jump constants must be nonzero")
-        for index, coeffs in enumerate(self.q.pieces):
-            if len(coeffs) == 0 or any(
-                isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c)
-                for c in coeffs
-            ):
-                errs.append(f"q.pieces[{index}]: coefficients must be finite numbers")
-        errs.extend(self.solver.check())
+        This is the one validator of problem data: it judges types, lengths
+        and finiteness (``omega[1]: expected a number``, ``q.pieces[2][0]:
+        must be finite``, ``solver.rk_tol: ...``) and the standing
+        hypotheses.  Relations between fields are checked only when every
+        field is a number, so a wrongly typed value gives one message and no
+        exception.  An empty list means the spec is admissible.
+        """
+        errs: list[str] = []
+        for name, n in _NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            errs += _list_errors(name, value, n) if n else _number_errors(name, value)
+        if not errs:
+            if not (-1.0 < self.h1 < self.h2 < 1.0):
+                errs.append("h1, h2: interface points must satisfy -1 < h1 < h2 < 1")
+            if any(w <= 0.0 for w in self.omega):
+                errs.append("omega: weight amplitudes must be positive")
+            if not (0.0 <= self.alpha < math.pi):
+                errs.append("alpha: boundary angle must lie in [0, pi)")
+            if self.beta_prime == (0.0, 0.0):
+                errs.append("beta_prime: (0, 0) makes the right boundary condition eigenvalue-independent")
+            if self.rho <= 0.0:
+                errs.append("beta, beta_prime: need beta1'*beta2 - beta1*beta2' > 0")
+            for name in ("gamma", "delta"):
+                for k, v in enumerate(getattr(self, name)):
+                    if v == 0.0:
+                        errs.append(f"{name}[{k}]: jump constants must be nonzero")
+        if not isinstance(self.q, PiecewisePotential):
+            errs.append("q: expected an object with a single 'pieces' key")
+        elif not isinstance(self.q.pieces, (list, tuple)) or len(self.q.pieces) != 3:
+            errs.append("q.pieces: expected a list of 3 coefficient lists")
+        else:
+            for i, coeffs in enumerate(self.q.pieces):
+                errs += _list_errors(f"q.pieces[{i}]", coeffs, 0)
+        if isinstance(self.solver, SolverConfig):
+            errs += self.solver.check()
+        else:
+            errs.append("solver: expected an object")
         return errs
 
 
@@ -362,9 +405,7 @@ def phase(spec: ProblemSpec, x):
 # ---------------------------------------------------------------------------
 # JSON config front end
 
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
-# annotations are strings under ``from __future__ import annotations``
-_SOLVER_INT_KEYS = tuple(f.name for f in fields(SolverConfig) if f.type == "int")
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
 
 
 def _decode(text):
@@ -375,124 +416,66 @@ def _decode(text):
 
 
 def _solver_overrides(pairs: Sequence[str]) -> dict:
-    """``KEY=VALUE`` strings as solver settings; a malformed one raises ``ValueError``."""
+    """``KEY=VALUE`` strings as solver settings; a malformed one raises ``ValueError``.
+
+    A value is read as the type of the setting's default, ``int`` or ``float``.
+    """
     out = {}
     for item in pairs:
         key, sep, value = item.partition("=")
-        if not sep or key not in _SOLVER_KEYS:
-            raise ValueError(f"expects KEY=VALUE with KEY in {_SOLVER_KEYS}; got {item!r}")
+        if not sep or key not in _SOLVER_DEFAULTS:
+            raise ValueError(f"expects KEY=VALUE with KEY in {tuple(_SOLVER_DEFAULTS)}; got {item!r}")
         try:
-            out[key] = int(value) if key in _SOLVER_INT_KEYS else float(value)
+            out[key] = type(_SOLVER_DEFAULTS[key])(value)
         except ValueError:
             raise ValueError(f"value is not numeric: {item!r}") from None
     return out
 
 
-def _as_number(value, path: str, errs: list[str]) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errs.append(f"{path}: expected a number")
-        return math.nan
-    if not math.isfinite(value):
-        errs.append(f"{path}: must be finite")
-        return math.nan
-    return float(value)
-
-
-def _as_tuple(mapping: dict, key: str, n: int, errs: list[str]):
-    if key not in mapping:
-        errs.append(f"{key}: missing required key")
-        return tuple([math.nan] * n)
-    raw = mapping[key]
-    if not isinstance(raw, (list, tuple)) or len(raw) != n:
-        errs.append(f"{key}: expected a list of {n} numbers")
-        return tuple([math.nan] * n)
-    return tuple(_as_number(v, f"{key}[{i}]", errs) for i, v in enumerate(raw))
+def _from_json(value):
+    """Lists as tuples and numbers as floats, all the way down; anything else unchanged."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_from_json(v) for v in value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return value
 
 
 def parse_config(data) -> ProblemSpec:
-    """Build and validate a :class:`ProblemSpec` from a JSON-style mapping.
+    """Map a JSON-style mapping onto a :class:`ProblemSpec` and validate it.
 
-    ``data`` may be a dict or a JSON text.  Key errors are reported with
-    their paths ("gamma[2]", "solver.rk_tol", ...), all at once.
+    ``data`` may be a dict or a JSON text.  This function only maps the JSON
+    shape onto the record: it reports unknown keys, turns lists into tuples
+    and numbers into floats (integer solver settings stay as given), and
+    leaves every other value as it is.  A missing key becomes a placeholder.
+    :meth:`ProblemSpec.check` then judges every value, so each violation is
+    reported once, with its path ("gamma[2]", "solver.rk_tol", ...), and all
+    of them come together in one :class:`ConfigError`.
     """
     if isinstance(data, (str, bytes)):
         data = _decode(data)
     if not isinstance(data, dict):
         raise ConfigError(["config root: expected a JSON object"])
 
-    errs: list[str] = []
-    known = {"h1", "h2", "omega", "alpha", "beta", "beta_prime", "gamma", "delta", "q", "solver"}
-    for key in data:
-        if key not in known:
-            errs.append(f"{key}: unknown key")
-
-    def scalar(key: str) -> float:
-        if key not in data:
-            errs.append(f"{key}: missing required key")
-            return math.nan
-        return _as_number(data[key], key, errs)
-
-    h1 = scalar("h1")
-    h2 = scalar("h2")
-    alpha = scalar("alpha")
-    omega = _as_tuple(data, "omega", 3, errs)
-    beta = _as_tuple(data, "beta", 2, errs)
-    beta_prime = _as_tuple(data, "beta_prime", 2, errs)
-    gamma = _as_tuple(data, "gamma", 4, errs)
-    delta = _as_tuple(data, "delta", 4, errs)
-
-    q = PiecewisePotential.zero()
+    known = {*_NUMERIC_FIELDS, "q", "solver"}
+    errs = [f"{key}: unknown key" for key in data if key not in known]
+    kwargs = {name: _from_json(data.get(name, _MISSING)) for name in _NUMERIC_FIELDS}
     if "q" in data:
-        raw_q = data["q"]
-        if not isinstance(raw_q, dict) or set(raw_q) != {"pieces"}:
-            errs.append("q: expected an object with a single 'pieces' key")
-        else:
-            raw_pieces = raw_q["pieces"]
-            if not isinstance(raw_pieces, list) or len(raw_pieces) != 3:
-                errs.append("q.pieces: expected a list of 3 coefficient lists")
-            else:
-                pieces = []
-                for i, rp in enumerate(raw_pieces):
-                    if not isinstance(rp, list) or len(rp) == 0:
-                        errs.append(f"q.pieces[{i}]: expected a nonempty list of numbers")
-                        pieces.append((math.nan,))
-                    else:
-                        pieces.append(
-                            tuple(
-                                _as_number(c, f"q.pieces[{i}][{j}]", errs)
-                                for j, c in enumerate(rp)
-                            )
-                        )
-                if len(pieces) == 3:
-                    q = PiecewisePotential((pieces[0], pieces[1], pieces[2]))
-
-    solver = SolverConfig()
-    if "solver" in data:
-        raw_s = data["solver"]
-        if not isinstance(raw_s, dict):
-            errs.append("solver: expected an object")
-        else:
-            kwargs = {}
-            for key, value in raw_s.items():
-                if key not in _SOLVER_KEYS:
-                    errs.append(f"solver.{key}: unknown key")
-                    continue
-                if key in _SOLVER_INT_KEYS:
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        errs.append(f"solver.{key}: expected an integer")
-                        continue
-                    kwargs[key] = value
-                else:
-                    kwargs[key] = _as_number(value, f"solver.{key}", errs)
-            solver = SolverConfig(**kwargs)
-
+        q = data["q"]
+        is_q = isinstance(q, dict) and set(q) == {"pieces"}
+        kwargs["q"] = PiecewisePotential(_from_json(q["pieces"])) if is_q else q
+    solver = data.get("solver", {})
+    if isinstance(solver, dict):
+        errs += [f"solver.{key}: unknown key" for key in solver if key not in _SOLVER_DEFAULTS]
+        solver = SolverConfig(**{
+            key: value if isinstance(_SOLVER_DEFAULTS[key], int) else _from_json(value)
+            for key, value in solver.items() if key in _SOLVER_DEFAULTS
+        })
+    spec = ProblemSpec(**kwargs, solver=solver)
+    errs += spec.check()
     if errs:
         raise ConfigError(errs)
-    spec = ProblemSpec(
-        h1=h1, h2=h2, omega=omega, alpha=alpha, beta=beta, beta_prime=beta_prime,
-        gamma=gamma, delta=delta, q=q, solver=solver,
-    )
-    return validate(spec)
+    return spec
 
 
 def load_config(path, overrides: Sequence[str] = ()) -> ProblemSpec:
@@ -519,17 +502,14 @@ def load_config(path, overrides: Sequence[str] = ()) -> ProblemSpec:
 
 def config_dict(spec: ProblemSpec) -> dict:
     """Canonical plain-dict form of a spec (JSON round-trippable)."""
+    numbers = {
+        name: list(getattr(spec, name)) if n else getattr(spec, name)
+        for name, n in _NUMERIC_FIELDS.items()
+    }
     return {
-        "h1": spec.h1,
-        "h2": spec.h2,
-        "omega": list(spec.omega),
-        "alpha": spec.alpha,
-        "beta": list(spec.beta),
-        "beta_prime": list(spec.beta_prime),
-        "gamma": list(spec.gamma),
-        "delta": list(spec.delta),
+        **numbers,
         "q": {"pieces": [list(p) for p in spec.q.pieces]},
-        "solver": {name: getattr(spec.solver, name) for name in _SOLVER_KEYS},
+        "solver": {name: getattr(spec.solver, name) for name in _SOLVER_DEFAULTS},
     }
 
 

@@ -414,10 +414,6 @@ def eigenfunctions(
     stack, raw = element_from_solution(spec, sol, grid, extra=xs)
 
     e = sol.ends
-    anchors = zip((e.left, e.h1_plus, e.h2_plus), (e.h1_minus, e.h2_minus, e.right))
-    for (u, du), (start, end) in zip(raw, anchors):
-        u[:, 0], du[:, 0] = start
-        u[:, -1], du[:, -1] = end
     all_u = np.concatenate([u for u, _ in raw], axis=1)
     u_peak = np.max(np.abs(all_u), axis=1)
     du_peak = np.max(np.abs(np.concatenate([du for _, du in raw], axis=1)), axis=1)

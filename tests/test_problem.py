@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ def test_all_violations_reported_together():
     with pytest.raises(ConfigError) as err:
         validate(spec)
     msgs = err.value.errors
-    assert len(msgs) >= 5
+    assert len(msgs) == 5
     joined = " ".join(msgs)
     for token in ("h1", "omega", "alpha", "beta", "gamma[2]"):
         assert token in joined
@@ -109,6 +110,26 @@ def test_solver_knobs_checked():
         build_spec(solver=SolverConfig(quad_nodes=1))
     with pytest.raises(ConfigError, match="bracket_subdiv"):
         build_spec(solver=SolverConfig(bracket_subdiv=2))
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"solver": SolverConfig(rk_tol="x")}, "solver.rk_tol: expected a number"),
+        ({"solver": SolverConfig(quad_nodes=33.0)}, "solver.quad_nodes: expected an integer"),
+        ({"omega": None}, "omega: expected a list of 3 numbers"),
+        ({"h2": "0.5"}, "h2: expected a number"),
+        ({"q": PiecewisePotential(((0.0,), None, (0.0,)))}, "q.pieces[1]: expected a nonempty list"),
+        ({"q": PiecewisePotential(((0.0,), (0.0,), (0.0, None)))}, "q.pieces[2][1]: expected a number"),
+        ({"q": None}, "q: expected an object"),
+        ({"solver": None}, "solver: expected an object"),
+    ],
+)
+def test_wrongly_typed_fields_of_a_built_spec_are_config_errors(overrides, path):
+    with pytest.raises(ConfigError) as err:
+        validate(replace(baseline_spec(), **overrides))
+    assert len(err.value.errors) == 1
+    assert err.value.errors[0].startswith(path)
 
 
 def test_derived_scalars():
@@ -262,9 +283,35 @@ def test_parse_reports_paths_for_all_errors():
     bad["solver"] = {"rk_tol": "tight", "mystery": 3}
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
-    joined = " ".join(err.value.errors)
+    errors = err.value.errors
+    assert len(errors) == 5
     for token in ("alpha", "omega[1]", "gamma", "solver.rk_tol", "solver.mystery"):
-        assert token in joined
+        assert sum(token in line for line in errors) == 1, token
+
+
+def test_parse_reports_each_violation_once():
+    bad = dict(S0_CONFIG, h1=None, omega=[1.0, math.inf], beta_prime=[0.0, 0.0])
+    bad["q"] = {"pieces": [[0.0], [], [1.0, "x"]]}
+    bad["solver"] = {"quad_nodes": 6.5, "rk_tol": 1.0}
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    assert err.value.errors == [
+        "h1: expected a number",
+        "omega: expected a list of 3 numbers",
+        "q.pieces[1]: expected a nonempty list of numbers",
+        "q.pieces[2][1]: expected a number",
+        "solver.rk_tol: must lie in (0, 1e-4]",
+        "solver.quad_nodes: expected an integer",
+    ]
+
+
+def test_integer_literals_parse_like_their_float_twins():
+    ints = dict(S0_CONFIG, h1=-0.5, h2=0, omega=[1, 2, 1], alpha=1, beta=[0, 1],
+                gamma=[1, 1, 2, 1], q={"pieces": [[0], [1, 2], [0]]})
+    floats = json.loads(json.dumps(ints), parse_int=float)
+    assert parse_config(ints) == parse_config(floats)
+    assert spec_digest(parse_config(ints)) == spec_digest(parse_config(floats))
+    assert all(type(w) is float for w in parse_config(ints).omega)
 
 
 def test_parse_rejects_unknown_top_level_keys():

@@ -399,6 +399,18 @@ def test_eigenfunctions_repeat_single_record_builds_bit_for_bit(name):
     assert eigenfunctions(spec, [], grid=grid) == []
 
 
+@pytest.mark.parametrize("name", ["s0", "case1", "indefinite", "airy_spec"])
+def test_eigenfunction_samples_at_piece_ends_are_the_end_states(name):
+    # a query at a piece end returns the stored state, so no sample needs overwriting
+    spec = airy_spec() if name == "airy_spec" else load_config(CONFIG_DIR / f"{name}.json")
+    for ef in eigenfunctions(spec, _first_records(spec, 6), samples_per_piece=5):
+        e = ef.ends
+        ends = ((e.left, e.h1_minus), (e.h1_plus, e.h2_minus), (e.h2_plus, e.right))
+        for piece, (start, stop) in zip(ef.pieces, ends):
+            assert (piece.u[0], piece.du[0]) == (start.u, start.v), (ef.n, "start")
+            assert (piece.u[-1], piece.du[-1]) == (stop.u, stop.v), (ef.n, "stop")
+
+
 def test_eigenfunctions_reject_records_that_are_not_eigenpairs():
     # far beyond the computed spectrum the right solution is tiny next to its launch
     spec = baseline_spec()
