@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ProblemSpec
-from .shooting import _check_lams, _crossings, left_terminal_batch
+from .shooting import BoundaryData, _check_lams, _crossings, left_terminal_batch
 
 __all__ = ["CharValue", "char_value", "char_grid", "char_batch"]
 
@@ -60,12 +60,24 @@ def char_grid(spec: ProblemSpec, lams) -> list[CharValue]:
         return []
     arr = _check_lams(arr)
     f, g = _crossings(spec, arr, "left"), _crossings(spec, arr, "right")
-    d = [f.left.wronskian(g.left), f.h1_plus.wronskian(g.h1_plus), f.h2_plus.wronskian(g.h2_plus)]
-    resid = np.maximum(np.abs(d[0] - spec.m2 * d[1]), np.abs(d[0] - spec.m3 * d[2]))
+    d, resid = _piece_wronskians(spec, f, g)
     return [
         CharValue(lam=lam, on_piece=(d0, d1, d2), value=d0, consistency_residual=r)
         for lam, d0, d1, d2, r in zip(arr.tolist(), *(w.tolist() for w in d), resid.tolist())
     ]
+
+
+def _piece_wronskians(spec: ProblemSpec, f: BoundaryData, g: BoundaryData):
+    """Each piece's Wronskian at its lower end, and the consistency residual.
+
+    ``f`` and ``g`` are the anchor records of the left and the right
+    solution, with one entry per ``lam``.  Returns the three per-piece
+    Wronskians, piece 1 first, and the larger of ``|d1 - m2 d2|`` and
+    ``|d1 - m3 d3|``, each an array over ``lam``.
+    """
+    d = (f.left.wronskian(g.left), f.h1_plus.wronskian(g.h1_plus), f.h2_plus.wronskian(g.h2_plus))
+    resid = np.maximum(np.abs(d[0] - spec.m2 * d[1]), np.abs(d[0] - spec.m3 * d[2]))
+    return d, resid
 
 
 def char_value(spec: ProblemSpec, lam: float) -> CharValue:

@@ -18,6 +18,7 @@ array is then shaped ``(k, nodes)``, ``f1`` is a ``(k,)`` array and ``ends``
 holds arrays, as the ``ends`` of a λ-batched ``PiecewiseSolution`` do.
 ``sample_domain_element`` with a sequence of seeds and ``element_from_solution``
 of a lambda-batched solution build stacks, ``HilbertElement.rows`` splits one,
+``HilbertElement.take`` picks some of its rows,
 and the inner product, norm, operator and residuals broadcast over stacks.
 Each row of a stacked result equals the call on that row alone bit for bit:
 the piece integrals sum each contiguous row along the node axis, as the
@@ -157,6 +158,17 @@ class HilbertElement:
             for j, (c, e) in enumerate(zip(f1, ends))
         ]
 
+    def take(self, rows) -> "HilbertElement":
+        """The stack of the rows ``rows`` (an index array or a slice) of a stack.
+
+        A slice gives views of this stack's arrays; every row stays as it was.
+        """
+        pick = lambda tup: None if tup is None else tuple(a[rows] for a in tup)
+        return HilbertElement(
+            self.grid, pick(self.values), self.f1[rows], pick(self.deriv), pick(self.deriv2),
+            None if self.ends is None else self.ends.take(rows),
+        )
+
     def scaled(self, c) -> "HilbertElement":
         """Every sample, ``f1`` and end state times ``c``; a stack takes one factor per row."""
         per_node = c if np.ndim(c) == 0 else np.asarray(c)[:, None]
@@ -259,7 +271,8 @@ def _draw(seed: int) -> list:
     """The random parameters of one seeded domain element, in drawing order."""
     rng = np.random.default_rng(seed)
     freq = rng.uniform(3.0, 6.0)
-    amp = rng.uniform(0.5, 1.5) * rng.choice((-1.0, 1.0))
+    # the draw of rng.choice((-1.0, 1.0)), without its argument handling
+    amp = rng.uniform(0.5, 1.5) * (-1.0, 1.0)[rng.integers(0, 2)]
     bump = rng.uniform(-0.8, 0.8, size=3)
     far2 = rng.uniform(-1.5, 1.5, size=2)
     far3 = rng.uniform(-1.5, 1.5, size=2)
@@ -338,8 +351,9 @@ def element_from_solution(
 
     Second derivatives come from the differential equation itself,
     ``f'' = (q - lam*omega^2) f``, not from differencing.  A solution built
-    for an array of ``lam`` gives a stack with one row per ``lam``, from one
-    evaluation per piece.  ``extra`` holds further points, one array per
+    for an array of ``lam`` gives a stack with one row per ``lam``.  All three
+    pieces are evaluated in one query (``PiecewiseSolution.eval_pieces``).
+    ``extra`` holds further points, one array per
     piece; they are evaluated together with the grid nodes, and the call
     then returns ``(element, states)`` with one ``(u, u')`` pair of arrays per
     piece for those points.
@@ -347,11 +361,10 @@ def element_from_solution(
     if grid is None:
         grid = QuadratureGrid.build(spec)
     lam = sol.lam[:, None] if np.ndim(sol.lam) > 0 else sol.lam
+    nodes = grid.nodes
+    xs = nodes if extra is None else [np.concatenate(pair) for pair in zip(nodes, extra)]
     values, deriv, deriv2, states = [], [], [], []
-    for i in (1, 2, 3):
-        x = grid.nodes[i - 1]
-        xs = x if extra is None else np.concatenate((x, extra[i - 1]))
-        u, v = sol.pieces[i - 1].eval(xs)
+    for i, (x, (u, v)) in enumerate(zip(nodes, sol.eval_pieces(xs)), start=1):
         if extra is not None:
             states.append((u[..., x.size:], v[..., x.size:]))
             u, v = u[..., : x.size], v[..., : x.size]

@@ -31,9 +31,11 @@ characteristic scan (``left_terminal_batch``) and ``charfn.char_grid`` read
 only that record; ``build_left`` and ``build_right`` also keep the state at
 every mesh node from the same product, so their anchor states equal the
 scan's bit for bit.  A piece's node arrays answer every query: at a node the
-stored state, elsewhere one step from the nearest node before it, with the
-same step vectorized over ``x``.  The conditions themselves are read from
-:class:`ProblemSpec`.
+stored state, elsewhere one step from the nearest node before it.  The step
+takes only ``lam``-independent inputs besides ``lam`` (``q`` at its two Gauss
+points, its length and ``omega^2``), so one query (``_query``) steps points
+on all three pieces with one call, each point as a query on its piece alone
+would.  The conditions themselves are read from :class:`ProblemSpec`.
 
 An eigenvalue is a value of ``lam`` where the two are proportional, which
 the characteristic-function module detects through their Wronskian.
@@ -41,6 +43,7 @@ the characteristic-function module detects through their Wronskian.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -104,6 +107,10 @@ class BoundaryData:
         """Every anchor state times ``c``."""
         return BoundaryData(*(st.scaled(c, c) for st in vars(self).values()))
 
+    def take(self, rows) -> "BoundaryData":
+        """The record of the entries ``rows`` of a record that holds arrays."""
+        return BoundaryData(*(State(st.u[rows], st.v[rows]) for st in vars(self).values()))
+
     def rows(self) -> list["BoundaryData"]:
         """One record of float states per entry of a record that holds arrays."""
         cols = [zip(st.u.tolist(), st.v.tolist()) for st in vars(self).values()]
@@ -124,17 +131,20 @@ class BoundaryData:
 # the propagator
 
 
-def _step(coeffs, w2: float, lam, x0, h):
-    """Transfer matrix ``(a, b, c, d)`` of one Magnus step from ``x0`` to ``x0 + h``.
+def _step(q1, q2, w2, lam, h):
+    """Transfer matrix ``(a, b, c, d)`` of one Magnus step of length ``h``.
 
     With ``A(x) = [[0, 1], [q(x) - lam*w2, 0]]`` sampled at the two Gauss
-    points, ``M = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]`` is traceless, so
-    ``exp M = cosh(s) I + sinh(s)/s M`` with ``s^2 = -det M``.  When ``q`` is
-    constant, ``A1 == A2`` and the step is the exact transfer for any ``h``.
-    ``lam``, ``x0`` and ``h`` broadcast against each other.
+    points of the step, where ``q`` takes the values ``q1`` and ``q2``
+    (``_gauss_q``), ``M = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]`` is
+    traceless, so ``exp M = cosh(s) I + sinh(s)/s M`` with ``s^2 = -det M``.
+    When ``q`` is constant, ``A1 == A2`` and the step is the exact transfer
+    for any ``h``.  Every input but ``lam`` is independent of ``lam``, so
+    steps on different pieces, each with its own ``q`` and ``w2``, go in one
+    call; all five broadcast against each other.
     """
-    a1 = polyval(x0 + (0.5 - _GAUSS) * h, coeffs) - lam * w2
-    a2 = polyval(x0 + (0.5 + _GAUSS) * h, coeffs) - lam * w2
+    lw = lam * w2
+    a1, a2 = q1 - lw, q2 - lw
     m11 = _COMMUTATOR * h * h * (a1 - a2)
     m21 = 0.5 * h * (a1 + a2)
     s2 = m11 * m11 + h * m21
@@ -145,6 +155,11 @@ def _step(coeffs, w2: float, lam, x0, h):
         ch = np.where(grow, np.cosh(s), np.cos(s))
         sh = np.where(s > 0.0, np.where(grow, np.sinh(s), np.sin(s)) / s, 1.0)
     return ch + sh * m11, sh * h, sh * m21, ch - sh * m11
+
+
+def _gauss_q(coeffs, x0, h):
+    """``q`` at the two Gauss points of the steps from ``x0`` to ``x0 + h``."""
+    return polyval(x0 + (0.5 - _GAUSS) * h, coeffs), polyval(x0 + (0.5 + _GAUSS) * h, coeffs)
 
 
 def piece_mesh(spec: ProblemSpec, piece: int) -> np.ndarray:
@@ -190,7 +205,8 @@ def _carry(
     us, vs = np.empty((2, xs.size, lams.size)) if nodes else (None, None)
     for j in range(0, xs.size - 1, _BLOCK):
         x = xs[j : j + _BLOCK + 1]
-        m = np.stack(_step(coeffs, w2, lams, x[:-1, None], np.diff(x)[:, None]))
+        x0, h = x[:-1, None], np.diff(x)[:, None]
+        m = np.stack(_step(*_gauss_q(coeffs, x0, h), w2, lams, h))
         firsts = []
         while m.shape[1] > 1:
             n = m.shape[1]
@@ -264,17 +280,7 @@ class PieceTrajectory:
 
         With an array of ``lam`` the results are shaped ``(n_lam,) + shape(x)``.
         """
-        lo, hi = self.xs[0], self.xs[-1]
-        xv = np.asarray(x, dtype=float)
-        if np.any(xv < lo - _EDGE_TOL) or np.any(xv > hi + _EDGE_TOL):
-            raise ValueError(f"query outside integrated range [{lo}, {hi}]")
-        xv = np.clip(xv, lo, hi)
-        k = np.clip(np.searchsorted(self.xs, xv, side="right") - 1, 0, self.n_steps)
-        x0 = self.xs[k]
-        lam = self.lam.reshape((-1,) + (1,) * xv.ndim) if _batched(self.lam) else self.lam
-        a, b, c, d = _step(self.coeffs, self.w2, lam, x0, xv - x0)
-        u = a * self.us[..., k] + b * self.vs[..., k]
-        v = c * self.us[..., k] + d * self.vs[..., k]
+        ((u, v),) = _query((self,), (x,))
         if u.ndim == 0:
             return float(u), float(v)
         return u, v
@@ -282,6 +288,40 @@ class PieceTrajectory:
     def state(self, x: float) -> State:
         u, v = self.eval(float(x))
         return State(u, v)
+
+
+def _query(pieces, xs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Value and slope at ``xs[i]`` (an array, or a scalar) inside ``pieces[i]``.
+
+    The pieces belong to one solution, so they share ``lam``.  Each point is
+    one step from the nearest node at or before it on its own piece (a point
+    at a node is the stored state), and the steps of every piece go through
+    one ``_step`` call.  Each point gets the arithmetic of a query on its
+    piece alone.  Returns one ``(u, v)`` pair per piece, shaped
+    ``shape(lam) + shape(xs[i])``.
+    """
+    parts = []
+    for p, x in zip(pieces, xs):
+        xv = np.asarray(x, dtype=float)
+        lo, hi = p.xs[0], p.xs[-1]
+        if xv.size and (xv.min() < lo - _EDGE_TOL or xv.max() > hi + _EDGE_TOL):
+            raise ValueError(f"query outside integrated range [{lo}, {hi}]")
+        xv = np.clip(xv, lo, hi).reshape(-1)
+        k = np.clip(np.searchsorted(p.xs, xv, side="right") - 1, 0, p.n_steps)
+        x0 = p.xs[k]
+        h = xv - x0
+        w2 = np.full(h.size, p.w2)
+        parts.append((*_gauss_q(p.coeffs, x0, h), w2, h, p.us[..., k], p.vs[..., k]))
+    q1, q2, w2, h, u0, v0 = (np.concatenate(col, axis=-1) for col in zip(*parts))
+    lam = pieces[0].lam
+    a, b, c, d = _step(q1, q2, w2, lam[:, None] if _batched(lam) else lam, h)
+    u, v = a * u0 + b * v0, c * u0 + d * v0
+    out, end = [], 0
+    for x, part in zip(xs, parts):
+        start, end = end, end + part[3].size
+        shape = np.shape(lam) + np.shape(x)
+        out.append((u[..., start:end].reshape(shape), v[..., start:end].reshape(shape)))
+    return out
 
 
 def _as_batch(lam) -> tuple[float | np.ndarray, np.ndarray]:
@@ -332,13 +372,32 @@ class PiecewiseSolution:
         xv = np.asarray(x, dtype=float)
         edges = np.array([self.spec.h1, self.spec.h2])
         index = np.searchsorted(edges, xv, side="left" if side == "left" else "right")
+        masks = [index == i for i in (0, 1, 2)]
         u = np.empty(np.shape(self.lam) + xv.shape)
         v = np.empty_like(u)
-        for i in (0, 1, 2):
-            mask = index == i
-            if np.any(mask):
-                u[..., mask], v[..., mask] = self.pieces[i].eval(xv[mask])
+        for mask, (pu, pv) in zip(masks, self.eval_pieces([xv[mask] for mask in masks])):
+            u[..., mask], v[..., mask] = pu, pv
         return u, v
+
+    def eval_pieces(self, xs) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Value and slope at ``xs[i]`` inside piece ``i + 1``, for all three pieces.
+
+        A point at a piece's end is read on that piece, so both sides of an
+        interface can be asked for at once.  One step evaluation serves
+        every point, and each result equals ``self.pieces[i].eval(xs[i])``
+        bit for bit.  Returns one ``(u, u')`` pair of arrays per piece.
+        """
+        return _query(self.pieces, xs)
+
+    def take(self, rows) -> "PiecewiseSolution":
+        """The solution for the entries ``rows`` of an array ``lam``, as if built for them."""
+        pieces = tuple(
+            dataclasses.replace(p, lam=self.lam[rows], us=p.us[rows], vs=p.vs[rows])
+            for p in self.pieces
+        )
+        return dataclasses.replace(
+            self, lam=self.lam[rows], pieces=pieces, ends=self.ends.take(rows)
+        )
 
 
 def _sweep(spec: ProblemSpec, kind: Literal["left", "right"], lam):

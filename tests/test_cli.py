@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, airy_spec, mixed_spec
 import sl2t
-from sl2t.cli import main
+from sl2t.charfn import _piece_wronskians, char_grid
+from sl2t.cli import _VerifyRun, main
+from sl2t.problem import load_config
 
 VERIFY_STAGES = ("consistency", "wronskian-constancy", "symmetry",
                  "interface-wronskians", "orthogonality", "decay")
@@ -243,6 +245,40 @@ def test_verify_runs_share_no_state(capsys):
         assert out == fresh.stdout
         outs.append(out)
     assert outs[0] == outs[2] != outs[1]
+
+
+@pytest.mark.parametrize("name", ["s0", "case1", "indefinite"])
+def test_verify_stdout_matches_golden_file(name, capsys):
+    # tests/data/verify_<name>.txt pins every stage line and the verdict, byte for byte
+    code, out, _ = _run(capsys, "verify", str(CONFIG_DIR / f"{name}.json"))
+    assert code == 0
+    assert out.encode() == (DATA_DIR / f"verify_{name}.txt").read_bytes()
+
+
+def test_verify_run_stacks_the_seeds_of_both_sample_stages():
+    # symmetry pairs rows 0-11 among themselves; the interface stage pairs rows 1-4 with 12-15
+    assert _VerifyRun.SEEDS == (*range(12), 51, 52, 53, 54)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: load_config(S0), lambda: load_config(INDEFINITE), mixed_spec, airy_spec],
+    ids=["s0", "indefinite", "mixed_spec", "airy_spec"],
+)
+def test_verify_consistency_reads_char_grid_values_from_the_builds(make):
+    # the 27-lam builds' anchors give char_grid's Wronskians and residuals on its 24 lam
+    spec = make()
+    run = _VerifyRun(spec)
+    left, right = run.builds
+    rows = run.CONSISTENCY
+    d, resid = _piece_wronskians(spec, left.ends, right.ends)
+    want = char_grid(spec, left.lam[rows])
+    assert len(want) == 24
+    assert resid[rows].tolist() == [cv.consistency_residual for cv in want]
+    assert [tuple(w[rows].tolist()) for w in d] == [
+        tuple(cv.on_piece[i] for cv in want) for i in range(3)
+    ]
+    assert right.lam[run.CONSTANCY].tolist() == [-7.5, 3.7, 61.3]
 
 
 def test_verify_rejects_inadmissible_config(tmp_path, capsys):

@@ -17,6 +17,7 @@ from conftest import (
 from sl2t.hilbert import (
     HilbertElement,
     QuadratureGrid,
+    _draw,
     _gauss_rule,
     apply_operator,
     domain_residuals,
@@ -442,6 +443,64 @@ def test_stacked_operations_repeat_row_calls_bit_for_bit(name):
         assert tuple(r[j] for r in iw) == interface_wronskian_residuals(spec, f, g)
         if nrm is not None:
             assert nrm[j] == norm(spec, f)
+
+
+#: seeds 0-11, then 51-54: the one stack of the verify command
+_VERIFY_SEEDS = (*range(12), 51, 52, 53, 54)
+
+
+@pytest.mark.parametrize("name", _STACK_SPECS)
+def test_seed_end_data_do_not_depend_on_grid_or_stack(name):
+    # seeds 1-4 and 51-54 as 4-seed stacks on the 2-node grid, and as rows of
+    # the 16-seed stack on the default grid: the same end states and residuals
+    spec = _named_spec(name)
+    small = QuadratureGrid.build(spec, 2)
+    F = sample_domain_element(spec, (1, 2, 3, 4), grid=small)
+    G = sample_domain_element(spec, (51, 52, 53, 54), grid=small)
+    big = sample_domain_element(spec, _VERIFY_SEEDS, grid=QuadratureGrid.build(spec))
+    BF, BG = big.take(slice(1, 5)), big.take(slice(12, 16))
+    for want, got in ((F, BF), (G, BG)):
+        for field, st in vars(want.ends).items():
+            got_st = getattr(got.ends, field)
+            assert np.array_equal(got_st.u, st.u) and np.array_equal(got_st.v, st.v), field
+        assert np.array_equal(got.f1, want.f1)
+    want = interface_wronskian_residuals(spec, F, G)
+    got = interface_wronskian_residuals(spec, BF, BG)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("name", _STACK_SPECS)
+def test_taken_rows_repeat_their_own_stack_bit_for_bit(name):
+    # the even and odd rows of seeds 0-11, taken from one stack after the
+    # operator and the norm, against two stacks of six
+    spec = _named_spec(name)
+    grid = QuadratureGrid.build(spec)
+    S = sample_domain_element(spec, _VERIFY_SEEDS, grid=grid).take(slice(0, 12))
+    AS = apply_operator(spec, S)
+    for j in (0, 1):
+        F = sample_domain_element(spec, range(j, 12, 2), grid=grid)
+        _assert_same_stack(S.take(slice(j, 12, 2)), F)
+        _assert_same_stack(AS.take(slice(j, 12, 2)), apply_operator(spec, F))
+        if spec.is_definite:
+            assert np.array_equal(norm(spec, S)[j::2], norm(spec, F))
+            assert np.array_equal(norm(spec, AS)[j::2], norm(spec, apply_operator(spec, F)))
+
+
+def _assert_same_stack(got, want):
+    for a, b in zip(got.rows(), want.rows()):
+        _assert_same_element(a, b)
+
+
+def test_seeded_draw_is_the_generator_sequence():
+    # the sign is drawn as rng.choice((-1.0, 1.0)) draws it
+    for seed in (*range(300), 2**40):
+        rng = np.random.default_rng(seed)
+        want = [
+            rng.uniform(3.0, 6.0), rng.uniform(0.5, 1.5) * rng.choice((-1.0, 1.0)),
+            *rng.uniform(-0.8, 0.8, size=3), *rng.uniform(-1.5, 1.5, size=2),
+            *rng.uniform(-1.5, 1.5, size=2),
+        ]
+        assert _draw(seed) == want, seed
 
 
 def test_int_seed_gives_floats():

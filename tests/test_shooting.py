@@ -20,7 +20,7 @@ from sl2t.shooting import (
     piece_mesh,
     wronskian,
 )
-from sl2t.shooting import _carry, _step
+from sl2t.shooting import _carry, _gauss_q, _step
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,8 @@ def test_carry_node_states_follow_the_step_recurrence(n_steps, forward):
     assert np.array_equal(us[-1], u) and np.array_equal(vs[-1], v)
     coeffs, w2 = spec.q.pieces[1], spec.omega[1] ** 2
     for j, lam in enumerate(lams.tolist()):
-        steps = zip(*(m.tolist() for m in _step(coeffs, w2, lam, xs[:-1], np.diff(xs))))
+        x0, h = xs[:-1], np.diff(xs)
+        steps = zip(*(m.tolist() for m in _step(*_gauss_q(coeffs, x0, h), w2, lam, h)))
         want_u, want_v = np.array(step_states(steps, init[0][j], init[1][j])).T
         k = 1.0 + math.sqrt(abs(lam) * w2)
         size = np.maximum(np.abs(want_u), np.abs(want_v) / k)
@@ -409,6 +410,81 @@ def test_anchors_are_exact_through_every_query_path(build, make):
             u, v = sol.eval(np.array([x]), side)
             assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v), name
             assert np.array_equal(u[..., 0], want.u) and np.array_equal(v[..., 0], want.v), name
+
+
+_FUSED_SPECS = pytest.mark.parametrize(
+    "make",
+    [baseline_spec, mixed_spec, airy_spec,
+     lambda: random_spec(np.random.default_rng(3), constant_q=False)],
+    ids=["baseline_spec", "mixed_spec", "airy_spec", "polynomial_q"],
+)
+
+
+def test_polynomial_q_spec_mixes_degrees():
+    # the fused query must meet pieces whose q have different degrees
+    spec = random_spec(np.random.default_rng(3), constant_q=False)
+    assert len({len(c) for c in spec.q.pieces}) == 3
+
+
+@pytest.mark.parametrize("build", [build_left, build_right], ids=["left", "right"])
+@_FUSED_SPECS
+def test_fused_piece_query_repeats_each_piece_bit_for_bit(build, make):
+    # interior points, the piece's own end points and its mesh nodes, in one query
+    spec = make()
+    xs = []
+    for i in (1, 2, 3):
+        a, b = piece_bounds(spec, i)
+        xs.append(np.concatenate(([a, b], np.linspace(a, b, 37), piece_mesh(spec, i)[::3])))
+    xs[1] = xs[1].reshape(-1, 1)  # each piece keeps its own point shape
+    for lam in (3.7, _BUILD_LAMS):
+        sol = build(spec, lam)
+        fused = sol.eval_pieces(xs)
+        for i, (piece, x, (u, v)) in enumerate(zip(sol.pieces, xs, fused)):
+            want_u, want_v = piece.eval(x)
+            assert u.shape == v.shape == np.shape(lam) + x.shape
+            assert np.array_equal(u, want_u) and np.array_equal(v, want_v), i
+            # the step from the nearest node at or before each point, on this piece alone
+            xf = x.reshape(-1)
+            k = np.searchsorted(piece.xs, xf, side="right") - 1
+            k = np.minimum(k, piece.n_steps)
+            x0, h = piece.xs[k], xf - piece.xs[k]
+            lam_col = np.reshape(lam, (-1, 1)) if np.ndim(lam) else lam
+            a, b, c, d = _step(*_gauss_q(piece.coeffs, x0, h), piece.w2, lam_col, h)
+            ref_u = a * piece.us[..., k] + b * piece.vs[..., k]
+            ref_v = c * piece.us[..., k] + d * piece.vs[..., k]
+            assert np.array_equal(u.reshape(ref_u.shape), ref_u), i
+            assert np.array_equal(v.reshape(ref_v.shape), ref_v), i
+        # the own end points are the anchor states on both sides of each interface
+        ends = sol.ends
+        for (u, v), lo, hi in zip(fused, (ends.left, ends.h1_plus, ends.h2_plus),
+                                  (ends.h1_minus, ends.h2_minus, ends.right)):
+            u, v = u.reshape(np.shape(lam) + (-1,)), v.reshape(np.shape(lam) + (-1,))
+            assert np.array_equal(u[..., 0], lo.u) and np.array_equal(v[..., 0], lo.v)
+            assert np.array_equal(u[..., 1], hi.u) and np.array_equal(v[..., 1], hi.v)
+
+
+@pytest.mark.parametrize("build", [build_left, build_right], ids=["left", "right"])
+@_FUSED_SPECS
+def test_taken_rows_are_the_build_for_those_lam(build, make):
+    spec = make()
+    rows = slice(2, 5)
+    got, want = build(spec, _BUILD_LAMS).take(rows), build(spec, _BUILD_LAMS[rows])
+    assert np.array_equal(got.lam, want.lam)
+    for p, q in zip(got.pieces, want.pieces):
+        assert np.array_equal(p.lam, q.lam) and np.array_equal(p.xs, q.xs)
+        assert np.array_equal(p.us, q.us) and np.array_equal(p.vs, q.vs)
+    for name, st in vars(got.ends).items():
+        want_st = getattr(want.ends, name)
+        assert np.array_equal(st.u, want_st.u) and np.array_equal(st.v, want_st.v), name
+
+
+def test_fused_query_refuses_points_outside_their_piece():
+    sol = build_left(mixed_spec(), 3.7)
+    a, b = piece_bounds(sol.spec, 2)
+    inside = [np.array([-1.0]), np.array([a, b]), np.array([1.0])]
+    sol.eval_pieces(inside)
+    with pytest.raises(ValueError):
+        sol.eval_pieces([inside[0], np.array([b + 1e-6]), inside[2]])
 
 
 def test_batch_input_validation():
