@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .problem import _BREAK_TOL, ProblemSpec, phase
+from .problem import ProblemSpec, phase, piece_index_at
 
 __all__ = [
     "AsymptoticCase",
@@ -52,6 +52,8 @@ __all__ = [
 
 #: sin(alpha) counts as zero below this
 _SIN_ALPHA_TOL = 1e-12
+#: relative slack of the reflection-free test in ``phase_coherent``
+_COHERENT_REL_TOL = 1e-9
 
 
 class AsymptoticCase(Enum):
@@ -114,7 +116,7 @@ def _leading_wave(spec: ProblemSpec, mu: float, x):
     ``(0, -cos alpha/(mu*omega_1))`` when ``sin alpha`` vanishes.  Each
     interface applies ``spec.jump`` to ``y``, its slope factor also times
     ``omega_before/omega_after``, and rotates the result back to the next
-    coefficient pair.  Interface points resolve to the right-hand piece.
+    coefficient pair.  ``piece_index_at`` with ``side="right"`` places ``x``.
     """
     w = spec.omega
     s0, v0 = spec.left_launch
@@ -125,7 +127,7 @@ def _leading_wave(spec: ProblemSpec, mu: float, x):
         a, b = coeffs[-1]
         u, s = spec.jump(k, a * cos_t + b * sin_t, (b * cos_t - a * sin_t) * w[k] / w[k + 1])
         coeffs.append((u * cos_t - s * sin_t, u * sin_t + s * cos_t))
-    piece = np.searchsorted((spec.h1, spec.h2), x, side="right")
+    piece = piece_index_at(spec, x, side="right") - 1
     a, b = np.array(coeffs)[piece].T
     t = mu * phase(spec, x)
     cos_t, sin_t = np.cos(t), np.sin(t)
@@ -135,9 +137,11 @@ def _leading_wave(spec: ProblemSpec, mu: float, x):
 def phi_asymptotic(spec: ProblemSpec, mu: float, x, k: int = 0):
     """Leading term of the left solution (``k = 0``) or its slope (``k = 1``).
 
-    Accepts scalar or array ``x`` in ``[-1, 1]``; interface points resolve
-    to the right-hand piece.  The remainder is O(1/mu) relative, with or
-    without reflecting interfaces; its constant grows like
+    Accepts scalar or array ``x`` in ``[-1, 1]``.  ``piece_index_at`` reads
+    each point on its piece: inside a piece by position, and within
+    ``_BREAK_TOL`` of an interface on the right-hand piece (``side="right"``);
+    a point outside ``[-1, 1]`` raises.  The remainder is O(1/mu) relative,
+    with or without reflecting interfaces; its constant grows like
     ``|cot(alpha)|/omega1`` for a launch close to ``sin(alpha) = 0``.  On
     zero-potential, reflection-free problems the returned value is the
     solution itself.
@@ -146,10 +150,7 @@ def phi_asymptotic(spec: ProblemSpec, mu: float, x, k: int = 0):
         raise ValueError("mu must be positive")
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
-    xv = np.asarray(x, dtype=float)
-    if np.any(np.abs(xv) > 1.0 + _BREAK_TOL):
-        raise ValueError(f"x={x!r} lies outside [-1, 1]")
-    out = _leading_wave(spec, mu, xv)[k]
+    out = _leading_wave(spec, mu, x)[k]
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -171,7 +172,7 @@ def delta_leading(spec: ProblemSpec, mu: float) -> float:
     return float(spec.m3 * mu * mu * top)
 
 
-def phase_coherent(spec: ProblemSpec, rel_tol: float = 1e-9) -> bool:
+def phase_coherent(spec: ProblemSpec) -> bool:
     """True when the interfaces transmit a single wave without reflection.
 
     This is the regime in which the single-phase asymptotic formulas (and
@@ -179,11 +180,8 @@ def phase_coherent(spec: ProblemSpec, rel_tol: float = 1e-9) -> bool:
     """
     # reflection-free: each jump maps (omega after, omega before) to two equal numbers
     w = spec.omega
-    lhs1, rhs1 = spec.jump(0, w[1], w[0])
-    lhs2, rhs2 = spec.jump(1, w[2], w[1])
-    ok1 = abs(lhs1 - rhs1) <= rel_tol * (abs(lhs1) + abs(rhs1))
-    ok2 = abs(lhs2 - rhs2) <= rel_tol * (abs(lhs2) + abs(rhs2))
-    return ok1 and ok2
+    images = (spec.jump(0, w[1], w[0]), spec.jump(1, w[2], w[1]))
+    return all(abs(a - b) <= _COHERENT_REL_TOL * (abs(a) + abs(b)) for a, b in images)
 
 
 # ---------------------------------------------------------------------------

@@ -350,38 +350,36 @@ def piece_bounds(spec: ProblemSpec, index: int) -> tuple[float, float]:
     return bp[index - 1], bp[index]
 
 
-def piece_index_at(spec: ProblemSpec, x: float, side: Side | None = None) -> int:
-    """Return the 1-based piece index containing ``x``.
+def piece_index_at(spec: ProblemSpec, x, side: Side | None = None):
+    """The 1-based piece holding ``x``: an int, or an int array for an array ``x``.
 
-    At an interface point the side must be given ("left" or "right"); at the
-    outer endpoints the only adjacent piece is chosen automatically.
+    The one rule for which piece holds a point: inside a piece, its position;
+    within ``_BREAK_TOL`` of an interface, the piece ``side`` names ("left"
+    or "right"), and without ``side`` it raises.  Points outside ``[-1, 1]``,
+    NaN included, raise.
     """
-    if not (-1.0 - _BREAK_TOL <= x <= 1.0 + _BREAK_TOL):
+    xv = np.asarray(x, dtype=float)
+    if not np.all(np.abs(xv) <= 1.0 + _BREAK_TOL):
         raise ValueError(f"x={x!r} lies outside [-1, 1]")
+    index = 1 + (xv >= spec.h1) + (xv >= spec.h2)
     for k, b in enumerate((spec.h1, spec.h2)):
-        if abs(x - b) <= _BREAK_TOL:
-            if side == "left":
-                return k + 1
-            if side == "right":
-                return k + 2
-            raise ValueError(
-                f"x={x!r} sits on an interface point; pass side='left' or side='right'"
-            )
-    if x < spec.h1:
-        return 1
-    if x < spec.h2:
-        return 2
-    return 3
+        near = np.abs(xv - b) <= _BREAK_TOL
+        if side not in ("left", "right") and np.any(near):
+            raise ValueError(f"x={x!r} sits on an interface point; pass side='left' or side='right'")
+        index = np.where(near, k + 1 if side == "left" else k + 2, index)
+    return int(index) if index.ndim == 0 else index
 
 
-def weight_at(spec: ProblemSpec, x: float, side: Side | None = None) -> float:
-    """Equation weight ``omega_i**2`` at ``x`` (one-sided at interfaces)."""
-    return spec.omega[piece_index_at(spec, x, side) - 1] ** 2
+def weight_at(spec: ProblemSpec, x, side: Side | None = None):
+    """Equation weight ``omega_i**2`` at ``x`` (one-sided at interfaces); scalar or array."""
+    w = np.square(spec.omega)[piece_index_at(spec, x, side) - 1]
+    return w if np.ndim(x) else float(w)
 
 
-def q_at(spec: ProblemSpec, x: float, side: Side | None = None) -> float:
-    """Potential value at ``x`` (one-sided at interfaces)."""
-    return float(polyval(x, spec.q.pieces[piece_index_at(spec, x, side) - 1]))
+def q_at(spec: ProblemSpec, x, side: Side | None = None):
+    """Potential value at ``x`` (one-sided at interfaces); scalar or array."""
+    q = np.choose(piece_index_at(spec, x, side) - 1, [polyval(x, c) for c in spec.q.pieces])
+    return q if np.ndim(x) else float(q)
 
 
 def phase(spec: ProblemSpec, x):

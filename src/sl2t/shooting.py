@@ -35,7 +35,10 @@ stored state, elsewhere one step from the nearest node before it.  The step
 takes only ``lam``-independent inputs besides ``lam`` (``q`` at its two Gauss
 points, its length and ``omega^2``), so one query (``_query``) steps points
 on all three pieces with one call, each point as a query on its piece alone
-would.  The conditions themselves are read from :class:`ProblemSpec`.
+would.  ``problem.piece_index_at`` places a point: by its position inside a
+piece, and within ``_BREAK_TOL`` of an interface, where the solution is
+two-valued, by ``side``, or it raises.  The conditions themselves are read
+from :class:`ProblemSpec`.
 
 An eigenvalue is a value of ``lam`` where the two are proportional, which
 the characteristic-function module detects through their Wronskian.
@@ -52,7 +55,7 @@ from typing import Literal
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .problem import ProblemSpec, Side, piece_bounds, piece_index_at
+from .problem import _BREAK_TOL, ProblemSpec, Side, piece_bounds, piece_index_at
 
 __all__ = [
     "State",
@@ -66,7 +69,6 @@ __all__ = [
     "left_terminal_batch",
 ]
 
-_EDGE_TOL = 1e-12
 _GAUSS = math.sqrt(3.0) / 6.0
 _COMMUTATOR = math.sqrt(3.0) / 12.0
 #: Magnus steps whose matrices are held at once per lam in a batch
@@ -285,10 +287,6 @@ class PieceTrajectory:
             return float(u), float(v)
         return u, v
 
-    def state(self, x: float) -> State:
-        u, v = self.eval(float(x))
-        return State(u, v)
-
 
 def _query(pieces, xs) -> list[tuple[np.ndarray, np.ndarray]]:
     """Value and slope at ``xs[i]`` (an array, or a scalar) inside ``pieces[i]``.
@@ -304,7 +302,7 @@ def _query(pieces, xs) -> list[tuple[np.ndarray, np.ndarray]]:
     for p, x in zip(pieces, xs):
         xv = np.asarray(x, dtype=float)
         lo, hi = p.xs[0], p.xs[-1]
-        if xv.size and (xv.min() < lo - _EDGE_TOL or xv.max() > hi + _EDGE_TOL):
+        if not np.all((xv >= lo - _BREAK_TOL) & (xv <= hi + _BREAK_TOL)):
             raise ValueError(f"query outside integrated range [{lo}, {hi}]")
         xv = np.clip(xv, lo, hi).reshape(-1)
         k = np.clip(np.searchsorted(p.xs, xv, side="right") - 1, 0, p.n_steps)
@@ -355,28 +353,27 @@ class PiecewiseSolution:
     pieces: tuple[PieceTrajectory, PieceTrajectory, PieceTrajectory]
     ends: BoundaryData
 
-    def state(self, x: float, side: Side | None = None) -> State:
+    def state(self, x, side: Side | None = None) -> State:
         """One-sided solution state at ``x``; at a node, the stored state."""
-        return self.pieces[piece_index_at(self.spec, x, side) - 1].state(x)
+        return State(*self.eval(x, side))
 
     def eval(self, x, side: Side | None = None):
-        """Vectorized value/slope query; ``side`` only matters at interfaces.
+        """Value and slope at ``x``, a scalar or an array of points in ``[-1, 1]``.
 
-        For array input, points sitting exactly on an interface resolve to
-        the right piece unless ``side='left'``.  With an array of ``lam`` the
-        results are shaped ``(n_lam,) + shape(x)``.
+        ``piece_index_at`` picks each point's piece, so a point within
+        ``_BREAK_TOL`` of an interface needs ``side``.  The results are
+        floats for a scalar ``x`` and a scalar ``lam``, and otherwise arrays
+        shaped ``shape(lam) + shape(x)``.
         """
-        if np.ndim(x) == 0:
-            st = self.state(float(x), side)
-            return st.u, st.v
         xv = np.asarray(x, dtype=float)
-        edges = np.array([self.spec.h1, self.spec.h2])
-        index = np.searchsorted(edges, xv, side="left" if side == "left" else "right")
-        masks = [index == i for i in (0, 1, 2)]
+        index = piece_index_at(self.spec, x, side)
+        masks = [index == i for i in (1, 2, 3)]
         u = np.empty(np.shape(self.lam) + xv.shape)
         v = np.empty_like(u)
         for mask, (pu, pv) in zip(masks, self.eval_pieces([xv[mask] for mask in masks])):
             u[..., mask], v[..., mask] = pu, pv
+        if u.ndim == 0:
+            return float(u), float(v)
         return u, v
 
     def eval_pieces(self, xs) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -111,10 +111,12 @@ class ScanResult:
 def scan_floor(spec: ProblemSpec) -> float:
     """Lower end of the eigenvalue scan.
 
-    ``-factor * (1 + max|q| / min(omega^2))``: below this the equation's
-    zeroth-order coefficient ``q - lam*w`` is strictly positive, so solutions
-    are convex and cannot oscillate into extra roots.  The potential maximum
-    is taken on a dense grid per piece (closed endpoints included).
+    ``-factor * (1 + max|q| / min(omega^2))``, a heuristic and not a bound:
+    below it ``q - lam*w`` is positive and solutions do not oscillate, but
+    the right condition, affine in ``lam``, can still meet one of them (a
+    definite ``q = 0`` problem with floor -10 has an eigenvalue near -13.15).
+    The potential maximum is taken on a dense grid per piece (closed
+    endpoints included).
     """
     max_q = 0.0
     for i in (1, 2, 3):

@@ -146,6 +146,17 @@ def test_phi_asymptotic_validation():
         phi_asymptotic(baseline_spec(), 3.0, 0.0, k=2)
 
 
+def test_phi_asymptotic_rejects_points_outside_the_domain():
+    # the piece lookup judges the range, NaN included, for scalars and arrays
+    spec = mixed_spec()
+    for bad in (1.5, -1.0 - 1e-9, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            phi_asymptotic(spec, 3.0, bad)
+        with pytest.raises(ValueError, match="outside"):
+            phi_asymptotic(spec, 3.0, np.array([0.0, bad]), k=1)
+    assert phi_asymptotic(spec, 3.0, 1.0 + 5e-13) == pytest.approx(phi_asymptotic(spec, 3.0, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # boundary-form route to the right-piece characteristic value
 

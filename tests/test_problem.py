@@ -195,6 +195,30 @@ def test_piece_bounds_and_index():
     assert piece_index_at(spec, spec.h1, side="right") == 2
 
 
+def test_array_lookups_follow_the_scalar_rule():
+    # weight_at, q_at and piece_index_at read each point of an array as a scalar
+    spec = build_spec(omega=(1.0, 2.0, 3.0), q=[[1.0, 2.0], [5.0, -1.0], [0.5]])
+    h1, h2 = spec.h1, spec.h2
+    xs = np.array([-1.0, -0.7, h1 - 5e-13, h1, h1 + 5e-13, 0.0, h2, h2 + 5e-13, 1.0])
+    for side in ("left", "right"):
+        for lookup in (piece_index_at, weight_at, q_at):
+            got = lookup(spec, xs, side)
+            want = [lookup(spec, float(x), side) for x in xs]
+            assert got.shape == xs.shape and got.tolist() == want, (lookup.__name__, side)
+    assert piece_index_at(spec, xs, "left").tolist() == [1, 1, 1, 1, 1, 2, 2, 2, 3]
+    assert piece_index_at(spec, xs, "right").tolist() == [1, 1, 2, 2, 2, 2, 3, 3, 3]
+    inside = xs[[0, 1, 5, 8]]  # no point near an interface: side is not needed
+    for lookup in (piece_index_at, weight_at, q_at):
+        with pytest.raises(ValueError, match="side"):
+            lookup(spec, xs)
+        assert lookup(spec, inside).tolist() == lookup(spec, inside, "left").tolist()
+        for bad in (np.nan, 1.5, -1.0 - 1e-9):
+            with pytest.raises(ValueError, match="outside"):
+                lookup(spec, np.array([0.0, bad]))
+            with pytest.raises(ValueError, match="outside"):
+                lookup(spec, bad)
+
+
 # ---------------------------------------------------------------------------
 # accumulated phase
 

@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import airy_spec, baseline_spec, build_spec, mixed_spec, random_spec, steep_spec
+from conftest import (
+    CONFIG_DIR,
+    airy_spec,
+    baseline_spec,
+    build_spec,
+    mixed_spec,
+    random_spec,
+    steep_spec,
+)
 from oracles import airy_left, step_states, transfer_char
-from sl2t.problem import NumericalError, piece_bounds
+from sl2t.problem import NumericalError, load_config, piece_bounds
 from sl2t.shooting import (
     PiecewiseSolution,
     PieceTrajectory,
@@ -355,7 +363,7 @@ def test_batched_builds_repeat_scalar_builds_bit_for_bit(build, make):
     batch = build(spec, _BUILD_LAMS)
     assert np.array_equal(batch.lam, _BUILD_LAMS)
     xs_all = np.linspace(-1.0, 1.0, 41)
-    u_all, v_all = batch.eval(xs_all)
+    u_all, v_all = batch.eval(xs_all, side="right")
     assert u_all.shape == v_all.shape == (_BUILD_LAMS.size, xs_all.size)
     for j, lam in enumerate(_BUILD_LAMS.tolist()):
         sol = build(spec, lam)
@@ -370,9 +378,9 @@ def test_batched_builds_repeat_scalar_builds_bit_for_bit(build, make):
             (bu, bv), (u, v) = got.eval(xs), want.eval(xs)
             assert np.array_equal(bu[j], u) and np.array_equal(bv[j], v), (lam, want.piece)
             mid = 0.5 * (want.xs[0] + want.xs[-1])
-            assert type(want.state(mid).u) is float
-            assert got.state(mid).u[j] == want.state(mid).u
-        u, v = sol.eval(xs_all)
+            assert type(want.eval(mid)[0]) is float
+            assert got.eval(mid)[0][j] == want.eval(mid)[0]
+        u, v = sol.eval(xs_all, side="right")
         assert np.array_equal(u_all[j], u) and np.array_equal(v_all[j], v), lam
 
 
@@ -394,8 +402,9 @@ def test_wronskian_of_batched_solutions_is_per_lambda():
 @pytest.mark.parametrize(
     "make",
     [baseline_spec, mixed_spec, airy_spec,
-     lambda: random_spec(np.random.default_rng(5), constant_q=False)],
-    ids=["baseline_spec", "mixed_spec", "airy_spec", "polynomial_q"],
+     lambda: random_spec(np.random.default_rng(5), constant_q=False),
+     lambda: load_config(CONFIG_DIR / "case1.json")],
+    ids=["baseline_spec", "mixed_spec", "airy_spec", "polynomial_q", "case1"],
 )
 def test_anchors_are_exact_through_every_query_path(build, make):
     # a scalar and an array query at an anchor both return its ends field,
@@ -410,6 +419,46 @@ def test_anchors_are_exact_through_every_query_path(build, make):
             u, v = sol.eval(np.array([x]), side)
             assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v), name
             assert np.array_equal(u[..., 0], want.u) and np.array_equal(v[..., 0], want.v), name
+
+
+@pytest.mark.parametrize("lam", [7.0, np.array([7.0, -3.0, 250.0])], ids=["scalar", "batch"])
+def test_interface_band_follows_one_rule_for_scalar_and_array_queries(lam):
+    # within _BREAK_TOL of an interface, side picks the piece, or the query raises
+    spec = load_config(CONFIG_DIR / "case1.json")
+    sol = build_left(spec, lam)
+    h1, h2 = spec.h1, spec.h2
+    for x in (h1, h2, h1 - 5e-13, h1 + 5e-13):
+        for side in ("left", "right"):
+            u, v = sol.eval(x, side)
+            au, av = sol.eval(np.array([x]), side)
+            assert np.array_equal(au[..., 0], u) and np.array_equal(av[..., 0], v), (x, side)
+            st = sol.state(x, side)
+            assert np.array_equal(st.u, u) and np.array_equal(st.v, v), (x, side)
+        for query in (x, np.array([x]), np.array([0.0, x])):
+            with pytest.raises(ValueError, match="side"):
+                sol.eval(query)
+    # the band's far side is read at the named piece's end node, its anchor
+    for x, side, want in ((h1 + 5e-13, "left", sol.ends.h1_minus),
+                          (h1 - 5e-13, "right", sol.ends.h1_plus)):
+        u, v = sol.eval(x, side)
+        assert np.array_equal(u, want.u) and np.array_equal(v, want.v), (x, side)
+
+
+def test_queries_reject_points_that_are_not_finite():
+    spec = load_config(CONFIG_DIR / "case1.json")
+    for lam in (7.0, np.array([7.0, 8.0])):
+        sol = build_left(spec, lam)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="outside"):
+                sol.pieces[0].eval(bad)
+            with pytest.raises(ValueError, match="outside"):
+                sol.pieces[1].eval(np.array([0.0, bad]))
+            with pytest.raises(ValueError, match="outside"):
+                sol.eval_pieces([np.array([-0.5]), np.array([bad]), np.array([0.5])])
+            with pytest.raises(ValueError, match="outside"):
+                sol.eval(bad)
+            with pytest.raises(ValueError, match="outside"):
+                sol.eval(np.array([0.0, bad]), side="right")
 
 
 _FUSED_SPECS = pytest.mark.parametrize(

@@ -58,6 +58,24 @@ def test_no_sign_change_below_first_eigenvalue():
     assert np.all(computed > 0.0)
 
 
+# a definite q = 0 problem whose lowest eigenvalue lies below its scan floor of -10
+_BELOW_FLOOR = dict(
+    h1=-0.3, h2=0.4, omega=(1.6142, 1.371, 1.14), alpha=2.7589,
+    beta=(4.3251, -0.1974), beta_prime=(-0.2739, -0.1599),
+    gamma=(1.5339, 0.6849, 0.6375, 0.9173), delta=(0.605, 0.8883, 1.9118, 1.2747),
+)
+
+
+@pytest.mark.xfail(strict=True, reason="the scan starts at a heuristic floor above lambda_1")
+def test_lowest_eigenvalue_below_the_scan_floor_is_found():
+    spec = build_spec(**_BELOW_FLOOR)
+    assert spec.is_definite and scan_floor(spec) == pytest.approx(-10.0)
+    lo, hi = char_batch(spec, np.array([-13.5, -13.0]))
+    assert lo < 0.0 < hi
+    first = locate_eigenvalues(spec, 3).records[0]
+    assert first.lambda_n == pytest.approx(-13.152, abs=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue location
 
