@@ -12,16 +12,17 @@ spectrum against its leading asymptotics.
 __version__ = "0.1.0"
 
 # each public name is declared once, in its module's ``__all__``
-from . import asymptotics, charfn, hilbert, problem, shooting, spectrum
+from . import asymptotics, charfn, hilbert, problem, shooting, spectrum, verification
 from .asymptotics import *  # noqa: F403
 from .charfn import *  # noqa: F403
 from .hilbert import *  # noqa: F403
 from .problem import *  # noqa: F403
 from .shooting import *  # noqa: F403
 from .spectrum import *  # noqa: F403
+from .verification import *  # noqa: F403
 
 __all__ = ["__version__"] + [
     name
-    for module in (problem, shooting, charfn, spectrum, asymptotics, hilbert)
+    for module in (problem, shooting, charfn, spectrum, asymptotics, hilbert, verification)
     for name in module.__all__
 ]

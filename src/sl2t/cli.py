@@ -17,39 +17,15 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import case_of, decay_check, mu_asymptotic, phase_coherent
-from .charfn import _piece_wronskians
-from .hilbert import (
-    HilbertElement,
-    QuadratureGrid,
-    apply_operator,
-    interface_wronskian_residuals,
-    norm,
-    sample_domain_element,
-    symmetry_residual,
-)
-from .problem import (
-    ConfigError,
-    NumericalError,
-    ProblemSpec,
-    load_config,
-    piece_bounds,
-    spec_digest,
-)
-from .shooting import PiecewiseSolution, State, build_left, build_right
-from .spectrum import (
-    EigenRecord,
-    ScanResult,
-    eigenfunction,
-    eigenfunctions,
-    locate_eigenvalues,
-    orthogonality_matrix,
-)
+from .asymptotics import case_of, decay_check, mu_asymptotic
+from .problem import ConfigError, NumericalError, ProblemSpec, load_config, spec_digest
+from .spectrum import eigenfunction, locate_eigenvalues
+from .verification import StageResult, verify
 
 
 @dataclass(frozen=True)
@@ -60,13 +36,13 @@ class RunReport:
     command: str
     params: str
     outputs: tuple[str, ...]
-    stages: tuple[tuple[str, str, float], ...] = ()
+    stages: tuple[StageResult, ...] = ()
     notes: tuple[str, ...] = ()
 
     def render(self) -> list[str]:
         lines = [f"sl2t {self.command}: digest {self.digest} ({self.params})"]
         lines += [f"  wrote {path}" for path in self.outputs]
-        lines += [f"  stage {name}: {status} in {secs:.4f} s" for name, status, secs in self.stages]
+        lines += [f"  stage {s.name}: {s.status} in {s.seconds:.4f} s" for s in self.stages]
         lines += [f"  note: {note}" for note in self.notes]
         return lines
 
@@ -208,155 +184,16 @@ def _cmd_eigenfunction(spec: ProblemSpec, args) -> int:
 # verify
 
 
-class _VerifyRun:
-    """What the stages of one ``verify`` run share, each computed at most once.
-
-    Shared work is built on the first read of it, so a run whose stages all
-    skip a piece of it never pays for it:
-
-    * one left and one right λ-batched build over 27 fixed λ: the
-      consistency stage's 24 random values, then the wronskian-constancy
-      stage's three.  Consistency reads their anchor records; constancy
-      queries its three rows.
-    * the quadrature grid, and one stack of seeded domain elements on it:
-      seeds 0-11 for the symmetry stage's six pairs, then 51-54, which pair
-      with seeds 1-4 in the interface-wronskians stage.
-    * the located spectrum and its records: 46 roots when the decay stage
-      will read them and 5 otherwise; the orthogonality stage reads the
-      first five.  A failed scan is kept and raised again in every stage
-      that reads it.
-
-    The stderr time of a stage includes the shared work first read in it.
-    """
-
-    #: rows of ``builds``: the consistency stage's λ, then the constancy stage's
-    CONSISTENCY, CONSTANCY = slice(0, 24), slice(24, 27)
-    #: rows of ``samples``: seeds 0-11, then the interface stage's partners of 1-4
-    SEEDS = (*range(12), 51, 52, 53, 54)
-
-    def __init__(self, spec: ProblemSpec):
-        self.spec = spec
-
-    @functools.cached_property
-    def builds(self) -> tuple[PiecewiseSolution, PiecewiseSolution]:
-        rng = np.random.default_rng(93)
-        lams = np.concatenate((rng.uniform(-20.0, 200.0, size=24), (-7.5, 3.7, 61.3)))
-        return build_left(self.spec, lams), build_right(self.spec, lams)
-
-    @functools.cached_property
-    def grid(self) -> QuadratureGrid:
-        return QuadratureGrid.build(self.spec)
-
-    @functools.cached_property
-    def samples(self) -> HilbertElement:
-        return sample_domain_element(self.spec, self.SEEDS, grid=self.grid)
-
-    @functools.cached_property
-    def _scan(self) -> tuple[Optional[ScanResult], Optional[Exception]]:
-        n_max = 46 if phase_coherent(self.spec) else 5
-        try:
-            return locate_eigenvalues(self.spec, n_max), None
-        except (NumericalError, ValueError) as exc:
-            return None, exc
-
-    @functools.cached_property
-    def records(self) -> tuple[EigenRecord, ...]:
-        res, exc = self._scan
-        if exc is not None:
-            raise exc
-        return res.records
-
-
-def _stage_consistency(run: _VerifyRun):
-    d, resid = _piece_wronskians(run.spec, *(sol.ends for sol in run.builds))
-    rows = run.CONSISTENCY
-    worst = float(np.max(resid[rows] / (1.0 + np.abs(d[0][rows]))))
-    return worst <= 1e-7, f"max scaled residual {worst:.2e} over 24 random lam (tol 1e-07)"
-
-
-def _stage_wronskian_constancy(run: _VerifyRun):
-    spec = run.spec
-    left, right = (sol.take(run.CONSTANCY) for sol in run.builds)
-    xs = [np.linspace(*piece_bounds(spec, i), 100) for i in (1, 2, 3)]
-    worst = 0.0
-    for f, g in zip(left.eval_pieces(xs), right.eval_pieces(xs)):
-        w = State(*f).wronskian(State(*g))  # one row of 100 points per lam
-        spread = (w.max(axis=1) - w.min(axis=1)) / (1.0 + np.abs(w).max(axis=1))
-        worst = max(worst, float(spread.max()))
-    return worst <= 1e-8, f"max relative drift {worst:.2e} over 3 lam x 3 pieces x 100 pts (tol 1e-08)"
-
-
-def _stage_symmetry(run: _VerifyRun):
-    spec = run.spec
-    if not spec.is_definite:
-        return None, "indefinite form: symmetry certification not applicable"
-    # pairs (0, 1), (2, 3), ..., (10, 11): the even rows of seeds 0-11 against the odd ones
-    S = run.samples.take(slice(0, 12))
-    AS = apply_operator(spec, S)
-    F, G, AF, AG = (E.take(slice(j, 12, 2)) for E in (S, AS) for j in (0, 1))
-    n, An = norm(spec, S), norm(spec, AS)
-    scale = 1.0 + An[0::2] * n[1::2] + n[0::2] * An[1::2]
-    worst = float(np.max(symmetry_residual(spec, F, G, AF, AG) / scale))
-    return worst <= 1e-7, f"max scaled residual {worst:.2e} over 6 seeded pairs (tol 1e-07)"
-
-
-def _stage_interface_wronskians(run: _VerifyRun):
-    # pairs (1, 51), ..., (4, 54); the residuals read only end data
-    F, G = run.samples.take(slice(1, 5)), run.samples.take(slice(12, 16))
-    worst = float(np.max(interface_wronskian_residuals(run.spec, F, G)))
-    return worst <= 1e-10, f"max identity residual {worst:.2e} over 4 seeded pairs (tol 1e-10)"
-
-
-def _stage_orthogonality(run: _VerifyRun):
-    spec = run.spec
-    if not spec.is_definite:
-        return None, "indefinite form: orthogonality certification not applicable"
-    fns = eigenfunctions(spec, run.records[:5], samples_per_piece=4, grid=run.grid)
-    gram = orthogonality_matrix(spec, fns)
-    off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
-    diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
-    ok = off <= 1e-6 and diag <= 1e-8
-    return ok, f"off-diagonal {off:.2e} (tol 1e-06), diagonal defect {diag:.2e} (tol 1e-08)"
-
-
-def _stage_decay(run: _VerifyRun):
-    if not phase_coherent(run.spec):
-        return None, "interfaces reflect (mismatched jump/weight ratios): single-phase asymptotics not applicable"
-    report = decay_check(run.records, run.spec, 5, 40, 1.0)
-    return report.verdict, f"max n*err {report.max_product:.3f} for n in [5, 40] (bound 1.0)"
-
-
-_STAGES: tuple[tuple[str, Callable], ...] = (
-    ("consistency", _stage_consistency),
-    ("wronskian-constancy", _stage_wronskian_constancy),
-    ("symmetry", _stage_symmetry),
-    ("interface-wronskians", _stage_interface_wronskians),
-    ("orthogonality", _stage_orthogonality),
-    ("decay", _stage_decay),
-)
-
-
 def _cmd_verify(spec: ProblemSpec, args) -> int:
+    report = verify(spec)
     digest = spec_digest(spec)
     print(f"# sl2t {__version__}")
     print(f"# digest: {digest}")
-    run = _VerifyRun(spec)
-    stages = []
-    failed = False
-    for name, stage in _STAGES:
-        t0 = time.perf_counter()
-        try:
-            ok, detail = stage(run)
-        except (NumericalError, ValueError) as exc:
-            ok, detail = False, f"stage raised: {exc}"
-        status = "SKIPPED" if ok is None else ("PASS" if ok else "FAIL")
-        failed = failed or status == "FAIL"
-        stages.append((name, status, time.perf_counter() - t0))
-        print(f"{name}: {status} ({detail})")
-    overall = "FAIL" if failed else "PASS"
-    print(f"verify: {overall}")
-    _report(RunReport(digest, "verify", "", (), stages=tuple(stages)))
-    return 3 if failed else 0
+    for stage in report.stages:
+        print(f"{stage.name}: {stage.status} ({stage.detail})")
+    print(f"verify: {report.status}")
+    _report(RunReport(digest, "verify", "", (), stages=report.stages))
+    return 3 if report.status == "FAIL" else 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ import pytest
 from conftest import CONFIG_DIR, airy_spec, mixed_spec
 import sl2t
 from sl2t.charfn import _piece_wronskians, char_grid
-from sl2t.cli import _VerifyRun, main
-from sl2t.problem import load_config
+from sl2t import hilbert, spectrum, verification
+from sl2t.cli import main
+from sl2t.problem import NumericalError, load_config
+from sl2t.verification import VerifyRun
 
 VERIFY_STAGES = ("consistency", "wronskian-constancy", "symmetry",
                  "interface-wronskians", "orthogonality", "decay")
@@ -257,7 +259,7 @@ def test_verify_stdout_matches_golden_file(name, capsys):
 
 def test_verify_run_stacks_the_seeds_of_both_sample_stages():
     # symmetry pairs rows 0-11 among themselves; the interface stage pairs rows 1-4 with 12-15
-    assert _VerifyRun.SEEDS == (*range(12), 51, 52, 53, 54)
+    assert VerifyRun.SEEDS == (*range(12), 51, 52, 53, 54)
 
 
 @pytest.mark.parametrize(
@@ -268,7 +270,7 @@ def test_verify_run_stacks_the_seeds_of_both_sample_stages():
 def test_verify_consistency_reads_char_grid_values_from_the_builds(make):
     # the 27-lam builds' anchors give char_grid's Wronskians and residuals on its 24 lam
     spec = make()
-    run = _VerifyRun(spec)
+    run = VerifyRun(spec)
     left, right = run.builds
     rows = run.CONSISTENCY
     d, resid = _piece_wronskians(spec, left.ends, right.ends)
@@ -279,6 +281,38 @@ def test_verify_consistency_reads_char_grid_values_from_the_builds(make):
         tuple(cv.on_piece[i] for cv in want) for i in range(3)
     ]
     assert right.lam[run.CONSTANCY].tolist() == [-7.5, 3.7, 61.3]
+
+
+def test_verify_check_over_its_bound_fails_the_run(monkeypatch, capsys):
+    monkeypatch.setattr(verification, "_CONSISTENCY_TOL", 0.0)
+    code, out, err = _run(capsys, "verify", S0)
+    assert code == 3
+    assert re.search(r"^consistency: FAIL \(max scaled residual \S+ over 24 random lam \(tol 0e\+00\)\)$",
+                     out, re.M)
+    assert out.rstrip().endswith("verify: FAIL")
+    assert "  stage consistency: FAIL in " in err
+    assert out.count(": PASS (") == 5
+
+
+def test_verify_scan_failure_shows_in_both_stages_that_read_it(monkeypatch, capsys):
+    def broken(spec, n_max):
+        raise NumericalError("scan exhausted its budget")
+
+    monkeypatch.setattr(spectrum, "locate_eigenvalues", broken)
+    code, out, _ = _run(capsys, "verify", S0)
+    assert code == 3
+    for stage in ("orthogonality", "decay"):
+        assert f"{stage}: FAIL (stage raised: scan exhausted its budget)" in out
+    assert out.count(": PASS (") == 4
+    assert "verify: FAIL" in out
+
+
+def test_verify_nan_measurement_fails(monkeypatch, capsys):
+    monkeypatch.setattr(hilbert, "interface_wronskian_residuals", lambda spec, F, G: [float("nan")])
+    code, out, _ = _run(capsys, "verify", INDEFINITE)
+    assert code == 3
+    assert "interface-wronskians: FAIL (max identity residual nan over 4 seeded pairs (tol 1e-10))" in out
+    assert "verify: FAIL" in out
 
 
 def test_verify_rejects_inadmissible_config(tmp_path, capsys):

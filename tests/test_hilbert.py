@@ -14,6 +14,7 @@ from conftest import (
     mixed_spec,
     steep_spec,
 )
+from sl2t import hilbert
 from sl2t.hilbert import (
     HilbertElement,
     QuadratureGrid,
@@ -28,7 +29,7 @@ from sl2t.hilbert import (
     sample_domain_element,
     symmetry_residual,
 )
-from sl2t.problem import load_config
+from sl2t.problem import NumericalError, load_config
 from sl2t.shooting import BoundaryData, State
 from sl2t.spectrum import eigenfunction, locate_eigenvalues
 
@@ -80,6 +81,56 @@ def test_gauss_rule_is_shared_and_read_only():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert np.array_equal(ref_x, np.polynomial.legendre.leggauss(9)[0])
+
+
+def _scaled_weights(x, w):
+    return x, 1.01 * w
+
+
+def _node_outside(x, w):
+    return np.concatenate(([-1.5], x[1:])), w
+
+
+def _nodes_reversed(x, w):
+    return x[::-1], w[::-1]
+
+
+def _negative_weight(x, w):
+    return x, np.concatenate(([-w[0]], w[1:]))
+
+
+def _misplaced_node(x, w):
+    return np.concatenate((x[:1] + 1e-3, x[1:])), w
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_scaled_weights, "exactness check failed at degree 0"),
+        (_misplaced_node, "exactness check failed at degree 1"),
+        (_node_outside, "sanity bounds"),
+        (_nodes_reversed, "sanity bounds"),
+        (_negative_weight, "sanity bounds"),
+    ],
+)
+def test_corrupted_rule_raises_and_is_not_cached(corrupt, message, monkeypatch):
+    # the reference rule is checked once per node count, when it is first built
+    good = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: corrupt(*good(n)))
+    _gauss_rule.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(NumericalError, match=message):
+                QuadratureGrid.build(mixed_spec(), nodes_per_piece=11)
+    finally:
+        _gauss_rule.cache_clear()
+
+
+def test_each_build_checks_its_map_onto_the_pieces(monkeypatch):
+    # a reversed piece maps the ascending rule outside it, with negative weights
+    monkeypatch.setattr(hilbert, "piece_bounds", lambda spec, i: (0.5, -0.5))
+    with pytest.raises(NumericalError, match="sanity bounds on piece 1"):
+        QuadratureGrid.build(mixed_spec(), nodes_per_piece=11)
 
 
 def test_grid_refinement_doubles_nodes():

@@ -1,0 +1,198 @@
+"""The verification suite as records: ``verify(spec)`` and its ``StageResult``s."""
+
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import CONFIG_DIR, airy_spec, mixed_spec
+from sl2t import asymptotics, hilbert, shooting, spectrum, verification
+from sl2t.problem import NumericalError, load_config
+from sl2t.verification import StageResult, VerifyReport, verify
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+#: each stage's bounds, in the order of its checks
+BOUNDS = {
+    "consistency": (1e-7,),
+    "wronskian-constancy": (1e-8,),
+    "symmetry": (1e-7,),
+    "interface-wronskians": (1e-10,),
+    "orthogonality": (1e-6, 1e-8),
+    "decay": (1.0,),
+}
+#: the bound constant behind each check, in the order of ``BOUNDS``
+BOUND_NAMES = {
+    "consistency": ("_CONSISTENCY_TOL",),
+    "wronskian-constancy": ("_CONSTANCY_TOL",),
+    "symmetry": ("_SYMMETRY_TOL",),
+    "interface-wronskians": ("_INTERFACE_TOL",),
+    "orthogonality": ("_OFF_DIAGONAL_TOL", "_DIAGONAL_TOL"),
+    "decay": ("_DECAY_BOUND",),
+}
+#: stages that do not apply, per spec
+SKIPPED = {
+    "s0": (),
+    "case1": (),
+    "indefinite": ("symmetry", "orthogonality", "decay"),
+    "mixed_spec": ("decay",),
+    "airy_spec": ("decay",),
+}
+SPECS = {
+    "s0": lambda: load_config(CONFIG_DIR / "s0.json"),
+    "case1": lambda: load_config(CONFIG_DIR / "case1.json"),
+    "indefinite": lambda: load_config(CONFIG_DIR / "indefinite.json"),
+    "mixed_spec": mixed_spec,
+    "airy_spec": airy_spec,
+}
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return {name: verify(make()) for name, make in SPECS.items()}
+
+
+def _stage(report, name):
+    return next(s for s in report.stages if s.name == name)
+
+
+def _statuses(report):
+    return {s.name: s.status for s in report.stages}
+
+
+def test_report_holds_one_frozen_record_per_stage_in_order(reports):
+    report = reports["s0"]
+    assert isinstance(report, VerifyReport)
+    assert [s.name for s in report.stages] == list(BOUNDS)
+    assert all(isinstance(s, StageResult) and s.seconds >= 0.0 for s in report.stages)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.stages[0].status = "FAIL"
+    assert report.status == "PASS"
+
+
+@pytest.mark.parametrize("name", ["s0", "case1", "indefinite"])
+def test_records_format_to_the_golden_stage_lines(name, reports):
+    golden = (DATA_DIR / f"verify_{name}.txt").read_text().splitlines()
+    lines = [f"{s.name}: {s.status} ({s.detail})" for s in reports[name].stages]
+    assert lines == golden[2:-1]
+    assert golden[-1] == f"verify: {reports[name].status}"
+
+
+@pytest.mark.parametrize("stage", list(BOUNDS))
+@pytest.mark.parametrize("name", list(SPECS))
+def test_stage_record_status_and_checks(name, stage, reports):
+    result = _stage(reports[name], stage)
+    if stage in SKIPPED[name]:
+        assert result.status == "SKIPPED"
+        assert result.checks == ()
+        assert "not applicable" in result.detail
+        return
+    assert result.status == "PASS"
+    assert tuple(b for _, b in result.checks) == BOUNDS[stage]
+    assert all(0.0 <= m <= b for m, b in result.checks)
+    # the message prints each measured value and each bound the check used
+    shown = "{:.3f}" if stage == "decay" else "{:.2e}"
+    for m, b in result.checks:
+        assert shown.format(m) in result.detail
+        assert (f"(bound {b})" if stage == "decay" else f"(tol {b:.0e})") in result.detail
+
+
+@pytest.mark.parametrize("stage", ["consistency", "wronskian-constancy", "symmetry",
+                                   "interface-wronskians", "orthogonality", "decay"])
+def test_a_check_over_its_bound_fails_its_stage_alone(stage, reports, monkeypatch):
+    # each bound at half its measured value (below a measured 0)
+    bounds = [m / 2.0 if m > 0.0 else -1.0 for m, _ in _stage(reports["s0"], stage).checks]
+    for attr, bound in zip(BOUND_NAMES[stage], bounds):
+        monkeypatch.setattr(verification, attr, bound)
+    report = verify(SPECS["s0"]())
+    result = _stage(report, stage)
+    assert result.status == "FAIL"
+    assert [b for _, b in result.checks] == bounds
+    assert all(m > b for m, b in result.checks)
+    assert {n: s for n, s in _statuses(report).items() if n != stage} == {
+        n: "PASS" for n in BOUNDS if n != stage
+    }
+    assert report.status == "FAIL"
+
+
+def test_one_failed_check_of_two_fails_the_stage(monkeypatch):
+    monkeypatch.setattr(verification, "_DIAGONAL_TOL", -1.0)
+    result = _stage(verify(SPECS["s0"]()), "orthogonality")
+    (off, off_tol), (diag, diag_tol) = result.checks
+    assert off <= off_tol and diag > diag_tol
+    assert result.status == "FAIL"
+
+
+def test_scan_error_is_raised_again_in_each_stage_that_reads_it(monkeypatch):
+    calls = []
+
+    def broken(spec, n_max):
+        calls.append(n_max)
+        raise NumericalError("scan exhausted its budget")
+
+    monkeypatch.setattr(spectrum, "locate_eigenvalues", broken)
+    report = verify(SPECS["s0"]())
+    assert calls == [46]
+    for stage in ("orthogonality", "decay"):
+        result = _stage(report, stage)
+        assert (result.status, result.detail, result.checks) == (
+            "FAIL", "stage raised: scan exhausted its budget", ()
+        )
+    assert [s.status for s in report.stages[:4]] == ["PASS"] * 4
+
+
+def test_a_value_error_in_a_stage_fails_it(monkeypatch):
+    def broken(spec, element):
+        raise ValueError("operator refused the stack")
+
+    monkeypatch.setattr(hilbert, "apply_operator", broken)
+    result = _stage(verify(SPECS["s0"]()), "symmetry")
+    assert (result.status, result.detail, result.checks) == (
+        "FAIL", "stage raised: operator refused the stack", ()
+    )
+
+
+@pytest.mark.parametrize(
+    "stage, module, attr, fake",
+    [
+        ("symmetry", hilbert, "symmetry_residual", lambda spec, F, G, AF, AG: np.full(6, np.nan)),
+        ("interface-wronskians", hilbert, "interface_wronskian_residuals",
+         lambda spec, F, G: [np.nan, 0.0]),
+    ],
+)
+def test_a_nan_measurement_fails(stage, module, attr, fake, monkeypatch):
+    monkeypatch.setattr(module, attr, fake)
+    result = _stage(verify(SPECS["s0"]()), stage)
+    assert result.status == "FAIL"
+    assert np.isnan(result.checks[0][0])
+    assert " nan " in result.detail
+
+
+def test_nan_drift_on_the_last_piece_fails_constancy(monkeypatch):
+    original = shooting.PiecewiseSolution.eval_pieces
+
+    def nan_on_piece_3(self, xs):
+        (u1, v1), (u2, v2), (u3, v3) = original(self, xs)
+        return [(u1, v1), (u2, v2), (np.full_like(u3, np.nan), v3)]
+
+    monkeypatch.setattr(shooting.PiecewiseSolution, "eval_pieces", nan_on_piece_3)
+    result = _stage(verify(SPECS["indefinite"]()), "wronskian-constancy")
+    assert result.status == "FAIL"
+    assert np.isnan(result.checks[0][0])
+
+
+def test_decay_check_reads_the_decay_report(monkeypatch):
+    seen = []
+    original = asymptotics.decay_check
+
+    def spy(records, spec, n_lo, n_hi, bound, **kw):
+        seen.append((len(records), n_lo, n_hi, bound))
+        report = original(records, spec, n_lo, n_hi, bound, **kw)
+        seen.append(report.max_product)
+        return report
+
+    monkeypatch.setattr(asymptotics, "decay_check", spy)
+    result = _stage(verify(SPECS["s0"]()), "decay")
+    assert seen[0] == (46, 5, 40, 1.0)
+    assert result.checks == ((seen[1], 1.0),)
