@@ -11,7 +11,12 @@ the ``rk_tol`` solver key.
 
 One carry (``_carry``) crosses a piece for every caller.  It forms the step
 matrices for a whole batch of ``lam`` at once (a scalar ``lam`` is a batch of
-one) and multiplies them pairwise.
+one) and multiplies them pairwise.  Everything a step needs besides ``lam``
+is built once per spec, into one frozen step table (``_step_table``, cached
+on the spec's value): per piece the ascending mesh, ``omega^2`` and, for each
+sweep direction, the step lengths and ``q`` at the Gauss points in blocks of
+``_BLOCK`` steps, and the jump factors between pieces.  ``_carry`` reads its
+piece's blocks from it, so a sweep forms only the ``lam``-dependent matrices.
 
 Two distinguished solutions are built here:
 
@@ -23,14 +28,14 @@ Two distinguished solutions are built here:
   satisfies the eigenvalue-dependent right condition identically and is
   carried leftward through the inverted jumps.
 
-Both follow one sweep (``_sweep``): the launch state, then the pieces in
-propagation order with the jump crossed before each.  ``_crossings`` is the
-one walk along it and the one source of anchor states: it returns the
-sweep's ``BoundaryData``, each piece's entry and exit state.  The
-characteristic scan (``left_terminal_batch``) and ``charfn.char_grid`` read
-only that record; ``build_left`` and ``build_right`` also keep the state at
-every mesh node from the same product, so their anchor states equal the
-scan's bit for bit.  A piece's node arrays answer every query: at a node the
+Both follow one sweep (``_sweep``): the launch state, then the table's
+legs, the pieces in propagation order with the jump crossed before each.
+``_crossings`` is the one walk along it and the one source of anchor
+states: it returns the sweep's ``BoundaryData``, each piece's entry and exit
+state.  The characteristic scan (``left_terminal_batch``) and
+``charfn.char_grid`` read only that record; ``build_left`` and
+``build_right`` also keep the state at every mesh node from the same
+product, so their anchor states equal the scan's bit for bit.  A piece's node arrays answer every query: at a node the
 stored state, elsewhere one step from the nearest node before it.  The step
 takes only ``lam``-independent inputs besides ``lam`` (``q`` at its two Gauss
 points, its length and ``omega^2``), so one query (``_query``) steps points
@@ -47,9 +52,9 @@ the characteristic-function module detects through their Wronskian.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Literal
 
 import numpy as np
@@ -184,31 +189,59 @@ def piece_mesh(spec: ProblemSpec, piece: int) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
-def _carry(
-    spec: ProblemSpec, piece: int, lams: np.ndarray, xs: np.ndarray, u, v, nodes: bool = False
-):
-    """Carry states ``(u, u')``, one per ``lam``, along nodes ``xs`` of one piece.
+@dataclass(frozen=True)
+class _Steps:
+    """The ``lam``-independent data of the Magnus steps along a run of nodes.
 
-    ``xs`` lists the nodes in propagation order (either direction), as
-    ``piece_mesh`` or a cut of it gives them.  The step matrices are formed
-    for every ``lam`` at once, in blocks of ``_BLOCK`` steps whose product is
-    taken pairwise: at each level the second factor of a pair acts after the
-    first and an odd last factor passes up unchanged, so the depth of
-    Python-level work is logarithmic in the step count.  A block's exit
-    state is its product applied to its start state.
-
-    Returns the exit state and, with ``nodes``, the states at every node,
-    shaped ``(xs.size, n_lam)`` (``None`` without).  These come from a
-    down-sweep of each block's product: at level ``L`` the first factor of
-    pair ``i`` carries the state at the pair's start, node ``i * 2**(L+1)``
-    of the block, to its midpoint, node ``i * 2**(L+1) + 2**L``.
+    ``blocks`` holds, for each block of at most ``_BLOCK`` consecutive steps
+    in propagation order, ``q`` at the two Gauss points of each step and the
+    step lengths, each a read-only column ``(n, 1)`` that broadcasts against
+    a batch of ``lam``.  A step runs from one node to the next, so a run of
+    ``n_nodes`` nodes holds ``n_nodes - 1`` steps.
     """
-    coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
-    us, vs = np.empty((2, xs.size, lams.size)) if nodes else (None, None)
-    for j in range(0, xs.size - 1, _BLOCK):
-        x = xs[j : j + _BLOCK + 1]
-        x0, h = x[:-1, None], np.diff(x)[:, None]
-        m = np.stack(_step(*_gauss_q(coeffs, x0, h), w2, lams, h))
+
+    w2: float
+    n_nodes: int
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def along(cls, coeffs, w2: float, xs: np.ndarray) -> "_Steps":
+        """The steps of a piece with potential ``coeffs`` and weight ``w2`` along nodes ``xs``.
+
+        ``xs`` lists the nodes in propagation order (either direction), as
+        ``piece_mesh`` or a cut of it gives them.
+        """
+        blocks = []
+        for j in range(0, xs.size - 1, _BLOCK):
+            x = xs[j : j + _BLOCK + 1]
+            x0, h = x[:-1, None], np.diff(x)[:, None]
+            block = (*_gauss_q(coeffs, x0, h), h)
+            for arr in block:
+                arr.flags.writeable = False
+            blocks.append(block)
+        return cls(w2, xs.size, tuple(blocks))
+
+
+def _carry(steps: _Steps, lams: np.ndarray, u, v, nodes: bool = False):
+    """Carry states ``(u, u')``, one per ``lam``, along the nodes of ``steps``.
+
+    The step matrices are formed for every ``lam`` at once, one block of
+    ``steps`` at a time, and each block's product is taken pairwise: at
+    each level the second factor of a pair acts after the first and an odd
+    last factor passes up unchanged, so the depth of Python-level work is
+    logarithmic in the step count.  A block's exit state is its product
+    applied to its start state.
+
+    Returns the exit state and, with ``nodes``, the states at every node in
+    propagation order, shaped ``(steps.n_nodes, n_lam)`` (``None`` without).
+    These come from a down-sweep of each block's product: at level ``L``
+    the first factor of pair ``i`` carries the state at the pair's start,
+    node ``i * 2**(L+1)`` of the block, to its midpoint, node
+    ``i * 2**(L+1) + 2**L``.
+    """
+    us, vs = np.empty((2, steps.n_nodes, lams.size)) if nodes else (None, None)
+    for j, (q1, q2, h) in zip(range(0, steps.n_nodes - 1, _BLOCK), steps.blocks):
+        m = np.stack(_step(q1, q2, steps.w2, lams, h))
         firsts = []
         while m.shape[1] > 1:
             n = m.shape[1]
@@ -233,6 +266,77 @@ def _carry(
     if nodes:
         us[-1], vs[-1] = u, v
     return (u, v), (us, vs)
+
+
+@dataclass(frozen=True)
+class _Leg:
+    """One piece of a sweep: the jump crossed on entering it, and its steps.
+
+    ``jump`` holds the factors of ``(u, u')`` at the interface crossed on
+    entering the piece (``None`` for the sweep's first piece), ``mesh`` the
+    piece's ascending nodes and ``steps`` the steps along them in the
+    sweep's direction.
+    """
+
+    piece: int
+    jump: tuple[float, float] | None
+    mesh: np.ndarray
+    steps: _Steps
+
+
+@dataclass(frozen=True)
+class _StepTable:
+    """Every ``lam``-independent input of the two sweeps of one spec.
+
+    ``rightward`` lists the left solution's legs (pieces 1, 2, 3) and
+    ``leftward`` the right solution's (pieces 3, 2, 1).  Both directions of
+    a piece share one read-only mesh.
+    """
+
+    rightward: tuple[_Leg, _Leg, _Leg]
+    leftward: tuple[_Leg, _Leg, _Leg]
+
+    @classmethod
+    def build(cls, spec: ProblemSpec) -> "_StepTable":
+        meshes = [piece_mesh(spec, piece) for piece in (1, 2, 3)]
+        for xs in meshes:
+            xs.flags.writeable = False
+
+        def leg(piece, jump, order):
+            coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
+            xs = meshes[piece - 1]
+            return _Leg(piece, jump, xs, _Steps.along(coeffs, w2, xs[::order]))
+
+        # a jump applied to (1, 1) gives its two factors
+        return cls(
+            rightward=(
+                leg(1, None, 1),
+                leg(2, spec.jump(0, 1.0, 1.0), 1),
+                leg(3, spec.jump(1, 1.0, 1.0), 1),
+            ),
+            leftward=(
+                leg(3, None, -1),
+                leg(2, spec.jump(1, 1.0, 1.0, leftward=True), -1),
+                leg(1, spec.jump(0, 1.0, 1.0, leftward=True), -1),
+            ),
+        )
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_table(spec: ProblemSpec) -> _StepTable:
+    return _StepTable.build(spec)
+
+
+def _step_table(spec: ProblemSpec) -> _StepTable:
+    """The step table of ``spec``, built once per distinct spec value.
+
+    Equal specs share one table.  A spec built with lists in place of
+    tuples is not hashable, and gets a table of its own on every call.
+    """
+    try:
+        return _cached_table(spec)
+    except TypeError:
+        return _StepTable.build(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -398,23 +502,17 @@ class PiecewiseSolution:
 
 
 def _sweep(spec: ProblemSpec, kind: Literal["left", "right"], lam):
-    """Launch ``(u, u')`` and the pieces in propagation order, for one launch end.
+    """Launch ``(u, u')`` and the legs in propagation order, for one launch end.
 
-    Each piece comes with the jump crossed on entering it, a map of
-    ``(u, u')``, or ``None`` for the first piece.  The right launch
-    ``(c2, c1)`` of ``spec.right_coefficients(lam)`` zeroes the right form
-    identically in ``lam``.
+    The legs come from the spec's step table.  The right launch ``(c2, c1)``
+    of ``spec.right_coefficients(lam)`` zeroes the right form identically
+    in ``lam``.
     """
+    table = _step_table(spec)
     if kind == "left":
-        return spec.left_launch, (
-            (1, None), (2, partial(spec.jump, 0)), (3, partial(spec.jump, 1)),
-        )
+        return spec.left_launch, table.rightward
     c1, c2 = spec.right_coefficients(lam)
-    return (c2, c1), (
-        (3, None),
-        (2, partial(spec.jump, 1, leftward=True)),
-        (1, partial(spec.jump, 0, leftward=True)),
-    )
+    return (c2, c1), table.leftward
 
 
 def _crossings(
@@ -433,15 +531,14 @@ def _crossings(
     u, v = (np.full(lams.size, s) for s in launch)
     order = 1 if kind == "left" else -1
     anchors, paths = {}, {}
-    for piece, jump in legs:
-        if jump is not None:
-            u, v = jump(u, v)
+    for leg in legs:
+        if leg.jump is not None:
+            u, v = leg.jump[0] * u, leg.jump[1] * v
         entry = State(u, v)
-        xs = piece_mesh(spec, piece)
-        (u, v), (us, vs) = _carry(spec, piece, lams, xs[::order], u, v, nodes)
-        anchors[piece] = (entry, State(u, v))[::order]
+        (u, v), (us, vs) = _carry(leg.steps, lams, u, v, nodes)
+        anchors[leg.piece] = (entry, State(u, v))[::order]
         if nodes:
-            paths[piece] = (xs, us[::order].T, vs[::order].T)
+            paths[leg.piece] = (leg.mesh, us[::order].T, vs[::order].T)
     ends = BoundaryData(*(st for piece in (1, 2, 3) for st in anchors[piece]))
     return (ends, tuple(paths[piece] for piece in (1, 2, 3))) if nodes else ends
 

@@ -63,14 +63,18 @@ class EigenRecord:
     refinement_iters: int
 
 
-#: one row per located root, in ascending order of ``lambda_n``
+#: one row per located root, in ascending order of ``lambda_n``.  A root's
+#: refinement takes at most ``ceil(log2(w0 / target)) + _ITP_N0`` ITP rounds
+#: and two polishes; ``w0`` is below 2**1024 and ``target`` at least
+#: ``root_tol``, a positive double, so the count stays below 2,200 for every
+#: admissible ``root_tol`` and fits an ``int16``.
 _ROOT_TABLE = np.dtype(
     [
         ("lambda_n", np.float64),
         ("bracket_lo", np.float64),
         ("bracket_hi", np.float64),
         ("abs_delta", np.float64),
-        ("refinement_iters", np.int64),
+        ("refinement_iters", np.int16),
     ]
 )
 

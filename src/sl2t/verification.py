@@ -101,7 +101,10 @@ class VerifyRun:
       queries its three rows.
     * the quadrature grid, and one stack of seeded domain elements on it:
       seeds 0-11 for the symmetry stage's six pairs, then 51-54, which pair
-      with seeds 1-4 in the interface-wronskians stage.
+      with seeds 1-4 in the interface-wronskians stage.  That stage reads
+      only the elements' end data, which no grid changes, so when the
+      symmetry stage is skipped it samples seeds 1-4 and 51-54 alone, on
+      the 2-node grid, and the run builds neither the grid nor the stack.
     * the located spectrum and its records: enough roots for the decay window
       when the decay stage will read them and 5 otherwise; the orthogonality
       stage reads the first five.  A failed scan is kept and raised again in
@@ -129,6 +132,15 @@ class VerifyRun:
     @functools.cached_property
     def samples(self) -> hilbert.HilbertElement:
         return hilbert.sample_domain_element(self.spec, self.SEEDS, grid=self.grid)
+
+    @functools.cached_property
+    def interface_pairs(self) -> tuple[hilbert.HilbertElement, hilbert.HilbertElement]:
+        """Seeds 1-4 and their partners 51-54, as two stacks of four elements."""
+        if self.spec.is_definite:
+            return self.samples.take(slice(1, 5)), self.samples.take(slice(12, 16))
+        grid = hilbert.QuadratureGrid.build(self.spec, 2)
+        pairs = hilbert.sample_domain_element(self.spec, (1, 2, 3, 4, 51, 52, 53, 54), grid=grid)
+        return pairs.take(slice(0, 4)), pairs.take(slice(4, 8))
 
     @functools.cached_property
     def _scan(self) -> tuple[Optional[spectrum.ScanResult], Optional[Exception]]:
@@ -193,7 +205,7 @@ def _symmetry(run: VerifyRun) -> _Outcome:
 
 def _interface_wronskians(run: VerifyRun) -> _Outcome:
     # pairs (1, 51), ..., (4, 54); the residuals read only end data
-    F, G = run.samples.take(slice(1, 5)), run.samples.take(slice(12, 16))
+    F, G = run.interface_pairs
     worst = float(np.max(hilbert.interface_wronskian_residuals(run.spec, F, G)))
     return ((worst, _INTERFACE_TOL),), (
         f"max identity residual {worst:.2e} over 4 seeded pairs (tol {_INTERFACE_TOL:.0e})"

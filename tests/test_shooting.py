@@ -1,5 +1,6 @@
 """Integration engine: launches, jumps, closed-form checks, Wronskians."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,10 @@ from sl2t.shooting import (
     piece_mesh,
     wronskian,
 )
-from sl2t.shooting import _carry, _gauss_q, _step
+from sl2t.charfn import _piece_wronskians, char_batch, char_grid
+from sl2t.shooting import (
+    _BLOCK, BoundaryData, _cached_table, _carry, _gauss_q, _step, _step_table, _Steps,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +47,11 @@ def carry_piece(spec, lam, piece, init, leftward=False):
     xs = piece_mesh(spec, piece)
     order = -1 if leftward else 1
     u0, v0 = (np.array([float(s)]) for s in init)
-    (u, v), (us, vs) = _carry(spec, piece, np.array([lam]), xs[::order], u0, v0, nodes=True)
+    coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
+    steps = _Steps.along(coeffs, w2, xs[::order])
+    (u, v), (us, vs) = _carry(steps, np.array([lam]), u0, v0, nodes=True)
     traj = PieceTrajectory(
-        piece=piece, lam=lam, xs=xs, us=us[::order, 0], vs=vs[::order, 0],
-        coeffs=spec.q.pieces[piece - 1], w2=spec.omega[piece - 1] ** 2,
+        piece=piece, lam=lam, xs=xs, us=us[::order, 0], vs=vs[::order, 0], coeffs=coeffs, w2=w2,
     )
     return State(u.item(), v.item()), traj
 
@@ -331,13 +336,14 @@ def test_carry_node_states_follow_the_step_recurrence(n_steps, forward):
     xs = np.linspace(a, b, n_steps + 1)
     xs = xs if forward else xs[::-1]
     init = (np.array([0.3, -1.0, 0.8, 1.2]), np.array([1.0, 0.5, -2.0, 0.0]))
-    (u, v), (us, vs) = _carry(spec, 2, lams, xs, *init, nodes=True)
-    (u0, v0), none = _carry(spec, 2, lams, xs, *init)
+    coeffs, w2 = spec.q.pieces[1], spec.omega[1] ** 2
+    steps = _Steps.along(coeffs, w2, xs)
+    (u, v), (us, vs) = _carry(steps, lams, *init, nodes=True)
+    (u0, v0), none = _carry(steps, lams, *init)
     assert none == (None, None) and np.array_equal(u0, u) and np.array_equal(v0, v)
     assert us.shape == vs.shape == (xs.size, lams.size)
     assert np.array_equal(us[0], init[0]) and np.array_equal(vs[0], init[1])
     assert np.array_equal(us[-1], u) and np.array_equal(vs[-1], v)
-    coeffs, w2 = spec.q.pieces[1], spec.omega[1] ** 2
     for j, lam in enumerate(lams.tolist()):
         x0, h = xs[:-1], np.diff(xs)
         steps = zip(*(m.tolist() for m in _step(*_gauss_q(coeffs, x0, h), w2, lam, h)))
@@ -346,6 +352,156 @@ def test_carry_node_states_follow_the_step_recurrence(n_steps, forward):
         size = np.maximum(np.abs(want_u), np.abs(want_v) / k)
         err = np.maximum(np.abs(us[:, j] - want_u), np.abs(vs[:, j] - want_v) / k)
         assert np.all(err <= 1e-13 * size), (lam, float(np.max(err / size)))
+
+
+# ---------------------------------------------------------------------------
+# the step table: built once per spec, the same arithmetic as one built per call
+
+
+def _per_call_carry(spec, piece, lams, xs, u, v):
+    """A carry along ``xs`` that forms ``q`` at the Gauss points and the step
+    lengths anew in every call, as each sweep did before the step table."""
+    coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
+    us, vs = np.empty((2, xs.size, lams.size))
+    for j in range(0, xs.size - 1, _BLOCK):
+        x = xs[j : j + _BLOCK + 1]
+        x0, h = x[:-1, None], np.diff(x)[:, None]
+        m = np.stack(_step(*_gauss_q(coeffs, x0, h), w2, lams, h))
+        firsts = []
+        while m.shape[1] > 1:
+            n = m.shape[1]
+            e, p = m[:, 0 : n - 1 : 2], m[:, 1::2]
+            firsts.append(e)
+            pairs = np.stack((
+                p[0] * e[0] + p[1] * e[2], p[0] * e[1] + p[1] * e[3],
+                p[2] * e[0] + p[3] * e[2], p[2] * e[1] + p[3] * e[3],
+            ))
+            m = np.concatenate((pairs, m[:, n - n % 2 :]), axis=1)
+        bu, bv = us[j : j + _BLOCK], vs[j : j + _BLOCK]
+        bu[0], bv[0] = u, v
+        for level in reversed(range(len(firsts))):
+            a, b, c, d = firsts[level]
+            stride, end = 2 << level, len(a) << (level + 1)
+            su, sv = bu[0:end:stride], bv[0:end:stride]
+            bu[stride // 2 : end : stride] = a * su + b * sv
+            bv[stride // 2 : end : stride] = c * su + d * sv
+        a, b, c, d = m[:, 0]
+        u, v = a * u + b * v, c * u + d * v
+    us[-1], vs[-1] = u, v
+    return (u, v), (us, vs)
+
+
+def _per_call_sweep(spec, lams, kind):
+    """One sweep with the mesh, the steps and the jumps formed in the call.
+
+    Returns the anchor record and, per piece, the ascending mesh and the
+    node states shaped ``(n_lam, n_nodes)``.
+    """
+    if kind == "left":
+        launch, order = spec.left_launch, 1
+        legs = ((1, None), (2, lambda u, v: spec.jump(0, u, v)), (3, lambda u, v: spec.jump(1, u, v)))
+    else:
+        c1, c2 = spec.right_coefficients(lams)
+        launch, order = (c2, c1), -1
+        legs = (
+            (3, None),
+            (2, lambda u, v: spec.jump(1, u, v, leftward=True)),
+            (1, lambda u, v: spec.jump(0, u, v, leftward=True)),
+        )
+    u, v = (np.full(lams.size, s) for s in launch)
+    anchors, paths = {}, {}
+    for piece, jump in legs:
+        if jump is not None:
+            u, v = jump(u, v)
+        entry = State(u, v)
+        xs = piece_mesh(spec, piece)
+        (u, v), (us, vs) = _per_call_carry(spec, piece, lams, xs[::order], u, v)
+        anchors[piece] = (entry, State(u, v))[::order]
+        paths[piece] = (xs, us[::order].T, vs[::order].T)
+    ends = BoundaryData(*(st for piece in (1, 2, 3) for st in anchors[piece]))
+    return ends, [paths[piece] for piece in (1, 2, 3)]
+
+
+def _same_ends(got, want):
+    return all(
+        np.array_equal(g.u, w.u) and np.array_equal(g.v, w.v)
+        for g, w in zip(vars(got).values(), vars(want).values())
+    )
+
+
+_TABLE_SPECS = pytest.mark.parametrize(
+    "make",
+    [baseline_spec, mixed_spec, airy_spec,
+     lambda: random_spec(np.random.default_rng(21), constant_q=False)],
+    ids=["baseline_spec", "mixed_spec", "airy_spec", "polynomial_q"],
+)
+_TABLE_LAMS = np.array([-120.0, -7.5, 0.0, 3.7, 61.3, 980.0, 4e4])
+
+
+def test_airy_spec_spans_several_blocks_each_way():
+    table = _step_table(airy_spec())
+    for legs in (table.rightward, table.leftward):
+        assert [leg.steps.n_nodes - 1 for leg in legs] in ([720, 773, 663], [663, 773, 720])
+        assert all(len(leg.steps.blocks) == 3 + (leg.piece == 2) for leg in legs)
+
+
+@_TABLE_SPECS
+@pytest.mark.parametrize("kind", ["left", "right"])
+def test_table_sweeps_repeat_the_per_call_sweep_bit_for_bit(make, kind):
+    spec = make()
+    build = build_left if kind == "left" else build_right
+    ends, paths = _per_call_sweep(spec, _TABLE_LAMS, kind)
+    sol = build(spec, _TABLE_LAMS)
+    assert _same_ends(sol.ends, ends)
+    for piece, (xs, us, vs) in zip(sol.pieces, paths):
+        assert np.array_equal(piece.xs, xs)
+        assert np.array_equal(piece.us, us) and np.array_equal(piece.vs, vs)
+    if kind == "left":
+        want = spec.m3 * spec.right_form(_TABLE_LAMS, ends.right.u, ends.right.v)
+        assert np.array_equal(char_batch(spec, _TABLE_LAMS), want)
+
+
+@_TABLE_SPECS
+def test_table_char_grid_repeats_the_per_call_sweeps_bit_for_bit(make):
+    spec = make()
+    f, g = (_per_call_sweep(spec, _TABLE_LAMS, kind)[0] for kind in ("left", "right"))
+    d, resid = _piece_wronskians(spec, f, g)
+    got = char_grid(spec, _TABLE_LAMS)
+    assert [cv.on_piece for cv in got] == list(zip(*(w.tolist() for w in d)))
+    assert [cv.consistency_residual for cv in got] == resid.tolist()
+
+
+def test_equal_specs_share_one_step_table():
+    _cached_table.cache_clear()
+    spec, twin = airy_spec(), airy_spec()
+    assert spec == twin and spec is not twin
+    build_left(spec, 3.7)
+    char_batch(twin, _TABLE_LAMS)
+    build_right(twin, _TABLE_LAMS)
+    info = _cached_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert _step_table(spec) is _step_table(twin)
+    # a coarser rk_tol is another spec, with its own, coarser mesh
+    coarse = dataclasses.replace(spec, solver=dataclasses.replace(spec.solver, rk_tol=1e-8))
+    sol, fine = build_left(coarse, 3.7), build_left(spec, 3.7)
+    info = _cached_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    for piece, ref, i in zip(sol.pieces, fine.pieces, (1, 2, 3)):
+        assert np.array_equal(piece.xs, piece_mesh(coarse, i))
+        assert piece.xs.size < ref.xs.size
+        # the shared meshes are read-only
+        assert not piece.xs.flags.writeable
+
+
+def test_unhashable_spec_gets_the_same_sweep():
+    # a spec built with lists in place of tuples cannot key the cache
+    spec = mixed_spec()
+    listed = dataclasses.replace(spec, omega=list(spec.omega), gamma=list(spec.gamma))
+    with pytest.raises(TypeError):
+        hash(listed)
+    got, want = build_right(listed, _TABLE_LAMS), build_right(spec, _TABLE_LAMS)
+    assert _same_ends(got.ends, want.ends)
+    assert np.array_equal(char_batch(listed, _TABLE_LAMS), char_batch(spec, _TABLE_LAMS))
 
 
 _BUILD_LAMS = np.array([-50.0, -7.5, 0.0, 3.7, 61.3, 4e4])

@@ -300,7 +300,7 @@ def test_scan_result_keeps_numbers_only():
         grown = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert grown / 50 <= 8 * 1024
+    assert grown / 50 <= 4 * 1024
     res = kept[0]
     # the table owns its numbers; the records are built anew on each access
     assert res.table.base is None and not res.table.flags.writeable

@@ -196,3 +196,25 @@ def test_decay_check_reads_the_decay_report(monkeypatch):
     result = _stage(verify(SPECS["s0"]()), "decay")
     assert seen[0] == (46, 5, 40, 1.0)
     assert result.checks == ((seen[1], 1.0),)
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_interface_pairs_give_the_shared_stack_residuals_bit_for_bit(name):
+    # an indefinite run samples only the interface stage's seeds, on the 2-node grid
+    spec = SPECS[name]()
+    run = verification.VerifyRun(spec)
+    stack = hilbert.sample_domain_element(
+        spec, verification.VerifyRun.SEEDS, grid=hilbert.QuadratureGrid.build(spec)
+    )
+    want = hilbert.interface_wronskian_residuals(
+        spec, stack.take(slice(1, 5)), stack.take(slice(12, 16))
+    )
+    F, G = run.interface_pairs
+    got = hilbert.interface_wronskian_residuals(spec, F, G)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert F.grid.nodes_per_piece == G.grid.nodes_per_piece == (257 if spec.is_definite else 2)
+    for stage in verification._STAGES:
+        verification._run_stage(*stage, run)
+    # what no stage reads is never built
+    built = {"grid", "samples"} & set(vars(run))
+    assert built == ({"grid", "samples"} if spec.is_definite else set())
