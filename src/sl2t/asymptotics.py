@@ -54,6 +54,8 @@ __all__ = [
 _SIN_ALPHA_TOL = 1e-12
 #: relative slack of the reflection-free test in ``phase_coherent``
 _COHERENT_REL_TOL = 1e-9
+#: why the decay check does not apply where ``phase_coherent`` is false
+REFLECTING = "interfaces reflect (mismatched jump/weight ratios): single-phase asymptotics not applicable"
 
 
 class AsymptoticCase(Enum):
@@ -242,12 +244,16 @@ def decay_check(
     indices are aligned to asymptotic indices by a constant offset resolved
     once from the data (negative-eigenvalue records shift the count by one,
     and the formulas' index origin is a convention).  ``phase_total`` feeds
-    through to the asymptotic formula for negative controls.
+    through to the asymptotic formula for negative controls.  Where the
+    interfaces reflect (``phase_coherent`` is false) the formula does not
+    apply, and the check raises ``ValueError`` with the reason ``REFLECTING``.
     """
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"bad index window [{n_lo}, {n_hi}]")
     if bound <= 0.0:
         raise ValueError("bound must be positive")
+    if not phase_coherent(spec):
+        raise ValueError(REFLECTING)
     total = phase(spec, 1.0) if phase_total is None else float(phase_total)
     offset = _align_offset(computed, _MU_SHIFT[case_of(spec)], total)
     by_index = {rec.n: rec for rec in computed}

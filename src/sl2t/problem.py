@@ -28,12 +28,12 @@ that judges a value: types, list lengths, finiteness, ranges and the standing
 hypotheses.  It reports each violation once, with its path (``omega[1]``,
 ``q.pieces[2][0]``, ``solver.rk_tol``), whether the spec was built directly
 or parsed.  :func:`parse_config` only maps JSON onto the record: it reports
-unknown keys, converts lists and numbers, and hands every value to ``check``.
+unknown keys, converts numbers, and hands every value to ``check``.  The
+records keep lists as tuples, so a spec built from lists equals its twin.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -83,16 +83,27 @@ class NumericalError(RuntimeError):
 # coefficient data
 
 
+def _tuples(value):
+    """Lists as tuples, all the way down; anything else unchanged."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_tuples(v) for v in value)
+    return value
+
+
 @dataclass(frozen=True)
 class PiecewisePotential:
     """Polynomial potential coefficients, one tuple per piece.
 
     Each entry of ``pieces`` holds coefficients in increasing degree, so
     ``(c0, c1, c2)`` means ``c0 + c1*x + c2*x**2`` on that piece.  The
-    polynomial is evaluated in the global ``x`` coordinate.
+    polynomial is evaluated in the global ``x`` coordinate.  Lists are kept
+    as tuples.
     """
 
     pieces: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "pieces", _tuples(self.pieces))
 
     @classmethod
     def zero(cls) -> "PiecewisePotential":
@@ -183,7 +194,8 @@ class ProblemSpec:
     piece ``i`` is ``omega[i]**2``), ``beta``/``beta_prime`` the constant and
     eigenvalue-proportional parts of the right boundary condition, and
     ``gamma``/``delta`` the four interface jump pairs.  Instances are frozen;
-    run :func:`validate` once after construction and share freely.
+    run :func:`validate` once after construction and share freely.  Lists
+    are kept as tuples, so every spec is hashable.
     """
 
     h1: float
@@ -196,6 +208,10 @@ class ProblemSpec:
     delta: tuple[float, float, float, float]
     q: PiecewisePotential = field(default_factory=PiecewisePotential.zero)
     solver: SolverConfig = field(default_factory=SolverConfig)
+
+    def __post_init__(self):
+        for name in _NUMERIC_FIELDS:
+            object.__setattr__(self, name, _tuples(getattr(self, name)))
 
     # -- derived scalars ----------------------------------------------------
 
@@ -431,9 +447,9 @@ def _solver_overrides(pairs: Sequence[str]) -> dict:
 
 
 def _from_json(value):
-    """Lists as tuples and numbers as floats, all the way down; anything else unchanged."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_from_json(v) for v in value)
+    """Numbers as floats, all the way down into lists; anything else unchanged."""
+    if isinstance(value, list):
+        return [_from_json(v) for v in value]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     return value
@@ -443,9 +459,10 @@ def parse_config(data) -> ProblemSpec:
     """Map a JSON-style mapping onto a :class:`ProblemSpec` and validate it.
 
     ``data`` may be a dict or a JSON text.  This function only maps the JSON
-    shape onto the record: it reports unknown keys, turns lists into tuples
-    and numbers into floats (integer solver settings stay as given), and
-    leaves every other value as it is.  A missing key becomes a placeholder.
+    shape onto the record: it reports unknown keys, turns numbers into floats
+    (integer solver settings stay as given), and leaves every other value as
+    it is; the record keeps lists as tuples.  A missing key becomes a
+    placeholder.
     :meth:`ProblemSpec.check` then judges every value, so each violation is
     reported once, with its path ("gamma[2]", "solver.rk_tol", ...), and all
     of them come together in one :class:`ConfigError`.
@@ -518,5 +535,8 @@ def spec_digest(spec: ProblemSpec) -> str:
     file (whitespace, key order) do not change the digest but any value
     change does.  Used to stamp output tables.
     """
+    # imported here, its one use: hashlib loads OpenSSL, which ``import sl2t`` need not pay for
+    import hashlib
+
     blob = json.dumps(config_dict(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

@@ -12,11 +12,12 @@ the ``rk_tol`` solver key.
 One carry (``_carry``) crosses a piece for every caller.  It forms the step
 matrices for a whole batch of ``lam`` at once (a scalar ``lam`` is a batch of
 one) and multiplies them pairwise.  Everything a step needs besides ``lam``
-is built once per spec, into one frozen step table (``_step_table``, cached
-on the spec's value): per piece the ascending mesh, ``omega^2`` and, for each
-sweep direction, the step lengths and ``q`` at the Gauss points in blocks of
-``_BLOCK`` steps, and the jump factors between pieces.  ``_carry`` reads its
-piece's blocks from it, so a sweep forms only the ``lam``-dependent matrices.
+is built once per spec, into one frozen leg record per piece and sweep
+direction (``_Leg``; ``_legs`` caches a spec's six on the spec's value): the
+jump factors crossed on entering the piece, its ascending mesh, ``omega^2``,
+and the step lengths and ``q`` at the Gauss points in blocks of ``_BLOCK``
+steps, in the sweep's direction.  ``_carry`` reads one leg, so a sweep forms
+only the ``lam``-dependent matrices.
 
 Two distinguished solutions are built here:
 
@@ -28,14 +29,14 @@ Two distinguished solutions are built here:
   satisfies the eigenvalue-dependent right condition identically and is
   carried leftward through the inverted jumps.
 
-Both follow one sweep (``_sweep``): the launch state, then the table's
-legs, the pieces in propagation order with the jump crossed before each.
-``_crossings`` is the one walk along it and the one source of anchor
-states: it returns the sweep's ``BoundaryData``, each piece's entry and exit
-state.  The characteristic scan (``left_terminal_batch``) and
-``charfn.char_grid`` read only that record; ``build_left`` and
-``build_right`` also keep the state at every mesh node from the same
-product, so their anchor states equal the scan's bit for bit.  A piece's node arrays answer every query: at a node the
+Both follow one sweep: the launch state, then their three legs, the pieces
+in propagation order with the jump crossed before each.  ``_crossings`` is
+the one walk along it and the one source of anchor states: it returns the
+sweep's ``BoundaryData``, each piece's entry and exit state.  The
+characteristic scan (``left_terminal_batch``) and ``charfn.char_grid`` read
+only that record; ``build_left`` and ``build_right`` also keep the state at
+every mesh node from the same product, so their anchor states equal the
+scan's bit for bit.  A piece's node arrays answer every query: at a node the
 stored state, elsewhere one step from the nearest node before it.  The step
 takes only ``lam``-independent inputs besides ``lam`` (``q`` at its two Gauss
 points, its length and ``omega^2``), so one query (``_query``) steps points
@@ -190,27 +191,33 @@ def piece_mesh(spec: ProblemSpec, piece: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Steps:
-    """The ``lam``-independent data of the Magnus steps along a run of nodes.
+class _Leg:
+    """Everything but ``lam`` that one sweep needs to cross one piece.
 
+    ``jump`` holds the factors of ``(u, u')`` at the interface crossed on
+    entering the piece (``None`` for a sweep's first piece), ``mesh`` the
+    piece's ascending, read-only nodes and ``w2`` its weight ``omega^2``.
     ``blocks`` holds, for each block of at most ``_BLOCK`` consecutive steps
-    in propagation order, ``q`` at the two Gauss points of each step and the
-    step lengths, each a read-only column ``(n, 1)`` that broadcasts against
-    a batch of ``lam``.  A step runs from one node to the next, so a run of
-    ``n_nodes`` nodes holds ``n_nodes - 1`` steps.
+    in the sweep's direction, ``q`` at the two Gauss points of each step and
+    the step lengths, each a read-only column ``(n, 1)`` that broadcasts
+    against a batch of ``lam``.
     """
 
+    piece: int
+    jump: tuple[float, float] | None
+    mesh: np.ndarray
     w2: float
-    n_nodes: int
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     @classmethod
-    def along(cls, coeffs, w2: float, xs: np.ndarray) -> "_Steps":
-        """The steps of a piece with potential ``coeffs`` and weight ``w2`` along nodes ``xs``.
-
-        ``xs`` lists the nodes in propagation order (either direction), as
-        ``piece_mesh`` or a cut of it gives them.
-        """
+    def along(cls, spec: ProblemSpec, piece: int, mesh: np.ndarray, leftward: bool) -> "_Leg":
+        """The leg of piece ``piece`` (1-based) over the ascending nodes ``mesh``."""
+        # entering piece p crosses interface p - 2 rightward and p - 1 leftward
+        k = piece - 1 if leftward else piece - 2
+        # a jump applied to (1, 1) gives its two factors
+        jump = spec.jump(k, 1.0, 1.0, leftward) if k in (0, 1) else None
+        coeffs = spec.q.pieces[piece - 1]
+        xs = mesh[::-1] if leftward else mesh
         blocks = []
         for j in range(0, xs.size - 1, _BLOCK):
             x = xs[j : j + _BLOCK + 1]
@@ -219,29 +226,46 @@ class _Steps:
             for arr in block:
                 arr.flags.writeable = False
             blocks.append(block)
-        return cls(w2, xs.size, tuple(blocks))
+        return cls(piece, jump, mesh, spec.omega[piece - 1] ** 2, tuple(blocks))
 
 
-def _carry(steps: _Steps, lams: np.ndarray, u, v, nodes: bool = False):
-    """Carry states ``(u, u')``, one per ``lam``, along the nodes of ``steps``.
+@functools.lru_cache(maxsize=8)
+def _legs(spec: ProblemSpec) -> tuple[tuple[_Leg, _Leg, _Leg], tuple[_Leg, _Leg, _Leg]]:
+    """The legs of both sweeps of ``spec``, built once per distinct spec value.
+
+    Returns the left solution's legs (pieces 1, 2, 3) and the right
+    solution's (pieces 3, 2, 1).  Both directions of a piece share one
+    read-only mesh.
+    """
+    meshes = [piece_mesh(spec, piece) for piece in (1, 2, 3)]
+    for xs in meshes:
+        xs.flags.writeable = False
+    return (
+        tuple(_Leg.along(spec, piece, meshes[piece - 1], False) for piece in (1, 2, 3)),
+        tuple(_Leg.along(spec, piece, meshes[piece - 1], True) for piece in (3, 2, 1)),
+    )
+
+
+def _carry(leg: _Leg, lams: np.ndarray, u, v, nodes: bool = False):
+    """Carry states ``(u, u')``, one per ``lam``, across the piece of ``leg``.
 
     The step matrices are formed for every ``lam`` at once, one block of
-    ``steps`` at a time, and each block's product is taken pairwise: at
-    each level the second factor of a pair acts after the first and an odd
-    last factor passes up unchanged, so the depth of Python-level work is
+    the leg at a time, and each block's product is taken pairwise: at each
+    level the second factor of a pair acts after the first and an odd last
+    factor passes up unchanged, so the depth of Python-level work is
     logarithmic in the step count.  A block's exit state is its product
     applied to its start state.
 
     Returns the exit state and, with ``nodes``, the states at every node in
-    propagation order, shaped ``(steps.n_nodes, n_lam)`` (``None`` without).
-    These come from a down-sweep of each block's product: at level ``L``
-    the first factor of pair ``i`` carries the state at the pair's start,
-    node ``i * 2**(L+1)`` of the block, to its midpoint, node
+    the sweep's direction, shaped ``(leg.mesh.size, n_lam)`` (``None``
+    without).  These come from a down-sweep of each block's product: at
+    level ``L`` the first factor of pair ``i`` carries the state at the
+    pair's start, node ``i * 2**(L+1)`` of the block, to its midpoint, node
     ``i * 2**(L+1) + 2**L``.
     """
-    us, vs = np.empty((2, steps.n_nodes, lams.size)) if nodes else (None, None)
-    for j, (q1, q2, h) in zip(range(0, steps.n_nodes - 1, _BLOCK), steps.blocks):
-        m = np.stack(_step(q1, q2, steps.w2, lams, h))
+    us, vs = np.empty((2, leg.mesh.size, lams.size)) if nodes else (None, None)
+    for j, (q1, q2, h) in zip(range(0, leg.mesh.size - 1, _BLOCK), leg.blocks):
+        m = np.stack(_step(q1, q2, leg.w2, lams, h))
         firsts = []
         while m.shape[1] > 1:
             n = m.shape[1]
@@ -266,77 +290,6 @@ def _carry(steps: _Steps, lams: np.ndarray, u, v, nodes: bool = False):
     if nodes:
         us[-1], vs[-1] = u, v
     return (u, v), (us, vs)
-
-
-@dataclass(frozen=True)
-class _Leg:
-    """One piece of a sweep: the jump crossed on entering it, and its steps.
-
-    ``jump`` holds the factors of ``(u, u')`` at the interface crossed on
-    entering the piece (``None`` for the sweep's first piece), ``mesh`` the
-    piece's ascending nodes and ``steps`` the steps along them in the
-    sweep's direction.
-    """
-
-    piece: int
-    jump: tuple[float, float] | None
-    mesh: np.ndarray
-    steps: _Steps
-
-
-@dataclass(frozen=True)
-class _StepTable:
-    """Every ``lam``-independent input of the two sweeps of one spec.
-
-    ``rightward`` lists the left solution's legs (pieces 1, 2, 3) and
-    ``leftward`` the right solution's (pieces 3, 2, 1).  Both directions of
-    a piece share one read-only mesh.
-    """
-
-    rightward: tuple[_Leg, _Leg, _Leg]
-    leftward: tuple[_Leg, _Leg, _Leg]
-
-    @classmethod
-    def build(cls, spec: ProblemSpec) -> "_StepTable":
-        meshes = [piece_mesh(spec, piece) for piece in (1, 2, 3)]
-        for xs in meshes:
-            xs.flags.writeable = False
-
-        def leg(piece, jump, order):
-            coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
-            xs = meshes[piece - 1]
-            return _Leg(piece, jump, xs, _Steps.along(coeffs, w2, xs[::order]))
-
-        # a jump applied to (1, 1) gives its two factors
-        return cls(
-            rightward=(
-                leg(1, None, 1),
-                leg(2, spec.jump(0, 1.0, 1.0), 1),
-                leg(3, spec.jump(1, 1.0, 1.0), 1),
-            ),
-            leftward=(
-                leg(3, None, -1),
-                leg(2, spec.jump(1, 1.0, 1.0, leftward=True), -1),
-                leg(1, spec.jump(0, 1.0, 1.0, leftward=True), -1),
-            ),
-        )
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_table(spec: ProblemSpec) -> _StepTable:
-    return _StepTable.build(spec)
-
-
-def _step_table(spec: ProblemSpec) -> _StepTable:
-    """The step table of ``spec``, built once per distinct spec value.
-
-    Equal specs share one table.  A spec built with lists in place of
-    tuples is not hashable, and gets a table of its own on every call.
-    """
-    try:
-        return _cached_table(spec)
-    except TypeError:
-        return _StepTable.build(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -501,20 +454,6 @@ class PiecewiseSolution:
         )
 
 
-def _sweep(spec: ProblemSpec, kind: Literal["left", "right"], lam):
-    """Launch ``(u, u')`` and the legs in propagation order, for one launch end.
-
-    The legs come from the spec's step table.  The right launch ``(c2, c1)``
-    of ``spec.right_coefficients(lam)`` zeroes the right form identically
-    in ``lam``.
-    """
-    table = _step_table(spec)
-    if kind == "left":
-        return spec.left_launch, table.rightward
-    c1, c2 = spec.right_coefficients(lam)
-    return (c2, c1), table.leftward
-
-
 def _crossings(
     spec: ProblemSpec, lams: np.ndarray, kind: Literal["left", "right"], nodes: bool = False
 ):
@@ -527,15 +466,20 @@ def _crossings(
     ascending mesh ``xs`` and the states ``us``/``vs`` there, shaped
     ``(n_lam, xs.size)``.
     """
-    launch, legs = _sweep(spec, kind, lams)
+    rightward, leftward = _legs(spec)
+    if kind == "left":
+        launch, legs, order = spec.left_launch, rightward, 1
+    else:
+        # (c2, c1) zeroes the right form identically in lam
+        c1, c2 = spec.right_coefficients(lams)
+        launch, legs, order = (c2, c1), leftward, -1
     u, v = (np.full(lams.size, s) for s in launch)
-    order = 1 if kind == "left" else -1
     anchors, paths = {}, {}
     for leg in legs:
         if leg.jump is not None:
             u, v = leg.jump[0] * u, leg.jump[1] * v
         entry = State(u, v)
-        (u, v), (us, vs) = _carry(leg.steps, lams, u, v, nodes)
+        (u, v), (us, vs) = _carry(leg, lams, u, v, nodes)
         anchors[leg.piece] = (entry, State(u, v))[::order]
         if nodes:
             paths[leg.piece] = (leg.mesh, us[::order].T, vs[::order].T)

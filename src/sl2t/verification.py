@@ -228,7 +228,7 @@ def _orthogonality(run: VerifyRun) -> _Outcome:
 
 def _decay(run: VerifyRun) -> _Outcome:
     if not asymptotics.phase_coherent(run.spec):
-        return None, "interfaces reflect (mismatched jump/weight ratios): single-phase asymptotics not applicable"
+        return None, asymptotics.REFLECTING
     lo, hi = _DECAY_WINDOW
     report = asymptotics.decay_check(run.records, run.spec, lo, hi, _DECAY_BOUND)
     return ((report.max_product, _DECAY_BOUND),), (

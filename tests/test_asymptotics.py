@@ -17,6 +17,7 @@ from conftest import (
 )
 from oracles import baseline_char, steep_char
 from sl2t.asymptotics import (
+    REFLECTING,
     AsymptoticCase,
     case_of,
     decay_check,
@@ -396,3 +397,13 @@ def test_decay_check_validation():
         decay_check(recs, steep_spec(), 0, 12, 1.0)
     with pytest.raises(ValueError):
         decay_check(recs, steep_spec(), 5, 12, -1.0)
+
+
+def test_decay_check_refuses_reflecting_interfaces():
+    # the single-phase formula does not apply, so no index alignment is attempted
+    spec = mixed_spec()
+    assert not phase_coherent(spec)
+    recs = locate_eigenvalues(spec, 20).records
+    with pytest.raises(ValueError) as err:
+        decay_check(recs, spec, 5, 12, 1.0)
+    assert str(err.value) == REFLECTING

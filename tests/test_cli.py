@@ -15,6 +15,7 @@ from conftest import CONFIG_DIR, airy_spec, mixed_spec
 import sl2t
 from sl2t.charfn import _piece_wronskians, char_grid
 from sl2t import hilbert, spectrum, verification
+from sl2t.asymptotics import REFLECTING
 from sl2t.cli import main
 from sl2t.problem import NumericalError, load_config
 from sl2t.verification import VerifyRun
@@ -151,6 +152,13 @@ def test_compare_phase_override_negative_control(capsys):
                         "--phase-override", repr(7.0 / 3.0))
     assert code == 3
     assert out.rstrip().endswith("# verdict: FAIL")
+
+
+def test_compare_refuses_reflecting_interfaces(capsys):
+    code, out, err = _run(capsys, "compare", INDEFINITE, "--n-lo", "5", "--n-hi", "40")
+    assert code == 3
+    assert out == ""
+    assert f"numerical failure: {REFLECTING}" in err
 
 
 def test_compare_window_validation(capsys):

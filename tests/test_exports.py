@@ -1,7 +1,11 @@
-"""Every exported name resolves, in the package and in each submodule."""
+"""Every exported name resolves, in the package and in each submodule; importing is cheap."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +27,12 @@ def test_package_exports_are_the_submodules_exports():
     ]
     assert len(declared) == len(set(declared))
     assert sorted(sl2t.__all__) == sorted(["__version__", *declared])
+
+
+def test_import_does_not_load_openssl():
+    # hashlib (and its OpenSSL binding _hashlib) loads only when spec_digest runs
+    env = dict(os.environ, PYTHONPATH=str(Path(sl2t.__file__).resolve().parents[1]))
+    code = "import sys, sl2t; print('_hashlib' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -132,6 +132,23 @@ def test_wrongly_typed_fields_of_a_built_spec_are_config_errors(overrides, path)
     assert err.value.errors[0].startswith(path)
 
 
+@pytest.mark.parametrize(
+    "overrides, errors",
+    [
+        ({"omega": [1.0, "x", 2.0]}, ["omega[1]: expected a number"]),
+        (
+            {"q": PiecewisePotential([[0.0], [0.0]])},
+            ["q.pieces: expected a list of 3 coefficient lists"],
+        ),
+    ],
+)
+def test_list_built_specs_report_each_violation_once(overrides, errors):
+    # lists are kept as tuples, and check judges them as it judges tuples
+    spec = replace(baseline_spec(), **overrides)
+    assert isinstance(spec.omega, tuple) and isinstance(spec.q.pieces, tuple)
+    assert spec.check() == errors
+
+
 def test_derived_scalars():
     spec = mixed_spec()
     b1, b2 = spec.beta

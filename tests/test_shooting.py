@@ -18,7 +18,9 @@ from conftest import (
     steep_spec,
 )
 from oracles import airy_left, step_states, transfer_char
-from sl2t.problem import NumericalError, load_config, piece_bounds
+from sl2t.problem import (
+    NumericalError, PiecewisePotential, ProblemSpec, load_config, piece_bounds,
+)
 from sl2t.shooting import (
     PiecewiseSolution,
     PieceTrajectory,
@@ -30,9 +32,7 @@ from sl2t.shooting import (
     wronskian,
 )
 from sl2t.charfn import _piece_wronskians, char_batch, char_grid
-from sl2t.shooting import (
-    _BLOCK, BoundaryData, _cached_table, _carry, _gauss_q, _step, _step_table, _Steps,
-)
+from sl2t.shooting import _BLOCK, BoundaryData, _carry, _gauss_q, _legs, _step, _Leg
 
 
 # ---------------------------------------------------------------------------
@@ -47,11 +47,11 @@ def carry_piece(spec, lam, piece, init, leftward=False):
     xs = piece_mesh(spec, piece)
     order = -1 if leftward else 1
     u0, v0 = (np.array([float(s)]) for s in init)
-    coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
-    steps = _Steps.along(coeffs, w2, xs[::order])
-    (u, v), (us, vs) = _carry(steps, np.array([lam]), u0, v0, nodes=True)
+    leg = _Leg.along(spec, piece, xs, leftward)
+    (u, v), (us, vs) = _carry(leg, np.array([lam]), u0, v0, nodes=True)
     traj = PieceTrajectory(
-        piece=piece, lam=lam, xs=xs, us=us[::order, 0], vs=vs[::order, 0], coeffs=coeffs, w2=w2,
+        piece=piece, lam=lam, xs=xs, us=us[::order, 0], vs=vs[::order, 0],
+        coeffs=spec.q.pieces[piece - 1], w2=leg.w2,
     )
     return State(u.item(), v.item()), traj
 
@@ -333,13 +333,13 @@ def test_carry_node_states_follow_the_step_recurrence(n_steps, forward):
     spec = airy_spec()
     lams = np.array([-50.0, 0.0, 7.5, 300.0])
     a, b = piece_bounds(spec, 2)
-    xs = np.linspace(a, b, n_steps + 1)
-    xs = xs if forward else xs[::-1]
+    mesh = np.linspace(a, b, n_steps + 1)
+    xs = mesh if forward else mesh[::-1]
     init = (np.array([0.3, -1.0, 0.8, 1.2]), np.array([1.0, 0.5, -2.0, 0.0]))
     coeffs, w2 = spec.q.pieces[1], spec.omega[1] ** 2
-    steps = _Steps.along(coeffs, w2, xs)
-    (u, v), (us, vs) = _carry(steps, lams, *init, nodes=True)
-    (u0, v0), none = _carry(steps, lams, *init)
+    leg = _Leg.along(spec, 2, mesh, leftward=not forward)
+    (u, v), (us, vs) = _carry(leg, lams, *init, nodes=True)
+    (u0, v0), none = _carry(leg, lams, *init)
     assert none == (None, None) and np.array_equal(u0, u) and np.array_equal(v0, v)
     assert us.shape == vs.shape == (xs.size, lams.size)
     assert np.array_equal(us[0], init[0]) and np.array_equal(vs[0], init[1])
@@ -355,12 +355,12 @@ def test_carry_node_states_follow_the_step_recurrence(n_steps, forward):
 
 
 # ---------------------------------------------------------------------------
-# the step table: built once per spec, the same arithmetic as one built per call
+# the legs: built once per spec, the same arithmetic as steps formed per call
 
 
 def _per_call_carry(spec, piece, lams, xs, u, v):
     """A carry along ``xs`` that forms ``q`` at the Gauss points and the step
-    lengths anew in every call, as each sweep did before the step table."""
+    lengths anew in every call, as each sweep did before the cached legs."""
     coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
     us, vs = np.empty((2, xs.size, lams.size))
     for j in range(0, xs.size - 1, _BLOCK):
@@ -439,10 +439,9 @@ _TABLE_LAMS = np.array([-120.0, -7.5, 0.0, 3.7, 61.3, 980.0, 4e4])
 
 
 def test_airy_spec_spans_several_blocks_each_way():
-    table = _step_table(airy_spec())
-    for legs in (table.rightward, table.leftward):
-        assert [leg.steps.n_nodes - 1 for leg in legs] in ([720, 773, 663], [663, 773, 720])
-        assert all(len(leg.steps.blocks) == 3 + (leg.piece == 2) for leg in legs)
+    for legs in _legs(airy_spec()):
+        assert [leg.mesh.size - 1 for leg in legs] in ([720, 773, 663], [663, 773, 720])
+        assert all(len(leg.blocks) == 3 + (leg.piece == 2) for leg in legs)
 
 
 @_TABLE_SPECS
@@ -472,19 +471,19 @@ def test_table_char_grid_repeats_the_per_call_sweeps_bit_for_bit(make):
 
 
 def test_equal_specs_share_one_step_table():
-    _cached_table.cache_clear()
+    _legs.cache_clear()
     spec, twin = airy_spec(), airy_spec()
     assert spec == twin and spec is not twin
     build_left(spec, 3.7)
     char_batch(twin, _TABLE_LAMS)
     build_right(twin, _TABLE_LAMS)
-    info = _cached_table.cache_info()
+    info = _legs.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    assert _step_table(spec) is _step_table(twin)
+    assert _legs(spec) is _legs(twin)
     # a coarser rk_tol is another spec, with its own, coarser mesh
     coarse = dataclasses.replace(spec, solver=dataclasses.replace(spec.solver, rk_tol=1e-8))
     sol, fine = build_left(coarse, 3.7), build_left(spec, 3.7)
-    info = _cached_table.cache_info()
+    info = _legs.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
     for piece, ref, i in zip(sol.pieces, fine.pieces, (1, 2, 3)):
         assert np.array_equal(piece.xs, piece_mesh(coarse, i))
@@ -494,14 +493,27 @@ def test_equal_specs_share_one_step_table():
 
 
 def test_unhashable_spec_gets_the_same_sweep():
-    # a spec built with lists in place of tuples cannot key the cache
+    # a spec built with lists in place of tuples keeps them as tuples, so it keys the cache
     spec = mixed_spec()
     listed = dataclasses.replace(spec, omega=list(spec.omega), gamma=list(spec.gamma))
-    with pytest.raises(TypeError):
-        hash(listed)
+    assert hash(listed) == hash(spec)
     got, want = build_right(listed, _TABLE_LAMS), build_right(spec, _TABLE_LAMS)
     assert _same_ends(got.ends, want.ends)
     assert np.array_equal(char_batch(listed, _TABLE_LAMS), char_batch(spec, _TABLE_LAMS))
+
+
+def test_list_built_spec_is_its_tuple_twin_and_shares_its_legs():
+    spec = airy_spec()
+    listed = ProblemSpec(**{
+        **{name: list(v) if isinstance(v, tuple) else v for name, v in vars(spec).items()},
+        "q": PiecewisePotential([list(c) for c in spec.q.pieces]),
+    })
+    assert listed == spec and hash(listed) == hash(spec)
+    assert isinstance(listed.omega, tuple) and isinstance(listed.q.pieces[2], tuple)
+    _legs.cache_clear()
+    assert _legs(listed) is _legs(spec)
+    info = _legs.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 _BUILD_LAMS = np.array([-50.0, -7.5, 0.0, 3.7, 61.3, 4e4])
