@@ -247,11 +247,14 @@ def decay_check(
     through to the asymptotic formula for negative controls.  Where the
     interfaces reflect (``phase_coherent`` is false) the formula does not
     apply, and the check raises ``ValueError`` with the reason ``REFLECTING``.
+    It also raises when ``bound`` or ``phase_total`` is not positive and finite.
     """
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"bad index window [{n_lo}, {n_hi}]")
-    if bound <= 0.0:
-        raise ValueError("bound must be positive")
+    if not 0.0 < bound < math.inf:
+        raise ValueError("bound must be positive and finite")
+    if phase_total is not None and not 0.0 < phase_total < math.inf:
+        raise ValueError("phase_total must be positive and finite")
     if not phase_coherent(spec):
         raise ValueError(REFLECTING)
     total = phase(spec, 1.0) if phase_total is None else float(phase_total)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -255,10 +256,10 @@ def _flag_problem(args) -> Optional[str]:
             return "--n-lo must be >= 1"
         if args.n_hi < args.n_lo:
             return "--n-hi must be >= --n-lo"
-        if args.bound <= 0.0:
-            return "--bound must be positive"
-        if args.phase_override is not None and args.phase_override <= 0.0:
-            return "--phase-override must be positive"
+        if not 0.0 < args.bound < math.inf:
+            return "--bound must be positive and finite"
+        if args.phase_override is not None and not 0.0 < args.phase_override < math.inf:
+            return "--phase-override must be positive and finite"
     return None
 
 

@@ -9,15 +9,18 @@ one exact step (cos/sin, cosh/sinh, or linear when ``lam w = q``).  Where
 1999), each of whose exponentials is also closed-form; the mesh is sized by
 the ``rk_tol`` solver key.
 
-One carry (``_carry``) crosses a piece for every caller.  It forms the step
-matrices for a whole batch of ``lam`` at once (a scalar ``lam`` is a batch of
-one) and multiplies them pairwise.  Everything a step needs besides ``lam``
-is built once per spec, into one frozen leg record per piece and sweep
-direction (``_Leg``; ``_legs`` caches a spec's six on the spec's value): the
-jump factors crossed on entering the piece, its ascending mesh, ``omega^2``,
-and the step lengths and ``q`` at the Gauss points in blocks of ``_BLOCK``
-steps, in the sweep's direction.  ``_carry`` reads one leg, so a sweep forms
-only the ``lam``-dependent matrices.
+One carry (``_carry``) crosses a piece for every caller.  It multiplies the
+step matrices of a whole batch of ``lam`` (a scalar ``lam`` is a batch of
+one) pairwise, block by block, each block at most ``_BLOCK`` steps.
+Everything a step needs besides ``lam`` is built once per spec and sweep
+direction into one frozen record (``_Sweep``; ``_legs`` caches a spec's two
+on the spec's value).  It holds one leg per piece (``_Leg``: the jump
+factors crossed on entering the piece, its ascending mesh and ``omega^2``)
+and the sweep's step groups (``_Group``): its blocks in sweep order, packed
+greedily into runs of at most ``_BLOCK`` steps that may cross pieces, each
+holding ``q`` at the Gauss points, ``omega^2`` and the step lengths of its
+steps.  A sweep forms only the ``lam``-dependent matrices, with one
+``_step`` call per group: on a constant-``q`` spec, one call per sweep.
 
 Two distinguished solutions are built here:
 
@@ -77,7 +80,9 @@ __all__ = [
 
 _GAUSS = math.sqrt(3.0) / 6.0
 _COMMUTATOR = math.sqrt(3.0) / 12.0
-#: Magnus steps whose matrices are held at once per lam in a batch
+#: Magnus steps whose matrices are held at once per lam in a batch: at most
+#: this many steps per block and per group, which one ``_step`` call forms
+#: across pieces
 _BLOCK = 256
 
 
@@ -192,65 +197,117 @@ def piece_mesh(spec: ProblemSpec, piece: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Leg:
-    """Everything but ``lam`` that one sweep needs to cross one piece.
+    """One piece as a sweep crosses it.
 
     ``jump`` holds the factors of ``(u, u')`` at the interface crossed on
     entering the piece (``None`` for a sweep's first piece), ``mesh`` the
     piece's ascending, read-only nodes and ``w2`` its weight ``omega^2``.
-    ``blocks`` holds, for each block of at most ``_BLOCK`` consecutive steps
-    in the sweep's direction, ``q`` at the two Gauss points of each step and
-    the step lengths, each a read-only column ``(n, 1)`` that broadcasts
-    against a batch of ``lam``.
+    The piece's steps are cut into blocks of at most ``_BLOCK`` consecutive
+    steps in the sweep's direction, from its first node.
     """
 
     piece: int
     jump: tuple[float, float] | None
     mesh: np.ndarray
     w2: float
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+@dataclass(frozen=True)
+class _Group:
+    """Consecutive blocks of one sweep, at most ``_BLOCK`` steps in all.
+
+    ``q1`` and ``q2`` hold ``q`` at the two Gauss points of each step,
+    ``w2`` the ``omega^2`` of its piece and ``h`` its length, each a
+    read-only column ``(n, 1)`` that broadcasts against a batch of ``lam``;
+    block ``i`` is rows ``cuts[i]`` to ``cuts[i + 1]``.  The blocks may lie
+    on different pieces.
+    """
+
+    q1: np.ndarray
+    q2: np.ndarray
+    w2: np.ndarray
+    h: np.ndarray
+    cuts: tuple[int, ...]
 
     @classmethod
-    def along(cls, spec: ProblemSpec, piece: int, mesh: np.ndarray, leftward: bool) -> "_Leg":
-        """The leg of piece ``piece`` (1-based) over the ascending nodes ``mesh``."""
-        # entering piece p crosses interface p - 2 rightward and p - 1 leftward
-        k = piece - 1 if leftward else piece - 2
-        # a jump applied to (1, 1) gives its two factors
-        jump = spec.jump(k, 1.0, 1.0, leftward) if k in (0, 1) else None
-        coeffs = spec.q.pieces[piece - 1]
-        xs = mesh[::-1] if leftward else mesh
-        blocks = []
-        for j in range(0, xs.size - 1, _BLOCK):
-            x = xs[j : j + _BLOCK + 1]
-            x0, h = x[:-1, None], np.diff(x)[:, None]
-            block = (*_gauss_q(coeffs, x0, h), h)
-            for arr in block:
-                arr.flags.writeable = False
-            blocks.append(block)
-        return cls(piece, jump, mesh, spec.omega[piece - 1] ** 2, tuple(blocks))
+    def of(cls, blocks) -> "_Group":
+        """The group of ``blocks``, each a ``(q1, q2, w2, h)`` of columns."""
+        cols = [np.concatenate(col) for col in zip(*blocks)]
+        for arr in cols:
+            arr.flags.writeable = False
+        cuts = np.cumsum([0] + [len(block[3]) for block in blocks])
+        return cls(*cols, tuple(cuts.tolist()))
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """Everything but ``lam`` that one sweep needs: its legs and its step groups."""
+
+    legs: tuple[_Leg, ...]
+    groups: tuple[_Group, ...]
+
+    @classmethod
+    def along(cls, spec: ProblemSpec, pieces, leftward: bool) -> "_Sweep":
+        """The sweep across ``pieces``, pairs ``(piece, mesh)`` in sweep order.
+
+        Each ``mesh`` holds the piece's (1-based) ascending nodes.  The
+        blocks of all legs are packed in sweep order, greedily, into groups
+        of at most ``_BLOCK`` steps.
+        """
+        legs, blocks = [], []
+        for piece, mesh in pieces:
+            # the interface shared with the piece before, as a jump applied to (1, 1)
+            jump = spec.jump(min(piece, legs[-1].piece) - 1, 1.0, 1.0, leftward) if legs else None
+            w2 = spec.omega[piece - 1] ** 2
+            legs.append(_Leg(piece, jump, mesh, w2))
+            coeffs = spec.q.pieces[piece - 1]
+            xs = mesh[::-1] if leftward else mesh
+            for j in range(0, xs.size - 1, _BLOCK):
+                x = xs[j : j + _BLOCK + 1]
+                x0, h = x[:-1, None], np.diff(x)[:, None]
+                blocks.append((*_gauss_q(coeffs, x0, h), np.full_like(h, w2), h))
+        runs = [[]]
+        for block in blocks:
+            if sum(len(b[3]) for b in runs[-1]) + len(block[3]) > _BLOCK:
+                runs.append([])
+            runs[-1].append(block)
+        return cls(tuple(legs), tuple(_Group.of(run) for run in runs))
+
+    def blocks(self, lams: np.ndarray):
+        """Each block's step matrix entries ``(a, b, c, d)``, in sweep order.
+
+        One ``_step`` call forms a whole group's entries, when its first
+        block is asked for; a block gets its rows, each ``(n_steps, n_lam)``.
+        """
+        for group in self.groups:
+            steps = _step(group.q1, group.q2, group.w2, lams, group.h)
+            for i, j in zip(group.cuts, group.cuts[1:]):
+                yield tuple(x[i:j] for x in steps)
 
 
 @functools.lru_cache(maxsize=8)
-def _legs(spec: ProblemSpec) -> tuple[tuple[_Leg, _Leg, _Leg], tuple[_Leg, _Leg, _Leg]]:
-    """The legs of both sweeps of ``spec``, built once per distinct spec value.
+def _legs(spec: ProblemSpec) -> tuple[_Sweep, _Sweep]:
+    """Both sweeps of ``spec``, built once per distinct spec value.
 
-    Returns the left solution's legs (pieces 1, 2, 3) and the right
+    Returns the left solution's sweep (pieces 1, 2, 3) and the right
     solution's (pieces 3, 2, 1).  Both directions of a piece share one
     read-only mesh.
     """
-    meshes = [piece_mesh(spec, piece) for piece in (1, 2, 3)]
-    for xs in meshes:
+    meshes = {piece: piece_mesh(spec, piece) for piece in (1, 2, 3)}
+    for xs in meshes.values():
         xs.flags.writeable = False
     return (
-        tuple(_Leg.along(spec, piece, meshes[piece - 1], False) for piece in (1, 2, 3)),
-        tuple(_Leg.along(spec, piece, meshes[piece - 1], True) for piece in (3, 2, 1)),
+        _Sweep.along(spec, [(piece, meshes[piece]) for piece in (1, 2, 3)], False),
+        _Sweep.along(spec, [(piece, meshes[piece]) for piece in (3, 2, 1)], True),
     )
 
 
-def _carry(leg: _Leg, lams: np.ndarray, u, v, nodes: bool = False):
+def _carry(leg: _Leg, blocks, u, v, nodes: bool = False):
     """Carry states ``(u, u')``, one per ``lam``, across the piece of ``leg``.
 
-    The step matrices are formed for every ``lam`` at once, one block of
-    the leg at a time, and each block's product is taken pairwise: at each
+    ``blocks`` yields the step matrix entries of the sweep's blocks in order
+    (``_Sweep.blocks``); the carry takes the leg's own and leaves the rest.
+    Each block's entries are stacked and its product taken pairwise: at each
     level the second factor of a pair acts after the first and an odd last
     factor passes up unchanged, so the depth of Python-level work is
     logarithmic in the step count.  A block's exit state is its product
@@ -263,9 +320,10 @@ def _carry(leg: _Leg, lams: np.ndarray, u, v, nodes: bool = False):
     pair's start, node ``i * 2**(L+1)`` of the block, to its midpoint, node
     ``i * 2**(L+1) + 2**L``.
     """
-    us, vs = np.empty((2, leg.mesh.size, lams.size)) if nodes else (None, None)
-    for j, (q1, q2, h) in zip(range(0, leg.mesh.size - 1, _BLOCK), leg.blocks):
-        m = np.stack(_step(q1, q2, leg.w2, lams, h))
+    us, vs = np.empty((2, leg.mesh.size, u.size)) if nodes else (None, None)
+    # zip asks the range first, so it takes no block past the leg's last
+    for j, steps in zip(range(0, leg.mesh.size - 1, _BLOCK), blocks):
+        m = np.stack(steps)
         firsts = []
         while m.shape[1] > 1:
             n = m.shape[1]
@@ -460,7 +518,8 @@ def _crossings(
     """Carry one launch end's solution along its sweep, for checked ``lams``.
 
     Each piece is crossed by ``_carry`` over its whole mesh, from just past
-    the jump into it (from the launch, for the first piece).  Returns the
+    the jump into it (from the launch, for the first piece), with the step
+    entries of the sweep's groups, one ``_step`` call per group.  Returns the
     sweep's anchor record: each piece's entry and exit state, one entry per
     ``lam``.  With ``nodes`` it also returns, for pieces 1, 2 and 3, the
     ascending mesh ``xs`` and the states ``us``/``vs`` there, shaped
@@ -468,18 +527,19 @@ def _crossings(
     """
     rightward, leftward = _legs(spec)
     if kind == "left":
-        launch, legs, order = spec.left_launch, rightward, 1
+        launch, sweep, order = spec.left_launch, rightward, 1
     else:
         # (c2, c1) zeroes the right form identically in lam
         c1, c2 = spec.right_coefficients(lams)
-        launch, legs, order = (c2, c1), leftward, -1
+        launch, sweep, order = (c2, c1), leftward, -1
     u, v = (np.full(lams.size, s) for s in launch)
+    blocks = sweep.blocks(lams)
     anchors, paths = {}, {}
-    for leg in legs:
+    for leg in sweep.legs:
         if leg.jump is not None:
             u, v = leg.jump[0] * u, leg.jump[1] * v
         entry = State(u, v)
-        (u, v), (us, vs) = _carry(leg, lams, u, v, nodes)
+        (u, v), (us, vs) = _carry(leg, blocks, u, v, nodes)
         anchors[leg.piece] = (entry, State(u, v))[::order]
         if nodes:
             paths[leg.piece] = (leg.mesh, us[::order].T, vs[::order].T)

@@ -399,6 +399,16 @@ def test_decay_check_validation():
         decay_check(recs, steep_spec(), 5, 12, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_decay_check_rejects_a_bound_or_phase_that_is_not_positive_and_finite(bad):
+    spec = steep_spec()
+    recs = _synthetic_records(spec, range(2, 16))
+    with pytest.raises(ValueError, match="bound must be positive and finite"):
+        decay_check(recs, spec, 5, 12, bad)
+    with pytest.raises(ValueError, match="phase_total must be positive and finite"):
+        decay_check(recs, spec, 5, 12, 1.0, phase_total=bad)
+
+
 def test_decay_check_refuses_reflecting_interfaces():
     # the single-phase formula does not apply, so no index alignment is attempted
     spec = mixed_spec()

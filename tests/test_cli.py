@@ -167,6 +167,15 @@ def test_compare_window_validation(capsys):
     assert "--n-hi" in err
 
 
+@pytest.mark.parametrize("flag", ["--bound", "--phase-override"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_compare_rejects_flags_that_are_not_finite(flag, value, capsys):
+    code, out, err = _run(capsys, "compare", S0, "--n-lo", "5", "--n-hi", "12", flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"{flag} must be positive and finite" in err
+
+
 # ---------------------------------------------------------------------------
 # eigenfunction
 

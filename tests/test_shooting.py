@@ -32,7 +32,9 @@ from sl2t.shooting import (
     wronskian,
 )
 from sl2t.charfn import _piece_wronskians, char_batch, char_grid
-from sl2t.shooting import _BLOCK, BoundaryData, _carry, _gauss_q, _legs, _step, _Leg
+from sl2t import shooting, spectrum as sl2t_spectrum
+from sl2t.shooting import _BLOCK, BoundaryData, _carry, _gauss_q, _legs, _step, _Sweep
+from sl2t.spectrum import locate_eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +49,9 @@ def carry_piece(spec, lam, piece, init, leftward=False):
     xs = piece_mesh(spec, piece)
     order = -1 if leftward else 1
     u0, v0 = (np.array([float(s)]) for s in init)
-    leg = _Leg.along(spec, piece, xs, leftward)
-    (u, v), (us, vs) = _carry(leg, np.array([lam]), u0, v0, nodes=True)
+    sweep = _Sweep.along(spec, [(piece, xs)], leftward)
+    leg = sweep.legs[0]
+    (u, v), (us, vs) = _carry(leg, sweep.blocks(np.array([lam])), u0, v0, nodes=True)
     traj = PieceTrajectory(
         piece=piece, lam=lam, xs=xs, us=us[::order, 0], vs=vs[::order, 0],
         coeffs=spec.q.pieces[piece - 1], w2=leg.w2,
@@ -337,9 +340,9 @@ def test_carry_node_states_follow_the_step_recurrence(n_steps, forward):
     xs = mesh if forward else mesh[::-1]
     init = (np.array([0.3, -1.0, 0.8, 1.2]), np.array([1.0, 0.5, -2.0, 0.0]))
     coeffs, w2 = spec.q.pieces[1], spec.omega[1] ** 2
-    leg = _Leg.along(spec, 2, mesh, leftward=not forward)
-    (u, v), (us, vs) = _carry(leg, lams, *init, nodes=True)
-    (u0, v0), none = _carry(leg, lams, *init)
+    sweep = _Sweep.along(spec, [(2, mesh)], leftward=not forward)
+    (u, v), (us, vs) = _carry(sweep.legs[0], sweep.blocks(lams), *init, nodes=True)
+    (u0, v0), none = _carry(sweep.legs[0], sweep.blocks(lams), *init)
     assert none == (None, None) and np.array_equal(u0, u) and np.array_equal(v0, v)
     assert us.shape == vs.shape == (xs.size, lams.size)
     assert np.array_equal(us[0], init[0]) and np.array_equal(vs[0], init[1])
@@ -438,10 +441,106 @@ _TABLE_SPECS = pytest.mark.parametrize(
 _TABLE_LAMS = np.array([-120.0, -7.5, 0.0, 3.7, 61.3, 980.0, 4e4])
 
 
+def _block_steps(sweep):
+    """Steps per block, in sweep order: by the legs' meshes, and by the groups' rows."""
+    by_legs = [
+        min(_BLOCK, leg.mesh.size - 1 - j)
+        for leg in sweep.legs for j in range(0, leg.mesh.size - 1, _BLOCK)
+    ]
+    by_groups = [j - i for g in sweep.groups for i, j in zip(g.cuts, g.cuts[1:])]
+    return by_legs, by_groups
+
+
 def test_airy_spec_spans_several_blocks_each_way():
-    for legs in _legs(airy_spec()):
+    for sweep in _legs(airy_spec()):
+        legs = sweep.legs
         assert [leg.mesh.size - 1 for leg in legs] in ([720, 773, 663], [663, 773, 720])
-        assert all(len(leg.blocks) == 3 + (leg.piece == 2) for leg in legs)
+        assert all(math.ceil((leg.mesh.size - 1) / _BLOCK) == 3 + (leg.piece == 2) for leg in legs)
+        # no two blocks fit in one group, so the groups are the blocks
+        by_legs, _ = _block_steps(sweep)
+        assert len(sweep.groups) == 10
+        assert [g.cuts for g in sweep.groups] == [(0, n) for n in by_legs]
+
+
+def test_mixed_spec_leftward_group_spans_two_pieces():
+    spec = mixed_spec()
+    rightward, leftward = _legs(spec)
+    assert [leg.mesh.size - 1 for leg in leftward.legs] == [785, 366, 1]
+    # piece 2's last block of 110 steps and piece 1's single step share one _step call
+    last = leftward.groups[-1]
+    assert last.cuts == (0, 110, 111)
+    w2 = [spec.omega[1] ** 2] * 110 + [spec.omega[0] ** 2]
+    assert last.w2[:, 0].tolist() == w2
+    # rightward, piece 1's step cannot join piece 2's first block of 256
+    assert rightward.groups[0].cuts == (0, 1) and rightward.groups[1].cuts == (0, 256)
+
+
+@_TABLE_SPECS
+def test_no_group_exceeds_the_block_bound(make):
+    for sweep in _legs(make()):
+        by_legs, by_groups = _block_steps(sweep)
+        assert by_groups == by_legs
+        assert all(0 < g.cuts[-1] <= _BLOCK for g in sweep.groups)
+        for g in sweep.groups:
+            assert all(col.shape == (g.cuts[-1], 1) for col in (g.q1, g.q2, g.w2, g.h))
+            assert not any(col.flags.writeable for col in (g.q1, g.q2, g.w2, g.h))
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """Counts the calls of ``shooting._step`` from here on."""
+    calls = []
+    step = shooting._step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(shooting, "_step", counted)
+    return calls
+
+
+_CONSTANT_Q_SPECS = pytest.mark.parametrize(
+    "make",
+    [baseline_spec] + [
+        lambda name=name: load_config(CONFIG_DIR / f"{name}.json")
+        for name in ("s0", "case1", "indefinite")
+    ],
+    ids=["baseline_spec", "s0", "case1", "indefinite"],
+)
+
+
+@_CONSTANT_Q_SPECS
+def test_constant_q_sweep_is_one_step_call(make, step_calls):
+    spec = make()
+    for sweep in _legs(spec):
+        assert [g.cuts for g in sweep.groups] == [(0, 1, 2, 3)]
+    left_terminal_batch(spec, _TABLE_LAMS)
+    assert len(step_calls) == 1
+    char_grid(spec, _TABLE_LAMS)
+    assert len(step_calls) == 3
+    for build in (build_left, build_right):
+        for lam in (3.7, _TABLE_LAMS):
+            step_calls.clear()
+            build(spec, lam)
+            assert len(step_calls) == 1
+    # the three steps of a sweep, one per piece, each with its own omega^2
+    q1, q2, w2, lam, h = step_calls[0]
+    assert w2[:, 0].tolist() == [spec.omega[i] ** 2 for i in (2, 1, 0)]
+
+
+def test_locate_makes_one_step_call_per_characteristic_batch(monkeypatch, step_calls):
+    spec = load_config(CONFIG_DIR / "s0.json")
+    batches = []
+    batch = sl2t_spectrum.char_batch
+
+    def counted(spec, lams):
+        batches.append(np.size(lams))
+        return batch(spec, lams)
+
+    monkeypatch.setattr(sl2t_spectrum, "char_batch", counted)
+    assert len(locate_eigenvalues(spec, 100).records) == 100
+    assert len(batches) == 19 and len(step_calls) == 19
 
 
 @_TABLE_SPECS
