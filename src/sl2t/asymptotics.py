@@ -48,6 +48,7 @@ __all__ = [
     "phase_coherent",
     "DecayReport",
     "decay_check",
+    "DECAY_ROOT_MARGIN",
 ]
 
 #: sin(alpha) counts as zero below this
@@ -97,14 +98,21 @@ def mu_asymptotic(spec: ProblemSpec, n, *, phase_total: Optional[float] = None):
     ``n`` is an int, giving a ``float``, or an integer array, giving one
     prediction per entry with the same arithmetic.  ``phase_total``
     overrides the accumulated phase over the whole interval; it exists so
-    that negative controls can inject a deliberately wrong denominator.
+    that negative controls can inject a deliberately wrong denominator; it
+    must be positive and finite.
     """
     if np.any(np.asarray(n) < 1):
         raise ValueError(f"index must be >= 1, got {n!r}")
-    total = phase(spec, 1.0) if phase_total is None else float(phase_total)
-    if total <= 0.0:
-        raise ValueError("total phase must be positive")
-    return math.pi * (n + _MU_SHIFT[case_of(spec)]) / total
+    return math.pi * (n + _MU_SHIFT[case_of(spec)]) / _phase_total(spec, phase_total)
+
+
+def _phase_total(spec: ProblemSpec, phase_total: Optional[float]) -> float:
+    """The accumulated phase ``Theta(1)``, or the override ``phase_total`` when given."""
+    if phase_total is None:
+        return phase(spec, 1.0)
+    if not 0.0 < phase_total < math.inf:
+        raise ValueError("phase_total must be positive and finite")
+    return float(phase_total)
 
 
 def _leading_wave(spec: ProblemSpec, mu: float, x):
@@ -189,6 +197,10 @@ def phase_coherent(spec: ProblemSpec) -> bool:
 # ---------------------------------------------------------------------------
 # O(1/n) decay verification
 
+#: roots to locate past a decay window's last index: ``decay_check`` reads
+#: computed index ``n - offset``, and ``_align_offset`` can shift it above ``n``
+DECAY_ROOT_MARGIN = 6
+
 
 @dataclass(frozen=True)
 class DecayReport:
@@ -253,11 +265,9 @@ def decay_check(
         raise ValueError(f"bad index window [{n_lo}, {n_hi}]")
     if not 0.0 < bound < math.inf:
         raise ValueError("bound must be positive and finite")
-    if phase_total is not None and not 0.0 < phase_total < math.inf:
-        raise ValueError("phase_total must be positive and finite")
+    total = _phase_total(spec, phase_total)
     if not phase_coherent(spec):
         raise ValueError(REFLECTING)
-    total = phase(spec, 1.0) if phase_total is None else float(phase_total)
     offset = _align_offset(computed, _MU_SHIFT[case_of(spec)], total)
     by_index = {rec.n: rec for rec in computed}
     ns = np.arange(n_lo, n_hi + 1)

@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands load a JSON problem config, run one pipeline, and emit
-comma-separated tables with ``#``-prefixed header lines.  Tables go to
-``--out`` (or stdout); diagnostics and wall time go to stderr, so identical
-invocations produce byte-identical table output.
+Subcommands load a JSON problem config and run one pipeline.  A table
+command (solve, asym, compare, eigenfunction) writes to ``--out`` or stdout
+the lines ``# sl2t <version>``, ``# digest: <digest>``, ``# command: <name>``
+and ``# params: <flags>``, its own ``# key: value`` lines, ``# columns:
+<names>``, one comma-separated row per record and an optional ``# key:
+value`` footer.  stderr gets ``sl2t <command>: digest <digest> (<params>)``,
+indented ``wrote``, ``stage`` and ``note`` lines, and ``wall time``, so
+identical invocations produce byte-identical tables.
 
 Exit codes: 0 success, 1 usage problem, 2 config validation failure,
 3 numerical failure or a failed verification verdict.
@@ -16,36 +20,16 @@ import functools
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import case_of, decay_check, mu_asymptotic
+from .asymptotics import DECAY_ROOT_MARGIN, case_of, decay_check, mu_asymptotic
 from .problem import ConfigError, NumericalError, ProblemSpec, load_config, spec_digest
 from .spectrum import eigenfunction, locate_eigenvalues
-from .verification import StageResult, verify
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """What a finished command did, for the stderr diagnostics."""
-
-    digest: str
-    command: str
-    params: str
-    outputs: tuple[str, ...]
-    stages: tuple[StageResult, ...] = ()
-    notes: tuple[str, ...] = ()
-
-    def render(self) -> list[str]:
-        lines = [f"sl2t {self.command}: digest {self.digest} ({self.params})"]
-        lines += [f"  wrote {path}" for path in self.outputs]
-        lines += [f"  stage {s.name}: {s.status} in {s.seconds:.4f} s" for s in self.stages]
-        lines += [f"  note: {note}" for note in self.notes]
-        return lines
+from .verification import verify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,32 +40,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _fmt(value) -> str:
+    """A table value: ``None`` empty, text and integers as they are, floats to 17 digits."""
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, (str, int)) else f"{float(value):.17g}"
 
 
-def _header(spec: ProblemSpec, command: str, params: str, columns: str) -> list[str]:
-    return [
+def _report(digest: str, command: str, params: str, outputs=(), stages=(), notes=()) -> None:
+    """Write what a finished command did to stderr (see the module docstring)."""
+    lines = [f"sl2t {command}: digest {digest} ({params})"]
+    lines += [f"  wrote {path}" for path in outputs]
+    lines += [f"  stage {s.name}: {s.status} in {s.seconds:.4f} s" for s in stages]
+    lines += [f"  note: {note}" for note in notes]
+    print("\n".join(lines), file=sys.stderr)
+
+
+def _write_table(spec: ProblemSpec, args, params: str, columns: str, rows, *,
+                 meta=(), footer=(), summary: Optional[str] = None, notes=()) -> None:
+    """Write one table command's output and report it.  ``rows`` are tuples of
+    values, ``meta`` and ``footer`` ``(key, value)`` pairs for ``#`` lines
+    before the columns and after the rows; ``summary`` replaces ``params`` on stderr."""
+    digest = spec_digest(spec)
+    lines = [
         f"# sl2t {__version__}",
-        f"# digest: {spec_digest(spec)}",
-        f"# command: {command}",
+        f"# digest: {digest}",
+        f"# command: {args.command}",
         f"# params: {params}",
+        *(f"# {key}: {_fmt(value)}" for key, value in meta),
         f"# columns: {columns}",
+        *(",".join(map(_fmt, row)) for row in rows),
+        *(f"# {key}: {_fmt(value)}" for key, value in footer),
     ]
-
-
-def _emit(lines: list[str], out: Optional[str]) -> tuple[str, ...]:
     text = "\n".join(lines) + "\n"
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
-        return ()
-    Path(out).write_text(text)
-    return (out,)
-
-
-def _report(rep: RunReport) -> None:
-    for line in rep.render():
-        print(line, file=sys.stderr)
+    else:
+        Path(args.out).write_text(text)
+    outputs = () if args.out is None else (args.out,)
+    _report(digest, args.command, summary or params, outputs, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -90,37 +87,26 @@ def _report(rep: RunReport) -> None:
 
 def _cmd_solve(spec: ProblemSpec, args) -> int:
     res = locate_eigenvalues(spec, args.n_max)
-    lines = _header(
-        spec, "solve", f"n_max={args.n_max}",
-        "n,lambda_n,mu_n,bracket_lo,bracket_hi,abs_delta",
+    partial = (f"partial scan: {len(res.records)} of {args.n_max} roots, "
+               f"stopped at lambda={_fmt(res.scanned_to)}")
+    _write_table(
+        spec, args, f"n_max={args.n_max}", "n,lambda_n,mu_n,bracket_lo,bracket_hi,abs_delta",
+        [(r.n, r.lambda_n, r.mu_n, *r.bracket, r.abs_delta) for r in res.records],
+        notes=[partial] if res.exhausted else (),
     )
-    for r in res.records:
-        mu = _fmt(r.mu_n) if r.mu_n is not None else ""
-        lines.append(",".join(
-            [str(r.n), _fmt(r.lambda_n), mu, _fmt(r.bracket[0]), _fmt(r.bracket[1]), _fmt(r.abs_delta)]
-        ))
-    outputs = _emit(lines, args.out)
-    notes = ()
-    if res.exhausted:
-        notes = (f"partial scan: {len(res.records)} of {args.n_max} roots, "
-                 f"stopped at lambda={_fmt(res.scanned_to)}",)
-    _report(RunReport(spec_digest(spec), "solve", f"n_max={args.n_max}", outputs, notes=notes))
     return 0
 
 
 def _cmd_asym(spec: ProblemSpec, args) -> int:
     which = case_of(spec).name
-    lines = _header(spec, "asym", f"n_max={args.n_max}", "n,case,mu_asym")
     ns = np.arange(1, args.n_max + 1)
-    for n, mu in zip(ns.tolist(), mu_asymptotic(spec, ns).tolist()):
-        lines.append(f"{n},{which},{_fmt(mu)}")
-    outputs = _emit(lines, args.out)
-    _report(RunReport(spec_digest(spec), "asym", f"n_max={args.n_max}", outputs))
+    rows = [(n, which, mu) for n, mu in zip(ns.tolist(), mu_asymptotic(spec, ns).tolist())]
+    _write_table(spec, args, f"n_max={args.n_max}", "n,case,mu_asym", rows)
     return 0
 
 
 def _cmd_compare(spec: ProblemSpec, args) -> int:
-    res = locate_eigenvalues(spec, args.n_hi + 6)
+    res = locate_eigenvalues(spec, args.n_hi + DECAY_ROOT_MARGIN)
     try:
         report = decay_check(
             res.records, spec, args.n_lo, args.n_hi, args.bound,
@@ -131,17 +117,13 @@ def _cmd_compare(spec: ProblemSpec, args) -> int:
     params = f"n_lo={args.n_lo} n_hi={args.n_hi} bound={_fmt(args.bound)}"
     if args.phase_override is not None:
         params += f" phase_override={_fmt(args.phase_override)}"
-    lines = _header(spec, "compare", params, "n,mu_computed,mu_asym,err,n_times_err")
-    rows = zip(report.ns, report.mu_computed, report.mu_asym, report.errors, report.products)
-    for n, mu, asym, err, prod in rows:
-        lines.append(f"{n},{_fmt(mu)},{_fmt(asym)},{_fmt(err)},{_fmt(prod)}")
     verdict = "PASS" if report.verdict else "FAIL"
-    lines.append(f"# verdict: {verdict}")
-    outputs = _emit(lines, args.out)
-    _report(RunReport(
-        spec_digest(spec), "compare", params, outputs,
-        notes=(f"verdict {verdict}: max n*err {_fmt(report.max_product)} vs bound {_fmt(args.bound)}",),
-    ))
+    _write_table(
+        spec, args, params, "n,mu_computed,mu_asym,err,n_times_err",
+        zip(report.ns, report.mu_computed, report.mu_asym, report.errors, report.products),
+        footer=[("verdict", verdict)],
+        notes=[f"verdict {verdict}: max n*err {_fmt(report.max_product)} vs bound {_fmt(args.bound)}"],
+    )
     return 0 if report.verdict else 3
 
 
@@ -153,36 +135,19 @@ def _cmd_eigenfunction(spec: ProblemSpec, args) -> int:
         )
     rec = res.records[args.index - 1]
     ef = eigenfunction(spec, rec, samples_per_piece=args.samples)
-    lines = _header(
-        spec, "eigenfunction", f"index={args.index} samples={args.samples}",
-        "x,piece,u,u_prime",
+    # every sample but x = -1 and x = 1: each piece's end samples are its
+    # one-sided states at the interfaces, so each interface shows once per side
+    rows = [
+        (x, piece, u, v)
+        for piece, samples in enumerate(ef.pieces, start=1)
+        for x, u, v in zip(samples.xs, samples.u, samples.du)
+    ]
+    _write_table(
+        spec, args, f"index={args.index} samples={args.samples}", "x,piece,u,u_prime", rows[1:-1],
+        meta=[("lambda_n", rec.lambda_n), ("normalization", ef.normalization)],
+        summary=f"index={args.index} lambda_n={_fmt(rec.lambda_n)}",
     )
-    lines.insert(4, f"# lambda_n: {_fmt(rec.lambda_n)}")
-    lines.insert(5, f"# normalization: {_fmt(ef.normalization)}")
-
-    def row(x, piece, u, v):
-        return f"{_fmt(x)},{piece},{_fmt(u)},{_fmt(v)}"
-
-    e = ef.ends
-    for piece, samples in enumerate(ef.pieces, start=1):
-        if piece == 2:
-            lines.append(row(spec.h1, 1, e.h1_minus.u, e.h1_minus.v))
-            lines.append(row(spec.h1, 2, e.h1_plus.u, e.h1_plus.v))
-        if piece == 3:
-            lines.append(row(spec.h2, 2, e.h2_minus.u, e.h2_minus.v))
-            lines.append(row(spec.h2, 3, e.h2_plus.u, e.h2_plus.v))
-        for x, u, v in zip(samples.xs[1:-1], samples.u[1:-1], samples.du[1:-1]):
-            lines.append(row(x, piece, u, v))
-    outputs = _emit(lines, args.out)
-    _report(RunReport(
-        spec_digest(spec), "eigenfunction",
-        f"index={args.index} lambda_n={_fmt(rec.lambda_n)}", outputs,
-    ))
     return 0
-
-
-# ---------------------------------------------------------------------------
-# verify
 
 
 def _cmd_verify(spec: ProblemSpec, args) -> int:
@@ -193,7 +158,7 @@ def _cmd_verify(spec: ProblemSpec, args) -> int:
     for stage in report.stages:
         print(f"{stage.name}: {stage.status} ({stage.detail})")
     print(f"verify: {report.status}")
-    _report(RunReport(digest, "verify", "", (), stages=report.stages))
+    _report(digest, "verify", "", stages=report.stages)
     return 3 if report.status == "FAIL" else 0
 
 
@@ -208,38 +173,33 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"sl2t {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p):
+    def command(name: str, help: str, table: bool = True) -> _Parser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("config", help="path to a JSON problem config")
         p.add_argument("--tol-override", action="append", metavar="KEY=VALUE",
                        help="override a solver setting (repeatable)")
+        if table:  # every table command writes through _write_table, which reads --out
+            p.add_argument("--out", help="output file (default stdout)")
+        return p
 
-    p = sub.add_parser("solve", help="locate eigenvalues and write the table")
-    common(p)
+    p = command("solve", "locate eigenvalues and write the table")
     p.add_argument("--n-max", type=int, required=True, help="how many eigenvalues")
-    p.add_argument("--out", help="output file (default stdout)")
 
-    p = sub.add_parser("asym", help="tabulate the asymptotic frequencies")
-    common(p)
+    p = command("asym", "tabulate the asymptotic frequencies")
     p.add_argument("--n-max", type=int, required=True, help="how many indices")
-    p.add_argument("--out", help="output file (default stdout)")
 
-    p = sub.add_parser("compare", help="computed vs asymptotic frequencies with a decay verdict")
-    common(p)
+    p = command("compare", "computed vs asymptotic frequencies with a decay verdict")
     p.add_argument("--n-lo", type=int, required=True, help="first asymptotic index")
     p.add_argument("--n-hi", type=int, required=True, help="last asymptotic index")
     p.add_argument("--bound", type=float, default=1.0, help="bound on n*|err| (default 1.0)")
     p.add_argument("--phase-override", type=float, default=None,
                    help="replace the accumulated-phase denominator (negative control)")
-    p.add_argument("--out", help="output file (default stdout)")
 
-    p = sub.add_parser("eigenfunction", help="sample one normalized eigenfunction")
-    common(p)
+    p = command("eigenfunction", "sample one normalized eigenfunction")
     p.add_argument("--index", type=int, required=True, help="eigenvalue index (1-based)")
     p.add_argument("--samples", type=int, default=40, help="interior samples per piece")
-    p.add_argument("--out", help="output file (default stdout)")
 
-    p = sub.add_parser("verify", help="run the whole verification suite")
-    common(p)
+    command("verify", "run the whole verification suite", table=False)
     return parser
 
 

@@ -144,8 +144,8 @@ class VerifyRun:
 
     @functools.cached_property
     def _scan(self) -> tuple[Optional[spectrum.ScanResult], Optional[Exception]]:
-        # six roots past the window, as the compare command locates
-        n_max = _DECAY_WINDOW[1] + 6 if asymptotics.phase_coherent(self.spec) else 5
+        coherent = asymptotics.phase_coherent(self.spec)
+        n_max = _DECAY_WINDOW[1] + asymptotics.DECAY_ROOT_MARGIN if coherent else 5
         try:
             return spectrum.locate_eigenvalues(self.spec, n_max), None
         except (NumericalError, ValueError) as exc:

@@ -74,8 +74,9 @@ def test_mu_asymptotic_accepts_phase_override():
 def test_mu_asymptotic_validation():
     with pytest.raises(ValueError):
         mu_asymptotic(baseline_spec(), 0)
-    with pytest.raises(ValueError):
-        mu_asymptotic(baseline_spec(), 3, phase_total=-2.0)
+    for bad in (-2.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="phase_total must be positive and finite"):
+            mu_asymptotic(baseline_spec(), 3, phase_total=bad)
     with pytest.raises(ValueError, match="index must be >= 1"):
         mu_asymptotic(baseline_spec(), np.array([3, 0, 4]))
 

@@ -1,5 +1,6 @@
 """End-to-end behavior of the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from conftest import CONFIG_DIR, airy_spec, mixed_spec
 import sl2t
 from sl2t.charfn import _piece_wronskians, char_grid
-from sl2t import hilbert, spectrum, verification
+from sl2t import cli, hilbert, spectrum, verification
 from sl2t.asymptotics import REFLECTING
 from sl2t.cli import main
 from sl2t.problem import NumericalError, load_config
@@ -94,6 +95,49 @@ def test_bad_override_key_is_usage_error(capsys):
     assert "tol-override" in err
     code, _, err = _run(capsys, "solve", S0, "--n-max", "1", "--tol-override", "rk_tol=abc")
     assert code == 1
+
+
+def test_solve_notes_a_partial_scan_on_stderr(monkeypatch, capsys):
+    real = cli.locate_eigenvalues
+    monkeypatch.setattr(cli, "locate_eigenvalues",
+                        lambda spec, n: dataclasses.replace(real(spec, 2), exhausted=True))
+    code, out, err = _run(capsys, "solve", S0, "--n-max", "5")
+    assert code == 0
+    assert len(_rows(out)) == 2
+    assert re.search(r"^  note: partial scan: 2 of 5 roots, stopped at lambda=\S+$", err, re.M)
+
+
+# ---------------------------------------------------------------------------
+# the table writer, shared by every table command
+
+TABLE_ARGS = {
+    "solve": ("--n-max", "6"),
+    "asym": ("--n-max", "6"),
+    "compare": ("--n-lo", "5", "--n-hi", "12"),
+    "eigenfunction": ("--index", "2", "--samples", "3"),
+}
+
+
+@pytest.mark.parametrize("command", list(TABLE_ARGS))
+def test_table_out_file_holds_the_stdout_bytes(command, tmp_path, capsys):
+    argv = (command, CASE1, *TABLE_ARGS[command])
+    code, out, err = _run(capsys, *argv)
+    path = tmp_path / f"{command}.txt"
+    code_to_file, out_to_file, err_to_file = _run(capsys, *argv, "--out", str(path))
+    assert code == code_to_file == 0
+    assert out_to_file == ""
+    assert path.read_bytes() == out.encode()
+    assert f"\n  wrote {path}\n" in err_to_file
+    assert "wrote" not in err
+    # the header order, and one digest for the table and the stderr report
+    lines = out.splitlines()
+    assert [ln.split(" ")[1] for ln in lines[:4]] == ["sl2t", "digest:", "command:", "params:"]
+    assert lines[2] == f"# command: {command}"
+    columns = next(i for i, ln in enumerate(lines) if ln.startswith("# columns: "))
+    assert not lines[columns + 1].startswith("#")
+    digest = lines[1].removeprefix("# digest: ")
+    assert err.startswith(f"sl2t {command}: digest {digest} (")
+    assert err_to_file.startswith(f"sl2t {command}: digest {digest} (")
 
 
 # ---------------------------------------------------------------------------

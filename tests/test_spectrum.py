@@ -417,16 +417,21 @@ def test_eigenfunctions_repeat_single_record_builds_bit_for_bit(name):
     assert eigenfunctions(spec, [], grid=grid) == []
 
 
-@pytest.mark.parametrize("name", ["s0", "case1", "indefinite", "airy_spec"])
+@pytest.mark.parametrize("name", ["s0", "case1", "indefinite", "mixed_spec", "airy_spec"])
 def test_eigenfunction_samples_at_piece_ends_are_the_end_states(name):
-    # a query at a piece end returns the stored state, so no sample needs overwriting
-    spec = airy_spec() if name == "airy_spec" else load_config(CONFIG_DIR / f"{name}.json")
+    # a query at a piece end returns the stored state, so no sample needs
+    # overwriting; the eigenfunction table prints these samples as its
+    # interface rows, so the equality must hold bit for bit, x included
+    makers = {"mixed_spec": mixed_spec, "airy_spec": airy_spec}
+    spec = makers[name]() if name in makers else load_config(CONFIG_DIR / f"{name}.json")
+    bounds = ((-1.0, spec.h1), (spec.h1, spec.h2), (spec.h2, 1.0))
     for ef in eigenfunctions(spec, _first_records(spec, 6), samples_per_piece=5):
         e = ef.ends
         ends = ((e.left, e.h1_minus), (e.h1_plus, e.h2_minus), (e.h2_plus, e.right))
-        for piece, (start, stop) in zip(ef.pieces, ends):
+        for piece, (start, stop), (x0, x1) in zip(ef.pieces, ends, bounds):
             assert (piece.u[0], piece.du[0]) == (start.u, start.v), (ef.n, "start")
             assert (piece.u[-1], piece.du[-1]) == (stop.u, stop.v), (ef.n, "stop")
+            assert (piece.xs[0], piece.xs[-1]) == (x0, x1), ef.n
 
 
 def test_eigenfunctions_reject_records_that_are_not_eigenpairs():
