@@ -278,6 +278,18 @@ def _draw(seed: int) -> list:
     return [freq, amp, *bump, *map(float, far2), *map(float, far3)]
 
 
+@functools.lru_cache(maxsize=16)
+def _seed_table(seeds: tuple[int, ...]) -> np.ndarray:
+    """The ``(k, 9)`` read-only table of ``_draw`` of each seed, drawn once per process.
+
+    Generators are dear next to the arithmetic of a small stack, so repeated
+    samples of the same seeds, as every ``verify`` run takes, read this table.
+    """
+    table = np.array([_draw(k) for k in seeds])
+    table.flags.writeable = False
+    return table
+
+
 def sample_domain_element(
     spec: ProblemSpec, seed, grid: Optional[QuadratureGrid] = None
 ) -> HilbertElement:
@@ -291,15 +303,16 @@ def sample_domain_element(
     reproduces the same function on any grid.
 
     ``seed`` is an int, or a sequence of ints for a stack with one row per
-    seed; each row equals the element of its seed alone bit for bit.
+    seed; each row equals the element of its seed alone bit for bit.  The
+    parameters of a seed tuple are drawn once per process (``_seed_table``).
     """
     stacked = np.ndim(seed) > 0
     if grid is None:
         grid = QuadratureGrid.build(spec)
     # an int seed is drawn as a stack of one; each parameter is a (k, 1)
     # column, one row per seed, broadcast against every point
-    seeds = seed if stacked else [seed]
-    freq, amp, b0, b1, b2, p2, s2, p3, s3 = np.array([_draw(int(k)) for k in seeds]).T[..., None]
+    seeds = tuple(map(int, seed)) if stacked else (int(seed),)
+    freq, amp, b0, b1, b2, p2, s2, p3, s3 = _seed_table(seeds).T[..., None]
     u0, v0 = spec.left_launch
     h1, h2 = spec.h1, spec.h2
     x1, x2, x3 = grid.nodes

@@ -43,10 +43,11 @@ scan's bit for bit.  A piece's node arrays answer every query: at a node the
 stored state, elsewhere one step from the nearest node before it.  The step
 takes only ``lam``-independent inputs besides ``lam`` (``q`` at its two Gauss
 points, its length and ``omega^2``), so one query (``_query``) steps points
-on all three pieces with one call, each point as a query on its piece alone
-would.  ``problem.piece_index_at`` places a point: by its position inside a
-piece, and within ``_BREAK_TOL`` of an interface, where the solution is
-two-valued, by ``side``, or it raises.  The conditions themselves are read
+on all three pieces, or on the pieces of several solutions built for one
+``lam``, with one call, each point as a query on its piece alone would.
+``problem.piece_index_at`` places a point: by its position inside a piece,
+and within ``_BREAK_TOL`` of an interface, where the solution is two-valued,
+by ``side``, or it raises.  The conditions themselves are read
 from :class:`ProblemSpec`.
 
 An eigenvalue is a value of ``lam`` where the two are proportional, which
@@ -155,6 +156,13 @@ def _step(q1, q2, w2, lam, h):
     for any ``h``.  Every input but ``lam`` is independent of ``lam``, so
     steps on different pieces, each with its own ``q`` and ``w2``, go in one
     call; all five broadcast against each other.
+
+    An entry with ``s^2 >= 0`` takes ``cosh``/``sinh``, any other (a NaN
+    included) ``cos``/``sin``, and ``sinh(s)/s`` is 1 wherever ``s > 0``
+    fails.  Only the branches the entries take are evaluated: a batch on one
+    side calls one pair of functions, a mixed batch both, and ``np.where``
+    keeps each entry's.  A ``cosh`` that overflows to ``inf``, and the
+    ``nan`` that ``inf`` makes in the matrix, pass without a warning.
     """
     lw = lam * w2
     a1, a2 = q1 - lw, q2 - lw
@@ -162,16 +170,34 @@ def _step(q1, q2, w2, lam, h):
     m21 = 0.5 * h * (a1 + a2)
     s2 = m11 * m11 + h * m21
     s = np.sqrt(np.abs(s2))
-    grow = s2 >= 0.0
-    # both branches are evaluated everywhere and np.where keeps the right one
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ch = np.where(grow, np.cosh(s), np.cos(s))
-        sh = np.where(s > 0.0, np.where(grow, np.sinh(s), np.sin(s)) / s, 1.0)
-    return ch + sh * m11, sh * h, sh * m21, ch - sh * m11
+    grow = np.greater_equal(s2, 0.0)  # an array or NumPy bool even for float inputs
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not grow.any():
+            ch, sn = np.cos(s), np.sin(s)
+        elif grow.all():
+            ch, sn = np.cosh(s), np.sinh(s)
+        else:
+            ch = np.where(grow, np.cosh(s), np.cos(s))
+            sn = np.where(grow, np.sinh(s), np.sin(s))
+        positive = s > 0.0
+        if positive.all():
+            sh = sn / s
+        else:
+            sh = np.divide(sn, s, out=np.ones_like(s), where=positive)
+        return ch + sh * m11, sh * h, sh * m21, ch - sh * m11
 
 
 def _gauss_q(coeffs, x0, h):
-    """``q`` at the two Gauss points of the steps from ``x0`` to ``x0 + h``."""
+    """``q`` at the two Gauss points of the steps from ``x0`` to ``x0 + h``.
+
+    On a constant piece that is the constant, which ``polyval`` returns
+    exactly at finite points; a ``-0.0`` constant still goes through
+    ``polyval``, whose zeros there take the signs of the points.
+    """
+    c = coeffs[0]
+    if all(b == 0.0 for b in coeffs[1:]) and (c != 0.0 or math.copysign(1.0, c) > 0.0):
+        q = np.full(np.broadcast(x0, h).shape, float(c))
+        return q, q
     return polyval(x0 + (0.5 - _GAUSS) * h, coeffs), polyval(x0 + (0.5 + _GAUSS) * h, coeffs)
 
 
@@ -412,15 +438,23 @@ def _query(pieces, xs) -> list[tuple[np.ndarray, np.ndarray]]:
     one ``_step`` call.  Each point gets the arithmetic of a query on its
     piece alone.  Returns one ``(u, v)`` pair per piece, shaped
     ``shape(lam) + shape(xs[i])``.
+
+    The pieces may come from several solutions that share one ``lam``, as
+    the left and right solutions of one build do; ``pieces[0]`` gives it.
+    A point within ``_BREAK_TOL`` outside its piece is clamped onto it, and
+    one farther out, or a NaN, raises.
     """
     parts = []
     for p, x in zip(pieces, xs):
-        xv = np.asarray(x, dtype=float)
+        xv = np.asarray(x, dtype=float).reshape(-1)
         lo, hi = p.xs[0], p.xs[-1]
-        if not np.all((xv >= lo - _BREAK_TOL) & (xv <= hi + _BREAK_TOL)):
+        # NaN fails both comparisons
+        if xv.size and not (xv.min() >= lo - _BREAK_TOL and xv.max() <= hi + _BREAK_TOL):
             raise ValueError(f"query outside integrated range [{lo}, {hi}]")
-        xv = np.clip(xv, lo, hi).reshape(-1)
-        k = np.clip(np.searchsorted(p.xs, xv, side="right") - 1, 0, p.n_steps)
+        # np.clip's result, signed zeros included; then lo <= xv <= hi, so
+        # every k is a node index, from 0 to p.n_steps
+        xv = np.minimum(hi, np.maximum(lo, xv))
+        k = np.searchsorted(p.xs, xv, side="right") - 1
         x0 = p.xs[k]
         h = xv - x0
         w2 = np.full(h.size, p.w2)

@@ -7,14 +7,15 @@ consistency
     the three pieces give one characteristic value at 24 random λ (the
     scaled consistency residual of ``char_grid``);
 wronskian-constancy
-    W(φ, χ) is constant across each piece at three λ;
+    W(φ, χ) is constant across each piece at three λ, with the left and the
+    right solution read in one query over their six pieces;
 symmetry
     ⟨AF, G⟩ = ⟨F, AG⟩ on six seeded pairs of domain elements (definite forms);
 interface-wronskians
     the interface Wronskian scaling relations on four seeded pairs;
 orthogonality
     the Gram matrix of the first five eigenfunctions is the identity
-    (definite forms);
+    (definite forms); a scan that found fewer than five fails it;
 decay
     n·|μₙ − μₙ,asym| stays within its bound for n in [5, 40]
     (reflection-free interfaces).
@@ -26,6 +27,11 @@ stage raised ``NumericalError`` or ``ValueError``, and ``SKIPPED``, with its
 reason in ``detail``, when the spec is outside the stage's hypotheses.  Each
 bound is one module constant, which the stage's check and its message both
 read.
+
+A run pays only for its own numerics.  Its inputs are the same on every run:
+the 27 λ of its builds are one read-only module constant, and its seeded
+domain elements read ``hilbert``'s seed table, drawn once per process; the
+first run in a process pays those draws, every later one reads them.
 """
 
 from __future__ import annotations
@@ -60,6 +66,22 @@ _DIAGONAL_TOL = 1e-8
 _DECAY_BOUND = 1.0
 #: first and last index of the decay window
 _DECAY_WINDOW = (5, 40)
+#: eigenfunctions in the orthogonality stage's Gram matrix
+_GRAM_SIZE = 5
+
+#: the λ of ``VerifyRun.builds``: 24 from ``np.random.default_rng(93).uniform(
+#: -20.0, 200.0, size=24)``, written out so that importing the module draws
+#: nothing, then the wronskian-constancy stage's three
+_BUILD_LAMS = np.array([
+    196.8078827974961, 99.49919179491015, 81.0585023042152, 75.65560937307721,
+    125.89528830329994, -7.513778141031679, 193.84734332011774, 76.90351726550334,
+    148.12792985285506, -12.793411223866348, 195.05378675500145, 199.89233737777303,
+    12.91196990188125, 132.6887772612783, 167.46958913018483, 185.7599201199376,
+    32.1268375229457, 22.244574367926376, 185.32832010759927, -10.042583922489827,
+    22.661885689043906, 156.53678486640206, 39.045018201416504, 192.493446466851,
+    -7.5, 3.7, 61.3,
+])
+_BUILD_LAMS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -95,11 +117,13 @@ class VerifyRun:
     Shared work is built on the first read of it, so a run whose stages all
     skip a piece of it never pays for it:
 
-    * one left and one right λ-batched build over 27 fixed λ: the
-      consistency stage's 24 random values, then the wronskian-constancy
-      stage's three.  Consistency reads their anchor records; constancy
-      queries its three rows.
-    * the quadrature grid, and one stack of seeded domain elements on it:
+    * one left and one right λ-batched build over the 27 fixed λ of
+      ``_BUILD_LAMS``: the consistency stage's 24 random values, then the
+      wronskian-constancy stage's three.  Consistency reads their anchor
+      records; constancy queries its three rows of both solutions with one
+      ``shooting._query`` call.
+    * the quadrature grid, and one stack of seeded domain elements on it,
+      whose parameters come from ``hilbert``'s per-process seed table:
       seeds 0-11 for the symmetry stage's six pairs, then 51-54, which pair
       with seeds 1-4 in the interface-wronskians stage.  That stage reads
       only the elements' end data, which no grid changes, so when the
@@ -107,8 +131,11 @@ class VerifyRun:
       the 2-node grid, and the run builds neither the grid nor the stack.
     * the located spectrum and its records: enough roots for the decay window
       when the decay stage will read them and 5 otherwise; the orthogonality
-      stage reads the first five.  A failed scan is kept and raised again in
-      every stage that reads it.
+      stage reads the first five, and fails when the scan found fewer.  A
+      failed scan is kept and raised again in every stage that reads it.
+
+    Nothing is kept across runs but those fixed inputs: every build, sample
+    and record belongs to its run.
     """
 
     #: rows of ``builds``: the consistency stage's λ, then the constancy stage's
@@ -121,9 +148,8 @@ class VerifyRun:
 
     @functools.cached_property
     def builds(self) -> tuple[shooting.PiecewiseSolution, shooting.PiecewiseSolution]:
-        rng = np.random.default_rng(93)
-        lams = np.concatenate((rng.uniform(-20.0, 200.0, size=24), (-7.5, 3.7, 61.3)))
-        return shooting.build_left(self.spec, lams), shooting.build_right(self.spec, lams)
+        return (shooting.build_left(self.spec, _BUILD_LAMS),
+                shooting.build_right(self.spec, _BUILD_LAMS))
 
     @functools.cached_property
     def grid(self) -> hilbert.QuadratureGrid:
@@ -145,7 +171,7 @@ class VerifyRun:
     @functools.cached_property
     def _scan(self) -> tuple[Optional[spectrum.ScanResult], Optional[Exception]]:
         coherent = asymptotics.phase_coherent(self.spec)
-        n_max = _DECAY_WINDOW[1] + asymptotics.DECAY_ROOT_MARGIN if coherent else 5
+        n_max = _DECAY_WINDOW[1] + asymptotics.DECAY_ROOT_MARGIN if coherent else _GRAM_SIZE
         try:
             return spectrum.locate_eigenvalues(self.spec, n_max), None
         except (NumericalError, ValueError) as exc:
@@ -177,8 +203,10 @@ def _wronskian_constancy(run: VerifyRun) -> _Outcome:
     spec = run.spec
     left, right = (sol.take(run.CONSTANCY) for sol in run.builds)
     xs = [np.linspace(*piece_bounds(spec, i), 100) for i in (1, 2, 3)]
+    # both solutions hold the same 3 lam, so one query serves their six pieces
+    states = shooting._query(left.pieces + right.pieces, xs + xs)
     spreads = []
-    for f, g in zip(left.eval_pieces(xs), right.eval_pieces(xs)):
+    for f, g in zip(states[:3], states[3:]):
         w = shooting.State(*f).wronskian(shooting.State(*g))  # one row of 100 points per lam
         spreads.append((w.max(axis=1) - w.min(axis=1)) / (1.0 + np.abs(w).max(axis=1)))
     worst = float(np.max(spreads))  # a NaN on any piece propagates
@@ -216,7 +244,10 @@ def _orthogonality(run: VerifyRun) -> _Outcome:
     spec = run.spec
     if not spec.is_definite:
         return None, "indefinite form: orthogonality certification not applicable"
-    fns = spectrum.eigenfunctions(spec, run.records[:5], samples_per_piece=4, grid=run.grid)
+    records = run.records[:_GRAM_SIZE]
+    if len(records) < _GRAM_SIZE:
+        raise NumericalError(f"scan found only {len(records)} of {_GRAM_SIZE} eigenvalues")
+    fns = spectrum.eigenfunctions(spec, records, samples_per_piece=4, grid=run.grid)
     gram = spectrum.orthogonality_matrix(spec, fns)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     diag = float(np.max(np.abs(np.diag(gram) - 1.0)))

@@ -318,6 +318,19 @@ def test_verify_stdout_matches_golden_file(name, capsys):
     assert out.encode() == (DATA_DIR / f"verify_{name}.txt").read_bytes()
 
 
+def test_verify_matches_the_goldens_on_a_first_and_a_later_run_in_one_process(capsys):
+    # the first run of each seed stack draws its table, every later run reads it
+    hilbert._seed_table.cache_clear()
+    for _ in range(2):
+        for name in ("s0", "case1", "indefinite"):
+            code, out, _ = _run(capsys, "verify", str(CONFIG_DIR / f"{name}.json"))
+            assert code == 0
+            assert out.encode() == (DATA_DIR / f"verify_{name}.txt").read_bytes()
+    # the definite stack of 16 seeds and the indefinite run's 8 interface seeds
+    info = hilbert._seed_table.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+
+
 def test_verify_run_stacks_the_seeds_of_both_sample_stages():
     # symmetry pairs rows 0-11 among themselves; the interface stage pairs rows 1-4 with 12-15
     assert VerifyRun.SEEDS == (*range(12), 51, 52, 53, 54)

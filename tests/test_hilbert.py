@@ -20,6 +20,7 @@ from sl2t.hilbert import (
     QuadratureGrid,
     _draw,
     _gauss_rule,
+    _seed_table,
     apply_operator,
     domain_residuals,
     greens_identity_sides,
@@ -552,6 +553,26 @@ def test_seeded_draw_is_the_generator_sequence():
             *rng.uniform(-1.5, 1.5, size=2),
         ]
         assert _draw(seed) == want, seed
+
+
+def test_seed_table_is_the_draws_read_only_and_drawn_once():
+    seeds = (*range(12), 51, 52, 53, 54)
+    table = _seed_table(seeds)
+    assert table.shape == (16, 9)
+    assert table.tobytes() == np.array([_draw(k) for k in seeds]).tobytes()
+    assert _seed_table(seeds) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    # any sequence of the same integer seeds, and a single seed, read one table each
+    _seed_table.cache_clear()
+    spec = mixed_spec()
+    grid = QuadratureGrid.build(spec, nodes_per_piece=8)
+    for seeds in (range(3), [0, 1, 2], np.arange(3), (np.int64(0), 1, 2)):
+        sample_domain_element(spec, seeds, grid=grid)
+    for seed in (5, np.int64(5)):
+        sample_domain_element(spec, seed, grid=grid)
+    info = _seed_table.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_int_seed_gives_floats():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -484,6 +485,113 @@ def test_no_group_exceeds_the_block_bound(make):
         for g in sweep.groups:
             assert all(col.shape == (g.cuts[-1], 1) for col in (g.q1, g.q2, g.w2, g.h))
             assert not any(col.flags.writeable for col in (g.q1, g.q2, g.w2, g.h))
+
+
+def _step_both_branches(q1, q2, w2, lam, h):
+    """``_step`` as it was with both branches evaluated everywhere, the oracle of the one-branch form."""
+    lw = lam * w2
+    a1, a2 = q1 - lw, q2 - lw
+    m11 = shooting._COMMUTATOR * h * h * (a1 - a2)
+    m21 = 0.5 * h * (a1 + a2)
+    s2 = m11 * m11 + h * m21
+    s = np.sqrt(np.abs(s2))
+    grow = s2 >= 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ch = np.where(grow, np.cosh(s), np.cos(s))
+        sh = np.where(s > 0.0, np.where(grow, np.sinh(s), np.sin(s)) / s, 1.0)
+    # this product warned on an overflowed entry (inf * 0); the one-branch form does not
+    with np.errstate(invalid="ignore"):
+        return ch + sh * m11, sh * h, sh * m21, ch - sh * m11
+
+
+def _step_batch(kinds):
+    """Columns ``(q1, q2, w2, h)`` of steps, one row per entry of ``kinds``, and a ``lam`` row.
+
+    At ``lam = 2``: ``"grow"`` has ``lam w2 < q``, ``"osc"`` ``lam w2 > q``,
+    ``"zero"`` ``lam w2 == q`` on a constant ``q`` (``s == 0``), ``"inf"`` a
+    ``cosh`` that overflows, ``"poly"`` distinct Gauss-point ``q`` and
+    ``"nan"`` a NaN ``q``.
+    """
+    rows = {
+        "grow": (9.0, 9.0, 1.5, 0.4), "osc": (0.0, 0.0, 3.0, 0.7),
+        "zero": (3.0, 3.0, 1.5, 0.5), "inf": (4e6, 4e6, 1.0, 1.0),
+        "poly": (1.0, 7.5, 2.0, 0.3), "nan": (np.nan, 0.0, 1.0, 0.2),
+    }
+    q1, q2, w2, h = (np.array(col)[:, None] for col in zip(*(rows[k] for k in kinds)))
+    return q1, q2, w2, np.array([2.0]), h
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [("osc",), ("osc", "poly"), ("grow",), ("grow", "inf"), ("zero",), ("osc", "zero"),
+     ("grow", "osc"), ("grow", "osc", "zero", "inf", "poly"), ("osc", "nan"),
+     ("grow", "nan", "zero", "inf")],
+    ids="-".join,
+)
+def test_step_evaluates_each_branch_as_both_branch_form_did(kinds):
+    # bit for bit, inf and nan in the same places, and no warning
+    args = _step_batch(kinds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _step(*args)
+    want = _step_both_branches(*args)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    if "inf" in kinds or "nan" in kinds:
+        assert not np.all(np.isfinite(got))
+    # a batch of lam against every step, the shape a sweep's group takes
+    lams = np.array([-3e6, -2.0, 0.0, 1.5, 2.0, 6.0, 250.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _step(*args[:3], lams, args[4])
+    for g, w in zip(got, _step_both_branches(*args[:3], lams, args[4])):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_step_of_scalars_is_the_both_branch_form():
+    for q, lam in ((0.0, 3.0), (5.0, 1.0), (2.0, 1.0)):
+        got, want = _step(q, q, 2.0, lam, 0.5), _step_both_branches(q, q, 2.0, lam, 0.5)
+        assert [float(g) for g in got] == [float(w) for w in want]
+
+
+def test_constant_gauss_q_is_polyval_bit_for_bit():
+    x0 = np.array([-1.0, -0.5, -0.0, 0.0, 0.25])
+    h = np.array([0.5, 0.5, 0.25, 0.25, 0.75])
+    for coeffs in ((0.0,), (2.5,), (-4.0,), (-0.0,), (3.0, 0.0), (0.0, -0.0, 0.0), (-0.0, 0.0)):
+        want = tuple(
+            np.polynomial.polynomial.polyval(x0 + (0.5 + sign * shooting._GAUSS) * h, coeffs)
+            for sign in (-1.0, 1.0)
+        )
+        got = _gauss_q(coeffs, x0, h)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), coeffs
+        # a sweep's column shape
+        got = _gauss_q(coeffs, x0[:, None], h[:, None])
+        assert all(g.shape == (5, 1) for g in got)
+
+
+def test_query_clamps_and_checks_as_clip_and_all_did():
+    # points within _BREAK_TOL past a piece's ends read its end nodes; farther out raises
+    spec = mixed_spec()
+    sol = build_left(spec, np.array([3.7, 61.3]))
+    piece = sol.pieces[1]
+    lo, hi = piece.xs[0], piece.xs[-1]
+    tol = shooting._BREAK_TOL
+    x = np.array([lo - 0.5 * tol, lo, 0.5 * (lo + hi), hi, hi + 0.5 * tol])
+    u, v = piece.eval(x)
+    xc = np.clip(x, lo, hi)
+    k = np.searchsorted(piece.xs, xc, side="right") - 1
+    h = xc - piece.xs[k]
+    a, b, c, d = _step(*_gauss_q(piece.coeffs, piece.xs[k], h), piece.w2, sol.lam[:, None], h)
+    assert np.array_equal(u, a * piece.us[..., k] + b * piece.vs[..., k])
+    assert np.array_equal(v, c * piece.us[..., k] + d * piece.vs[..., k])
+    assert np.array_equal(u[:, 0], u[:, 1]) and np.array_equal(u[:, 3], u[:, 4])
+    for bad in (lo - 2.0 * tol, hi + 2.0 * tol):
+        with pytest.raises(ValueError, match="outside"):
+            piece.eval(np.array([0.5 * (lo + hi), bad]))
+    # an empty query on a piece is an empty result
+    assert piece.eval(np.array([]))[0].shape == (2, 0)
 
 
 @pytest.fixture

@@ -142,6 +142,31 @@ def test_scan_error_is_raised_again_in_each_stage_that_reads_it(monkeypatch):
     assert [s.status for s in report.stages[:4]] == ["PASS"] * 4
 
 
+def test_orthogonality_fails_when_the_scan_found_fewer_than_five(monkeypatch):
+    # an exhausted scan returns a verified prefix: three roots are no Gram matrix of five
+    original = spectrum.locate_eigenvalues
+
+    def short(spec, n_max):
+        return dataclasses.replace(original(spec, 3), exhausted=True)
+
+    monkeypatch.setattr(spectrum, "locate_eigenvalues", short)
+    result = _stage(verify(SPECS["s0"]()), "orthogonality")
+    assert (result.status, result.detail, result.checks) == (
+        "FAIL", "stage raised: scan found only 3 of 5 eigenvalues", ()
+    )
+
+
+def test_build_lams_are_one_read_only_constant():
+    rng = np.random.default_rng(93)
+    want = np.concatenate((rng.uniform(-20.0, 200.0, size=24), (-7.5, 3.7, 61.3)))
+    lams = verification._BUILD_LAMS
+    assert lams.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        lams[0] = 0.0
+    for sol in verification.VerifyRun(SPECS["s0"]()).builds:
+        assert np.array_equal(sol.lam, want)
+
+
 def test_a_value_error_in_a_stage_fails_it(monkeypatch):
     def broken(spec, element):
         raise ValueError("operator refused the stack")
@@ -170,13 +195,16 @@ def test_a_nan_measurement_fails(stage, module, attr, fake, monkeypatch):
 
 
 def test_nan_drift_on_the_last_piece_fails_constancy(monkeypatch):
-    original = shooting.PiecewiseSolution.eval_pieces
+    original = shooting._query
 
-    def nan_on_piece_3(self, xs):
-        (u1, v1), (u2, v2), (u3, v3) = original(self, xs)
-        return [(u1, v1), (u2, v2), (np.full_like(u3, np.nan), v3)]
+    def nan_on_piece_3(pieces, xs):
+        # the stage's one query: pieces 1-3 of the left solution, then of the right
+        out = original(pieces, xs)
+        for i in (2, 5):
+            out[i] = (np.full_like(out[i][0], np.nan), out[i][1])
+        return out
 
-    monkeypatch.setattr(shooting.PiecewiseSolution, "eval_pieces", nan_on_piece_3)
+    monkeypatch.setattr(shooting, "_query", nan_on_piece_3)
     result = _stage(verify(SPECS["indefinite"]()), "wronskian-constancy")
     assert result.status == "FAIL"
     assert np.isnan(result.checks[0][0])
