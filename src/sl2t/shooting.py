@@ -157,12 +157,9 @@ def _step(q1, q2, w2, lam, h):
     steps on different pieces, each with its own ``q`` and ``w2``, go in one
     call; all five broadcast against each other.
 
-    An entry with ``s^2 >= 0`` takes ``cosh``/``sinh``, any other (a NaN
-    included) ``cos``/``sin``, and ``sinh(s)/s`` is 1 wherever ``s > 0``
-    fails.  Only the branches the entries take are evaluated: a batch on one
-    side calls one pair of functions, a mixed batch both, and ``np.where``
-    keeps each entry's.  A ``cosh`` that overflows to ``inf``, and the
-    ``nan`` that ``inf`` makes in the matrix, pass without a warning.
+    Both branches are evaluated everywhere and ``np.where`` keeps each
+    entry's.  A ``cosh`` that overflows to ``inf``, and the ``nan`` that
+    ``inf`` makes in the matrix, pass without a warning.
     """
     lw = lam * w2
     a1, a2 = q1 - lw, q2 - lw
@@ -170,34 +167,15 @@ def _step(q1, q2, w2, lam, h):
     m21 = 0.5 * h * (a1 + a2)
     s2 = m11 * m11 + h * m21
     s = np.sqrt(np.abs(s2))
-    grow = np.greater_equal(s2, 0.0)  # an array or NumPy bool even for float inputs
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not grow.any():
-            ch, sn = np.cos(s), np.sin(s)
-        elif grow.all():
-            ch, sn = np.cosh(s), np.sinh(s)
-        else:
-            ch = np.where(grow, np.cosh(s), np.cos(s))
-            sn = np.where(grow, np.sinh(s), np.sin(s))
-        positive = s > 0.0
-        if positive.all():
-            sh = sn / s
-        else:
-            sh = np.divide(sn, s, out=np.ones_like(s), where=positive)
+    grow = s2 >= 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ch = np.where(grow, np.cosh(s), np.cos(s))
+        sh = np.where(s > 0.0, np.where(grow, np.sinh(s), np.sin(s)) / s, 1.0)
         return ch + sh * m11, sh * h, sh * m21, ch - sh * m11
 
 
 def _gauss_q(coeffs, x0, h):
-    """``q`` at the two Gauss points of the steps from ``x0`` to ``x0 + h``.
-
-    On a constant piece that is the constant, which ``polyval`` returns
-    exactly at finite points; a ``-0.0`` constant still goes through
-    ``polyval``, whose zeros there take the signs of the points.
-    """
-    c = coeffs[0]
-    if all(b == 0.0 for b in coeffs[1:]) and (c != 0.0 or math.copysign(1.0, c) > 0.0):
-        q = np.full(np.broadcast(x0, h).shape, float(c))
-        return q, q
+    """``q`` at the two Gauss points of the steps from ``x0`` to ``x0 + h``."""
     return polyval(x0 + (0.5 - _GAUSS) * h, coeffs), polyval(x0 + (0.5 + _GAUSS) * h, coeffs)
 
 
@@ -432,18 +410,19 @@ class PieceTrajectory:
 def _query(pieces, xs) -> list[tuple[np.ndarray, np.ndarray]]:
     """Value and slope at ``xs[i]`` (an array, or a scalar) inside ``pieces[i]``.
 
-    The pieces belong to one solution, so they share ``lam``.  Each point is
-    one step from the nearest node at or before it on its own piece (a point
-    at a node is the stored state), and the steps of every piece go through
-    one ``_step`` call.  Each point gets the arithmetic of a query on its
-    piece alone.  Returns one ``(u, v)`` pair per piece, shaped
-    ``shape(lam) + shape(xs[i])``.
-
-    The pieces may come from several solutions that share one ``lam``, as
-    the left and right solutions of one build do; ``pieces[0]`` gives it.
-    A point within ``_BREAK_TOL`` outside its piece is clamped onto it, and
-    one farther out, or a NaN, raises.
+    The pieces must share ``lam``, as the pieces of one solution, or of the
+    left and right solutions of one build, do; pieces that do not raise.
+    Each point is one step from the nearest node at or before it on its own
+    piece (a point at a node is the stored state), and the steps of every
+    piece go through one ``_step`` call.  Each point gets the arithmetic of
+    a query on its piece alone.  Returns one ``(u, v)`` pair per piece,
+    shaped ``shape(lam) + shape(xs[i])``.  A point within ``_BREAK_TOL``
+    outside its piece is clamped onto it, and one farther out, or a NaN,
+    raises.
     """
+    lam = pieces[0].lam
+    if not all(p.lam is lam or np.array_equal(p.lam, lam) for p in pieces[1:]):
+        raise ValueError("the pieces of one query must share lam")
     parts = []
     for p, x in zip(pieces, xs):
         xv = np.asarray(x, dtype=float).reshape(-1)
@@ -460,7 +439,6 @@ def _query(pieces, xs) -> list[tuple[np.ndarray, np.ndarray]]:
         w2 = np.full(h.size, p.w2)
         parts.append((*_gauss_q(p.coeffs, x0, h), w2, h, p.us[..., k], p.vs[..., k]))
     q1, q2, w2, h, u0, v0 = (np.concatenate(col, axis=-1) for col in zip(*parts))
-    lam = pieces[0].lam
     a, b, c, d = _step(q1, q2, w2, lam[:, None] if _batched(lam) else lam, h)
     u, v = a * u0 + b * v0, c * u0 + d * v0
     out, end = [], 0
@@ -537,13 +515,11 @@ class PiecewiseSolution:
 
     def take(self, rows) -> "PiecewiseSolution":
         """The solution for the entries ``rows`` of an array ``lam``, as if built for them."""
+        lam = self.lam[rows]
         pieces = tuple(
-            dataclasses.replace(p, lam=self.lam[rows], us=p.us[rows], vs=p.vs[rows])
-            for p in self.pieces
+            dataclasses.replace(p, lam=lam, us=p.us[rows], vs=p.vs[rows]) for p in self.pieces
         )
-        return dataclasses.replace(
-            self, lam=self.lam[rows], pieces=pieces, ends=self.ends.take(rows)
-        )
+        return dataclasses.replace(self, lam=lam, pieces=pieces, ends=self.ends.take(rows))
 
 
 def _crossings(

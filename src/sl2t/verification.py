@@ -29,9 +29,10 @@ bound is one module constant, which the stage's check and its message both
 read.
 
 A run pays only for its own numerics.  Its inputs are the same on every run:
-the 27 λ of its builds are one read-only module constant, and its seeded
-domain elements read ``hilbert``'s seed table, drawn once per process; the
-first run in a process pays those draws, every later one reads them.
+the 27 λ of its builds (``_build_lams``) and the parameters of its seeded
+domain elements (``hilbert``'s seed table) are drawn once per process and
+kept read-only; the first run in a process pays those draws, every later
+one reads them.
 """
 
 from __future__ import annotations
@@ -69,19 +70,18 @@ _DECAY_WINDOW = (5, 40)
 #: eigenfunctions in the orthogonality stage's Gram matrix
 _GRAM_SIZE = 5
 
-#: the λ of ``VerifyRun.builds``: 24 from ``np.random.default_rng(93).uniform(
-#: -20.0, 200.0, size=24)``, written out so that importing the module draws
-#: nothing, then the wronskian-constancy stage's three
-_BUILD_LAMS = np.array([
-    196.8078827974961, 99.49919179491015, 81.0585023042152, 75.65560937307721,
-    125.89528830329994, -7.513778141031679, 193.84734332011774, 76.90351726550334,
-    148.12792985285506, -12.793411223866348, 195.05378675500145, 199.89233737777303,
-    12.91196990188125, 132.6887772612783, 167.46958913018483, 185.7599201199376,
-    32.1268375229457, 22.244574367926376, 185.32832010759927, -10.042583922489827,
-    22.661885689043906, 156.53678486640206, 39.045018201416504, 192.493446466851,
-    -7.5, 3.7, 61.3,
-])
-_BUILD_LAMS.flags.writeable = False
+
+@functools.cache
+def _build_lams() -> np.ndarray:
+    """The read-only λ of ``VerifyRun.builds``, drawn once per process.
+
+    The consistency stage's 24 seed-93 values, then the wronskian-constancy
+    stage's three.
+    """
+    rng = np.random.default_rng(93)
+    lams = np.concatenate((rng.uniform(-20.0, 200.0, size=24), (-7.5, 3.7, 61.3)))
+    lams.flags.writeable = False
+    return lams
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class VerifyRun:
     skip a piece of it never pays for it:
 
     * one left and one right λ-batched build over the 27 fixed λ of
-      ``_BUILD_LAMS``: the consistency stage's 24 random values, then the
+      ``_build_lams()``: the consistency stage's 24 random values, then the
       wronskian-constancy stage's three.  Consistency reads their anchor
       records; constancy queries its three rows of both solutions with one
       ``shooting._query`` call.
@@ -148,8 +148,8 @@ class VerifyRun:
 
     @functools.cached_property
     def builds(self) -> tuple[shooting.PiecewiseSolution, shooting.PiecewiseSolution]:
-        return (shooting.build_left(self.spec, _BUILD_LAMS),
-                shooting.build_right(self.spec, _BUILD_LAMS))
+        lams = _build_lams()
+        return shooting.build_left(self.spec, lams), shooting.build_right(self.spec, lams)
 
     @functools.cached_property
     def grid(self) -> hilbert.QuadratureGrid:

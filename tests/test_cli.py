@@ -319,7 +319,8 @@ def test_verify_stdout_matches_golden_file(name, capsys):
 
 
 def test_verify_matches_the_goldens_on_a_first_and_a_later_run_in_one_process(capsys):
-    # the first run of each seed stack draws its table, every later run reads it
+    # the first run draws the build lambda and each seed stack's table; later runs read them
+    verification._build_lams.cache_clear()
     hilbert._seed_table.cache_clear()
     for _ in range(2):
         for name in ("s0", "case1", "indefinite"):

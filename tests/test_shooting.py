@@ -488,7 +488,7 @@ def test_no_group_exceeds_the_block_bound(make):
 
 
 def _step_both_branches(q1, q2, w2, lam, h):
-    """``_step`` as it was with both branches evaluated everywhere, the oracle of the one-branch form."""
+    """``_step`` with its matrix formed outside the ``errstate`` block, the oracle."""
     lw = lam * w2
     a1, a2 = q1 - lw, q2 - lw
     m11 = shooting._COMMUTATOR * h * h * (a1 - a2)
@@ -499,7 +499,7 @@ def _step_both_branches(q1, q2, w2, lam, h):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ch = np.where(grow, np.cosh(s), np.cos(s))
         sh = np.where(s > 0.0, np.where(grow, np.sinh(s), np.sin(s)) / s, 1.0)
-    # this product warned on an overflowed entry (inf * 0); the one-branch form does not
+    # this product warns on an overflowed entry (inf * 0); _step must not
     with np.errstate(invalid="ignore"):
         return ch + sh * m11, sh * h, sh * m21, ch - sh * m11
 
@@ -528,7 +528,7 @@ def _step_batch(kinds):
      ("grow", "nan", "zero", "inf")],
     ids="-".join,
 )
-def test_step_evaluates_each_branch_as_both_branch_form_did(kinds):
+def test_step_is_the_oracle_bit_for_bit_without_a_warning(kinds):
     # bit for bit, inf and nan in the same places, and no warning
     args = _step_batch(kinds)
     with warnings.catch_warnings():
@@ -549,26 +549,10 @@ def test_step_evaluates_each_branch_as_both_branch_form_did(kinds):
         assert g.tobytes() == w.tobytes()
 
 
-def test_step_of_scalars_is_the_both_branch_form():
+def test_step_of_scalars_is_the_oracle():
     for q, lam in ((0.0, 3.0), (5.0, 1.0), (2.0, 1.0)):
         got, want = _step(q, q, 2.0, lam, 0.5), _step_both_branches(q, q, 2.0, lam, 0.5)
         assert [float(g) for g in got] == [float(w) for w in want]
-
-
-def test_constant_gauss_q_is_polyval_bit_for_bit():
-    x0 = np.array([-1.0, -0.5, -0.0, 0.0, 0.25])
-    h = np.array([0.5, 0.5, 0.25, 0.25, 0.75])
-    for coeffs in ((0.0,), (2.5,), (-4.0,), (-0.0,), (3.0, 0.0), (0.0, -0.0, 0.0), (-0.0, 0.0)):
-        want = tuple(
-            np.polynomial.polynomial.polyval(x0 + (0.5 + sign * shooting._GAUSS) * h, coeffs)
-            for sign in (-1.0, 1.0)
-        )
-        got = _gauss_q(coeffs, x0, h)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes(), coeffs
-        # a sweep's column shape
-        got = _gauss_q(coeffs, x0[:, None], h[:, None])
-        assert all(g.shape == (5, 1) for g in got)
 
 
 def test_query_clamps_and_checks_as_clip_and_all_did():
@@ -592,6 +576,20 @@ def test_query_clamps_and_checks_as_clip_and_all_did():
             piece.eval(np.array([0.5 * (lo + hi), bad]))
     # an empty query on a piece is an empty result
     assert piece.eval(np.array([]))[0].shape == (2, 0)
+
+
+def test_query_over_two_solutions_needs_one_lam():
+    # the left and right pieces of one build share lam; pieces of another lam are refused
+    spec = mixed_spec()
+    lams = np.array([3.7, 61.3])
+    left, right = build_left(spec, lams), build_right(spec, lams)
+    xs = [np.linspace(*piece_bounds(spec, i), 7) for i in (1, 2, 3)]
+    got = shooting._query(left.pieces + right.pieces, xs + xs)
+    for g, w in zip(got, left.eval_pieces(xs) + right.eval_pieces(xs)):
+        assert g[0].tobytes() == w[0].tobytes() and g[1].tobytes() == w[1].tobytes()
+    other = build_right(spec, np.array([3.7, 61.4]))
+    with pytest.raises(ValueError, match="share lam"):
+        shooting._query(left.pieces + other.pieces, xs + xs)
 
 
 @pytest.fixture

@@ -156,15 +156,14 @@ def test_orthogonality_fails_when_the_scan_found_fewer_than_five(monkeypatch):
     )
 
 
-def test_build_lams_are_one_read_only_constant():
-    rng = np.random.default_rng(93)
-    want = np.concatenate((rng.uniform(-20.0, 200.0, size=24), (-7.5, 3.7, 61.3)))
-    lams = verification._BUILD_LAMS
-    assert lams.tobytes() == want.tobytes()
+def test_build_lams_are_drawn_once_and_read_only():
+    lams = verification._build_lams()
+    assert verification._build_lams() is lams
+    assert lams.shape == (27,) and lams[-3:].tolist() == [-7.5, 3.7, 61.3]
     with pytest.raises(ValueError):
         lams[0] = 0.0
     for sol in verification.VerifyRun(SPECS["s0"]()).builds:
-        assert np.array_equal(sol.lam, want)
+        assert np.array_equal(sol.lam, lams)
 
 
 def test_a_value_error_in_a_stage_fails_it(monkeypatch):
