@@ -1,9 +1,10 @@
 """Weighted inner product, operator action, and symmetry certification.
 
-Elements of the working space carry three per-piece sample arrays plus one
-scalar coordinate ``f1``.  The inner product weights the piece integrals by
-``omega_i^2`` times the jump-product multipliers (1, m2, m3) and adds
-``(m3/rho) * f1 * g1``; with those multipliers the operator
+Elements of the working space carry per-piece samples of ``f`` (and, for
+the operator's input, of ``f''``) plus one scalar coordinate ``f1``.  The
+inner product weights the piece integrals by ``omega_i^2`` times the
+jump-product multipliers (1, m2, m3) and adds ``(m3/rho) * f1 * g1``; with
+those multipliers the operator
 
     A(f, f1) = ( (-f'' + q f) / omega^2 ,  -(beta1 f(1) - beta2 f'(1)) )
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -131,9 +132,10 @@ class QuadratureGrid:
 class HilbertElement:
     """Sampled member of the weighted space, or a stack of members.
 
-    ``values`` (and optionally ``deriv``/``deriv2``) hold per-piece arrays on
-    the grid nodes; ``ends`` carries exact one-sided boundary data when the
-    element came from an analytic construction or a shooting solution.
+    ``values`` (and optionally ``deriv2``) hold per-piece arrays of ``f``
+    (and ``f''``) on the grid nodes; ``ends`` carries exact one-sided values
+    and slopes at the ends and interfaces when the element came from an
+    analytic construction or a shooting solution.
     Elements produced by the operator itself carry samples and ``f1`` only.
     A stack of ``k`` elements has ``(k, nodes)`` arrays, a ``(k,)`` array
     ``f1`` and ``ends`` holding arrays.
@@ -142,7 +144,6 @@ class HilbertElement:
     grid: QuadratureGrid
     values: tuple[np.ndarray, np.ndarray, np.ndarray]
     f1: float | np.ndarray
-    deriv: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     deriv2: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     ends: Optional[BoundaryData] = None
 
@@ -152,8 +153,7 @@ class HilbertElement:
         f1 = self.f1.tolist()
         ends = [None] * len(f1) if self.ends is None else self.ends.rows()
         return [
-            HilbertElement(self.grid, pick(self.values, j), c, pick(self.deriv, j),
-                           pick(self.deriv2, j), e)
+            HilbertElement(self.grid, pick(self.values, j), c, pick(self.deriv2, j), e)
             for j, (c, e) in enumerate(zip(f1, ends))
         ]
 
@@ -164,7 +164,7 @@ class HilbertElement:
         """
         pick = lambda tup: None if tup is None else tuple(a[rows] for a in tup)
         return HilbertElement(
-            self.grid, pick(self.values), self.f1[rows], pick(self.deriv), pick(self.deriv2),
+            self.grid, pick(self.values), self.f1[rows], pick(self.deriv2),
             None if self.ends is None else self.ends.take(rows),
         )
 
@@ -174,7 +174,7 @@ class HilbertElement:
         sc = lambda tup: None if tup is None else tuple(per_node * a for a in tup)
         return HilbertElement(
             grid=self.grid, values=sc(self.values), f1=c * self.f1,
-            deriv=sc(self.deriv), deriv2=sc(self.deriv2),
+            deriv2=sc(self.deriv2),
             ends=None if self.ends is None else self.ends.scaled(c),
         )
 
@@ -328,67 +328,55 @@ def sample_domain_element(
     d2f = (amp * (-u0 * freq**2 * cos - v0 * freq * sin)
            + 2.0 * poly + 4.0 * t * dpoly + 2.0 * t * t * b2)
     left, h1_minus = State(f[:, 0:1], df[:, 0:1]), State(f[:, 1:2], df[:, 1:2])
-    pieces = [(f[..., 2:], df[..., 2:], d2f[..., 2:])]
+    pieces = [(f[..., 2:], d2f[..., 2:])]
 
     h1_plus = State(*spec.jump(0, *h1_minus))
     f, df, d2f = _hermite(h1, h2, h1_plus.u, h1_plus.v, p2, s2, np.concatenate(((h2,), x2)))
     h2_minus = State(f[:, 0:1], df[:, 0:1])
-    pieces.append((f[..., 1:], df[..., 1:], d2f[..., 1:]))
+    pieces.append((f[..., 1:], d2f[..., 1:]))
 
     h2_plus = State(*spec.jump(1, *h2_minus))
     f, df, d2f = _hermite(h2, 1.0, h2_plus.u, h2_plus.v, p3, s3, np.concatenate(((1.0,), x3)))
     right = State(f[:, 0:1], df[:, 0:1])
-    pieces.append((f[..., 1:], df[..., 1:], d2f[..., 1:]))
+    pieces.append((f[..., 1:], d2f[..., 1:]))
 
     ends = BoundaryData(*(
         State(st.u[:, 0], st.v[:, 0])
         for st in (left, h1_minus, h1_plus, h2_minus, h2_plus, right)
     ))
-    values, deriv, deriv2 = zip(*pieces)
+    values, deriv2 = zip(*pieces)
     element = HilbertElement(
-        grid=grid, values=values, f1=spec.f1_coupling(*ends.right), deriv=deriv,
-        deriv2=deriv2, ends=ends,
+        grid=grid, values=values, f1=spec.f1_coupling(*ends.right), deriv2=deriv2, ends=ends,
     )
     return element if stacked else element.rows()[0]
 
 
 def element_from_solution(
-    spec: ProblemSpec,
-    sol: PiecewiseSolution,
-    grid: Optional[QuadratureGrid] = None,
-    *,
-    extra: Optional[Sequence[np.ndarray]] = None,
+    spec: ProblemSpec, sol: PiecewiseSolution, grid: QuadratureGrid, points
 ):
-    """Package a shooting solution as an element.
+    """Package a shooting solution as an element, with its states at further points.
 
     Second derivatives come from the differential equation itself,
     ``f'' = (q - lam*omega^2) f``, not from differencing.  A solution built
-    for an array of ``lam`` gives a stack with one row per ``lam``.  All three
-    pieces are evaluated in one query (``PiecewiseSolution.eval_pieces``).
-    ``extra`` holds further points, one array per
-    piece; they are evaluated together with the grid nodes, and the call
-    then returns ``(element, states)`` with one ``(u, u')`` pair of arrays per
-    piece for those points.
+    for an array of ``lam`` gives a stack with one row per ``lam``.
+    ``points`` holds further points, one array per piece; they are evaluated
+    together with the grid nodes, all three pieces in one query
+    (``PiecewiseSolution.eval_pieces``).  Returns ``(element, states)`` with
+    one ``(u, u')`` pair of arrays per piece for ``points``.
     """
-    if grid is None:
-        grid = QuadratureGrid.build(spec)
     lam = sol.lam[:, None] if np.ndim(sol.lam) > 0 else sol.lam
-    nodes = grid.nodes
-    xs = nodes if extra is None else [np.concatenate(pair) for pair in zip(nodes, extra)]
-    values, deriv, deriv2, states = [], [], [], []
-    for i, (x, (u, v)) in enumerate(zip(nodes, sol.eval_pieces(xs)), start=1):
-        if extra is not None:
-            states.append((u[..., x.size:], v[..., x.size:]))
-            u, v = u[..., : x.size], v[..., : x.size]
+    xs = [np.concatenate(pair) for pair in zip(grid.nodes, points)]
+    values, deriv2, states = [], [], []
+    for i, (x, (u, v)) in enumerate(zip(grid.nodes, sol.eval_pieces(xs)), start=1):
+        states.append((u[..., x.size:], v[..., x.size:]))
+        u = u[..., : x.size]
         qx = polyval(x, spec.q.pieces[i - 1])
         values.append(u)
-        deriv.append(v)
         deriv2.append((qx - lam * spec.omega[i - 1] ** 2) * u)
     elem = HilbertElement(
-        grid, tuple(values), spec.f1_coupling(*sol.ends.right), tuple(deriv), tuple(deriv2),
-        sol.ends,
+        grid, tuple(values), spec.f1_coupling(*sol.ends.right), tuple(deriv2), sol.ends
     )
-    return elem if extra is None else (elem, tuple(states))
+    return elem, tuple(states)
 
 
 # ---------------------------------------------------------------------------

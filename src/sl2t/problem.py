@@ -19,9 +19,9 @@ and jump conditions tying the one-sided limits at the interfaces:
     gamma3 u(h2-) = delta3 u(h2+),    gamma4 u'(h2-) = delta4 u'(h2+).
 
 This module owns the raw problem record (:class:`ProblemSpec`), its one
-validator, piecewise coefficient evaluation, the accumulated phase function
-used by all asymptotic formulas, and the JSON config front end used by the
-command-line tools.
+validator, the rule for which piece holds a point, the accumulated phase
+function used by all asymptotic formulas, and the JSON config front end used
+by the command-line tools.
 
 :meth:`ProblemSpec.check` (with :meth:`SolverConfig.check`) is the only code
 that judges a value: types, list lengths, finiteness, ranges and the standing
@@ -40,7 +40,6 @@ from dataclasses import dataclass, field, fields
 from typing import Literal, Sequence
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 __all__ = [
     "ConfigError",
@@ -108,9 +107,6 @@ class PiecewisePotential:
     @classmethod
     def zero(cls) -> "PiecewisePotential":
         return cls(((0.0,), (0.0,), (0.0,)))
-
-    def is_zero(self) -> bool:
-        return all(all(c == 0.0 for c in piece) for piece in self.pieces)
 
 
 #: the numeric fields of a spec, each with its list length (0 for a scalar)
@@ -384,18 +380,6 @@ def piece_index_at(spec: ProblemSpec, x, side: Side | None = None):
             raise ValueError(f"x={x!r} sits on an interface point; pass side='left' or side='right'")
         index = np.where(near, k + 1 if side == "left" else k + 2, index)
     return int(index) if index.ndim == 0 else index
-
-
-def weight_at(spec: ProblemSpec, x, side: Side | None = None):
-    """Equation weight ``omega_i**2`` at ``x`` (one-sided at interfaces); scalar or array."""
-    w = np.square(spec.omega)[piece_index_at(spec, x, side) - 1]
-    return w if np.ndim(x) else float(w)
-
-
-def q_at(spec: ProblemSpec, x, side: Side | None = None):
-    """Potential value at ``x`` (one-sided at interfaces); scalar or array."""
-    q = np.choose(piece_index_at(spec, x, side) - 1, [polyval(x, c) for c in spec.q.pieces])
-    return q if np.ndim(x) else float(q)
 
 
 def phase(spec: ProblemSpec, x):

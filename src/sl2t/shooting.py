@@ -94,9 +94,6 @@ class State:
     u: float
     v: float
 
-    def scaled(self, cu: float, cv: float) -> "State":
-        return State(cu * self.u, cv * self.v)
-
     def wronskian(self, other: "State") -> float:
         """``f g' - f' g`` with ``self`` holding ``(f, f')`` and ``other`` ``(g, g')``."""
         return self.u * other.v - self.v * other.u
@@ -119,7 +116,7 @@ class BoundaryData:
 
     def scaled(self, c: float) -> "BoundaryData":
         """Every anchor state times ``c``."""
-        return BoundaryData(*(st.scaled(c, c) for st in vars(self).values()))
+        return BoundaryData(*(State(c * st.u, c * st.v) for st in vars(self).values()))
 
     def take(self, rows) -> "BoundaryData":
         """The record of the entries ``rows`` of a record that holds arrays."""
@@ -204,8 +201,8 @@ class _Leg:
     """One piece as a sweep crosses it.
 
     ``jump`` holds the factors of ``(u, u')`` at the interface crossed on
-    entering the piece (``None`` for a sweep's first piece), ``mesh`` the
-    piece's ascending, read-only nodes and ``w2`` its weight ``omega^2``.
+    entering the piece (``None`` for a sweep's first piece) and ``mesh`` the
+    piece's ascending, read-only nodes.
     The piece's steps are cut into blocks of at most ``_BLOCK`` consecutive
     steps in the sweep's direction, from its first node.
     """
@@ -213,7 +210,6 @@ class _Leg:
     piece: int
     jump: tuple[float, float] | None
     mesh: np.ndarray
-    w2: float
 
 
 @dataclass(frozen=True)
@@ -263,7 +259,7 @@ class _Sweep:
             # the interface shared with the piece before, as a jump applied to (1, 1)
             jump = spec.jump(min(piece, legs[-1].piece) - 1, 1.0, 1.0, leftward) if legs else None
             w2 = spec.omega[piece - 1] ** 2
-            legs.append(_Leg(piece, jump, mesh, w2))
+            legs.append(_Leg(piece, jump, mesh))
             coeffs = spec.q.pieces[piece - 1]
             xs = mesh[::-1] if leftward else mesh
             for j in range(0, xs.size - 1, _BLOCK):
@@ -466,15 +462,13 @@ def _as_batch(lam) -> tuple[float | np.ndarray, np.ndarray]:
 class PiecewiseSolution:
     """A solution of the full problem assembled from three piece trajectories.
 
-    ``kind`` records the launch end ("left" or "right").  ``ends`` is the
-    sweep's anchor record: the launch, each jump's image and each piece's
-    exit state.  Every query goes to one piece's node arrays, whose end
-    nodes hold those same states, so a query exactly at an anchor returns
-    its ``ends`` field bit for bit.  When ``lam`` is an array, every state
-    and query holds one entry (or row) per ``lam``.
+    ``ends`` is the sweep's anchor record: the launch, each jump's image and
+    each piece's exit state.  Every query goes to one piece's node arrays,
+    whose end nodes hold those same states, so a query exactly at an anchor
+    returns its ``ends`` field bit for bit.  When ``lam`` is an array, every
+    state and query holds one entry (or row) per ``lam``.
     """
 
-    kind: Literal["left", "right"]
     lam: float | np.ndarray
     spec: ProblemSpec
     pieces: tuple[PieceTrajectory, PieceTrajectory, PieceTrajectory]
@@ -570,8 +564,7 @@ def _build(spec: ProblemSpec, lam, kind: Literal["left", "right"]) -> PiecewiseS
         for piece, (xs, us, vs) in enumerate(paths, start=1)
     )
     return PiecewiseSolution(
-        kind=kind, lam=lam, spec=spec, pieces=pieces,
-        ends=ends if _batched(lam) else ends.rows()[0],
+        lam=lam, spec=spec, pieces=pieces, ends=ends if _batched(lam) else ends.rows()[0]
     )
 
 

@@ -417,7 +417,7 @@ def eigenfunctions(
     lams = np.array([rec.lambda_n for rec in recs])
     sol = build_right(spec, lams)
     xs = [np.linspace(*piece_bounds(spec, i), samples_per_piece + 2) for i in (1, 2, 3)]
-    stack, raw = element_from_solution(spec, sol, grid, extra=xs)
+    stack, raw = element_from_solution(spec, sol, grid, xs)
 
     e = sol.ends
     all_u = np.concatenate([u for u, _ in raw], axis=1)

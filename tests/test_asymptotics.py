@@ -392,6 +392,16 @@ def test_decay_check_missing_indices():
         decay_check(recs, steep_spec(), 5, 12, 1.0)
 
 
+def test_decay_check_needs_a_positive_eigenvalue_to_align():
+    recs = [
+        EigenRecord(n=n, lambda_n=lam, mu_n=None, bracket=(lam - 1e-9, lam + 1e-9),
+                    abs_delta=0.0, refinement_iters=1)
+        for n, lam in ((1, -4.0), (2, -1.0))
+    ]
+    with pytest.raises(ValueError, match="no positive eigenvalues available for alignment"):
+        decay_check(recs, steep_spec(), 1, 2, 1.0)
+
+
 def test_decay_check_validation():
     recs = _synthetic_records(steep_spec(), range(2, 16))
     with pytest.raises(ValueError):

@@ -107,6 +107,16 @@ def test_solve_notes_a_partial_scan_on_stderr(monkeypatch, capsys):
     assert re.search(r"^  note: partial scan: 2 of 5 roots, stopped at lambda=\S+$", err, re.M)
 
 
+def test_eigenfunction_index_past_a_partial_scan_is_a_numerical_failure(monkeypatch, capsys):
+    real = cli.locate_eigenvalues
+    monkeypatch.setattr(cli, "locate_eigenvalues",
+                        lambda spec, n: dataclasses.replace(real(spec, 3), exhausted=True))
+    code, out, err = _run(capsys, "eigenfunction", S0, "--index", "5")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: scan found only 3 eigenvalues before exhausting its budget" in err
+
+
 # ---------------------------------------------------------------------------
 # the table writer, shared by every table command
 
@@ -209,6 +219,10 @@ def test_compare_window_validation(capsys):
     code, _, err = _run(capsys, "compare", S0, "--n-lo", "9", "--n-hi", "5")
     assert code == 1
     assert "--n-hi" in err
+    code, out, err = _run(capsys, "compare", S0, "--n-lo", "0", "--n-hi", "5")
+    assert code == 1
+    assert out == ""
+    assert "--n-lo must be >= 1" in err
 
 
 @pytest.mark.parametrize("flag", ["--bound", "--phase-override"])

@@ -43,8 +43,7 @@ def _const_element(spec, grid, c, f1=None):
     st = State(c, 0.0)
     ends = BoundaryData(left=st, h1_minus=st, h1_plus=st, h2_minus=st, h2_plus=st, right=st)
     coord = spec.beta_prime[0] * c if f1 is None else f1
-    return HilbertElement(grid=grid, values=values, f1=coord, deriv=zeros,
-                          deriv2=zeros, ends=ends)
+    return HilbertElement(grid=grid, values=values, f1=coord, deriv2=zeros, ends=ends)
 
 
 def _diff_element(F, G, lam=1.0):
@@ -65,6 +64,11 @@ def test_grid_nodes_and_weights():
         assert np.all(ws > 0.0)
         assert np.all((a < xs) & (xs < b))
         assert np.sum(ws) == pytest.approx(b - a, rel=1e-14)
+
+
+def test_grid_needs_two_nodes_per_piece():
+    with pytest.raises(ValueError, match="need at least 2 nodes per piece"):
+        QuadratureGrid.build(mixed_spec(), 1)
 
 
 def test_grid_integrates_smooth_function():
@@ -201,7 +205,7 @@ def test_boundary_form_substitution():
     grid = QuadratureGrid.build(spec, nodes_per_piece=8)
     F = _const_element(spec, grid, 0.0)
     F = HilbertElement(
-        grid=grid, values=F.values, f1=0.0, deriv=F.deriv, deriv2=F.deriv2,
+        grid=grid, values=F.values, f1=0.0, deriv2=F.deriv2,
         ends=BoundaryData(left=State(0, 0), h1_minus=State(0, 0), h1_plus=State(0, 0),
                           h2_minus=State(0, 0), h2_plus=State(0, 0), right=State(5.0, 3.0)),
     )
@@ -257,13 +261,11 @@ def test_operator_on_parabola():
     spec = baseline_spec()
     grid = QuadratureGrid.build(spec, nodes_per_piece=12)
     values = tuple(x * x for x in grid.nodes)
-    deriv = tuple(2.0 * x for x in grid.nodes)
     deriv2 = tuple(np.full_like(x, 2.0) for x in grid.nodes)
     ends = BoundaryData(left=State(1.0, -2.0), h1_minus=State(1 / 9, -2 / 3),
                         h1_plus=State(1 / 9, -2 / 3), h2_minus=State(1 / 9, 2 / 3),
                         h2_plus=State(1 / 9, 2 / 3), right=State(1.0, 2.0))
-    F = HilbertElement(grid=grid, values=values, f1=1.0, deriv=deriv,
-                       deriv2=deriv2, ends=ends)
+    F = HilbertElement(grid=grid, values=values, f1=1.0, deriv2=deriv2, ends=ends)
     AF = apply_operator(spec, F)
     for v in AF.values:
         assert np.max(np.abs(v + 2.0)) <= 1e-15
@@ -327,13 +329,14 @@ def test_sample_element_deterministic_and_grid_independent():
 
 
 def test_sample_element_derivative_data_consistent():
-    # stored slopes agree with differenced values to discretization order
+    # stored second derivatives agree with twice-differenced values to
+    # discretization order
     spec = baseline_spec()
     F = sample_domain_element(spec, 9)
-    for x, u, du in zip(F.grid.nodes, F.values, F.deriv):
-        approx = np.gradient(u, x, edge_order=2)
-        scale = 1.0 + np.max(np.abs(du))
-        assert np.max(np.abs(approx - du)[3:-3]) <= 5e-2 * scale
+    for x, u, d2u in zip(F.grid.nodes, F.values, F.deriv2):
+        approx = np.gradient(np.gradient(u, x, edge_order=2), x, edge_order=2)
+        scale = 1.0 + np.max(np.abs(d2u))
+        assert np.max(np.abs(approx - d2u)[6:-6]) <= 5e-2 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +449,7 @@ def _named_spec(name):
 
 
 def _assert_same_element(got, want):
-    for field in ("values", "deriv", "deriv2"):
+    for field in ("values", "deriv2"):
         a, b = getattr(got, field), getattr(want, field)
         assert (a is None) == (b is None), field
         for x, y in zip(a or (), b or ()):

@@ -1,4 +1,4 @@
-"""Validation, coefficient evaluation, phase, and config round-trips."""
+"""Validation, piece lookup, phase, and config round-trips."""
 
 import json
 import math
@@ -21,10 +21,8 @@ from sl2t.problem import (
     phase,
     piece_bounds,
     piece_index_at,
-    q_at,
     spec_digest,
     validate,
-    weight_at,
 )
 
 
@@ -162,42 +160,7 @@ def test_derived_scalars():
 
 
 # ---------------------------------------------------------------------------
-# coefficient evaluation
-
-
-def test_weight_is_piecewise_squared_amplitude():
-    spec = build_spec(omega=(1.0, 2.0, 3.0))
-    assert weight_at(spec, -0.5) == 1.0
-    assert weight_at(spec, 0.0) == 4.0
-    assert weight_at(spec, 0.9) == 9.0
-
-
-def test_weight_at_interface_needs_side():
-    spec = build_spec(omega=(1.0, 2.0, 3.0))
-    with pytest.raises(ValueError, match="side"):
-        weight_at(spec, spec.h2)
-    assert weight_at(spec, spec.h2, side="left") == 4.0
-    assert weight_at(spec, spec.h2, side="right") == 9.0
-
-
-def test_weight_outside_domain():
-    spec = baseline_spec()
-    with pytest.raises(ValueError, match="outside"):
-        weight_at(spec, 1.5)
-
-
-def test_q_defaults_to_zero():
-    spec = baseline_spec()
-    for x in (-0.9, -0.2, 0.0, 0.7):
-        assert q_at(spec, x) == 0.0
-
-
-def test_q_polynomial_evaluation():
-    spec = build_spec(q=[[1.0, 2.0], [5.0], [0.0]])
-    assert q_at(spec, -0.5) == pytest.approx(0.0)  # 1 + 2*(-0.5)
-    assert q_at(spec, -0.7) == pytest.approx(1.0 + 2.0 * -0.7)
-    assert q_at(spec, spec.h1, side="right") == 5.0
-    assert q_at(spec, spec.h1, side="left") == pytest.approx(1.0 + 2.0 * spec.h1)
+# piece lookup
 
 
 def test_piece_bounds_and_index():
@@ -213,27 +176,25 @@ def test_piece_bounds_and_index():
 
 
 def test_array_lookups_follow_the_scalar_rule():
-    # weight_at, q_at and piece_index_at read each point of an array as a scalar
+    # piece_index_at reads each point of an array as a scalar
     spec = build_spec(omega=(1.0, 2.0, 3.0), q=[[1.0, 2.0], [5.0, -1.0], [0.5]])
     h1, h2 = spec.h1, spec.h2
     xs = np.array([-1.0, -0.7, h1 - 5e-13, h1, h1 + 5e-13, 0.0, h2, h2 + 5e-13, 1.0])
     for side in ("left", "right"):
-        for lookup in (piece_index_at, weight_at, q_at):
-            got = lookup(spec, xs, side)
-            want = [lookup(spec, float(x), side) for x in xs]
-            assert got.shape == xs.shape and got.tolist() == want, (lookup.__name__, side)
+        got = piece_index_at(spec, xs, side)
+        want = [piece_index_at(spec, float(x), side) for x in xs]
+        assert got.shape == xs.shape and got.tolist() == want, side
     assert piece_index_at(spec, xs, "left").tolist() == [1, 1, 1, 1, 1, 2, 2, 2, 3]
     assert piece_index_at(spec, xs, "right").tolist() == [1, 1, 2, 2, 2, 2, 3, 3, 3]
     inside = xs[[0, 1, 5, 8]]  # no point near an interface: side is not needed
-    for lookup in (piece_index_at, weight_at, q_at):
-        with pytest.raises(ValueError, match="side"):
-            lookup(spec, xs)
-        assert lookup(spec, inside).tolist() == lookup(spec, inside, "left").tolist()
-        for bad in (np.nan, 1.5, -1.0 - 1e-9):
-            with pytest.raises(ValueError, match="outside"):
-                lookup(spec, np.array([0.0, bad]))
-            with pytest.raises(ValueError, match="outside"):
-                lookup(spec, bad)
+    with pytest.raises(ValueError, match="side"):
+        piece_index_at(spec, xs)
+    assert piece_index_at(spec, inside).tolist() == piece_index_at(spec, inside, "left").tolist()
+    for bad in (np.nan, 1.5, -1.0 - 1e-9):
+        with pytest.raises(ValueError, match="outside"):
+            piece_index_at(spec, np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="outside"):
+            piece_index_at(spec, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +240,6 @@ def test_phase_monotone_random_specs(seed, x):
     assert hi > 0.0
 
 
-def test_coefficients_match_direct_formula_on_random_points():
-    rng = np.random.default_rng(7)
-    for trial in range(20):
-        spec = random_spec(rng, constant_q=False)
-        xs = rng.uniform(-1.0, 1.0, size=50)
-        for x in xs:
-            if abs(x - spec.h1) < 1e-9 or abs(x - spec.h2) < 1e-9:
-                continue
-            i = 0 if x < spec.h1 else (1 if x < spec.h2 else 2)
-            assert weight_at(spec, float(x)) == spec.omega[i] ** 2
-            expected = sum(c * x**k for k, c in enumerate(spec.q.pieces[i]))
-            assert q_at(spec, float(x)) == pytest.approx(expected, rel=1e-12, abs=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # config front end
 
@@ -311,7 +258,7 @@ S0_CONFIG = {
 
 def test_parse_minimal_config_applies_defaults():
     spec = parse_config(json.dumps(S0_CONFIG))
-    assert spec.q.is_zero()
+    assert spec.q == PiecewisePotential.zero()
     assert spec.solver == SolverConfig()
     assert spec == baseline_spec()
 
@@ -328,6 +275,20 @@ def test_parse_reports_paths_for_all_errors():
     assert len(errors) == 5
     for token in ("alpha", "omega[1]", "gamma", "solver.rk_tol", "solver.mystery"):
         assert sum(token in line for line in errors) == 1, token
+
+
+def test_parse_reports_a_missing_key_by_name():
+    bad = dict(S0_CONFIG)
+    del bad["omega"]
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    assert err.value.errors == ["omega: missing required key"]
+
+
+def test_parse_rejects_a_root_that_is_not_an_object():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[]")
+    assert err.value.errors == ["config root: expected a JSON object"]
 
 
 def test_parse_reports_each_violation_once():

@@ -55,7 +55,7 @@ def carry_piece(spec, lam, piece, init, leftward=False):
     (u, v), (us, vs) = _carry(leg, sweep.blocks(np.array([lam])), u0, v0, nodes=True)
     traj = PieceTrajectory(
         piece=piece, lam=lam, xs=xs, us=us[::order, 0], vs=vs[::order, 0],
-        coeffs=spec.q.pieces[piece - 1], w2=leg.w2,
+        coeffs=spec.q.pieces[piece - 1], w2=spec.omega[piece - 1] ** 2,
     )
     return State(u.item(), v.item()), traj
 
