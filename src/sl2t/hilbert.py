@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -267,15 +268,21 @@ def _hermite(a: float, b: float, va, sa, vb, sb, x):
 
 
 def _draw(seed: int) -> list:
-    """The random parameters of one seeded domain element, in drawing order."""
-    rng = np.random.default_rng(seed)
+    """The random parameters of one seeded domain element, in drawing order.
+
+    They are ``random.Random(seed)``'s ``uniform`` draws, and a sign drawn as
+    ``random() < 0.5``: the part of the standard library's stream that stays
+    the same across Python versions.  ``Random`` would seed a negative seed
+    as its absolute value, so one is refused.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rng = random.Random(seed)
     freq = rng.uniform(3.0, 6.0)
-    # the draw of rng.choice((-1.0, 1.0)), without its argument handling
-    amp = rng.uniform(0.5, 1.5) * (-1.0, 1.0)[rng.integers(0, 2)]
-    bump = rng.uniform(-0.8, 0.8, size=3)
-    far2 = rng.uniform(-1.5, 1.5, size=2)
-    far3 = rng.uniform(-1.5, 1.5, size=2)
-    return [freq, amp, *bump, *map(float, far2), *map(float, far3)]
+    amp = rng.uniform(0.5, 1.5) * (-1.0 if rng.random() < 0.5 else 1.0)
+    bump = [rng.uniform(-0.8, 0.8) for _ in range(3)]
+    far = [rng.uniform(-1.5, 1.5) for _ in range(4)]
+    return [freq, amp, *bump, *far]
 
 
 @functools.lru_cache(maxsize=16)
@@ -302,9 +309,11 @@ def sample_domain_element(
     scalar coordinate is set to its domain-coupled value.  The same seed
     reproduces the same function on any grid.
 
-    ``seed`` is an int, or a sequence of ints for a stack with one row per
-    seed; each row equals the element of its seed alone bit for bit.  The
-    parameters of a seed tuple are drawn once per process (``_seed_table``).
+    ``seed`` is a non-negative int, or a sequence of them for a stack with
+    one row per seed; each row equals the element of its seed alone bit for
+    bit.  A negative seed raises ``ValueError``.  Each seed's parameters are
+    drawn from ``random.Random(seed)`` (``_draw``), and those of a seed tuple
+    once per process (``_seed_table``).
     """
     stacked = np.ndim(seed) > 0
     if grid is None:

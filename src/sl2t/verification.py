@@ -32,12 +32,14 @@ A run pays only for its own numerics.  Its inputs are the same on every run:
 the 27 λ of its builds (``_build_lams``) and the parameters of its seeded
 domain elements (``hilbert``'s seed table) are drawn once per process and
 kept read-only; the first run in a process pays those draws, every later
-one reads them.
+one reads them.  Both are drawn with the standard library's
+``random.Random``, so a ``verify`` process never loads ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import functools
+import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -75,11 +77,11 @@ _GRAM_SIZE = 5
 def _build_lams() -> np.ndarray:
     """The read-only λ of ``VerifyRun.builds``, drawn once per process.
 
-    The consistency stage's 24 seed-93 values, then the wronskian-constancy
-    stage's three.
+    The consistency stage's 24 values, ``random.Random(93)``'s first 24
+    ``uniform(-20, 200)`` draws, then the wronskian-constancy stage's three.
     """
-    rng = np.random.default_rng(93)
-    lams = np.concatenate((rng.uniform(-20.0, 200.0, size=24), (-7.5, 3.7, 61.3)))
+    rng = random.Random(93)
+    lams = np.array([*(rng.uniform(-20.0, 200.0) for _ in range(24)), -7.5, 3.7, 61.3])
     lams.flags.writeable = False
     return lams
 

@@ -44,12 +44,21 @@ def test_package_exports_are_the_submodules_exports():
 
 def test_import_does_not_load_openssl():
     # hashlib (and its OpenSSL binding _hashlib) loads only when spec_digest
-    # runs, and numpy.random only when verify first draws its seeded inputs
+    # runs; numpy.random loads at no point (next test)
     code = ("import sys, sl2t, sl2t.cli; "
             "print('_hashlib' in sys.modules, 'numpy.random' in sys.modules)")
     run = _python(code, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False False"
+
+
+def test_verify_does_not_load_numpy_random():
+    # verify draws its seeded inputs with the standard library's random.Random
+    code = ("import sys, sl2t.cli; code = sl2t.cli.main(['verify', 'configs/s0.json']); "
+            "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(code)")
+    run = _python(code, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines()[-1] == "False"
 
 
 #: installed for the tests, not needed at run time

@@ -1,6 +1,7 @@
 """Weighted inner product, operator action, and symmetry certification."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -547,15 +548,26 @@ def _assert_same_stack(got, want):
 
 
 def test_seeded_draw_is_the_generator_sequence():
-    # the sign is drawn as rng.choice((-1.0, 1.0)) draws it
+    # uniform draws, with the sign drawn as random() < 0.5 between the
+    # amplitude and the bump coefficients
     for seed in (*range(300), 2**40):
-        rng = np.random.default_rng(seed)
-        want = [
-            rng.uniform(3.0, 6.0), rng.uniform(0.5, 1.5) * rng.choice((-1.0, 1.0)),
-            *rng.uniform(-0.8, 0.8, size=3), *rng.uniform(-1.5, 1.5, size=2),
-            *rng.uniform(-1.5, 1.5, size=2),
-        ]
+        rng = random.Random(seed)
+        freq, amp = rng.uniform(3.0, 6.0), rng.uniform(0.5, 1.5)
+        sign = -1.0 if rng.random() < 0.5 else 1.0
+        want = [freq, amp * sign, *(rng.uniform(-0.8, 0.8) for _ in range(3)),
+                *(rng.uniform(-1.5, 1.5) for _ in range(4))]
         assert _draw(seed) == want, seed
+
+
+def test_negative_seeds_are_refused():
+    # random.Random would seed -1 as 1; one negative seed refuses a whole stack
+    spec = mixed_spec()
+    grid = QuadratureGrid.build(spec, nodes_per_piece=8)
+    for seed in (-1, (0, 1, -2, 3)):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_domain_element(spec, seed, grid=grid)
+    with pytest.raises(ValueError, match="non-negative"):
+        _draw(-1)
 
 
 def test_seed_table_is_the_draws_read_only_and_drawn_once():

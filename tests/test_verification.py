@@ -1,6 +1,7 @@
 """The verification suite as records: ``verify(spec)`` and its ``StageResult``s."""
 
 import dataclasses
+import random
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +160,8 @@ def test_orthogonality_fails_when_the_scan_found_fewer_than_five(monkeypatch):
 def test_build_lams_are_drawn_once_and_read_only():
     lams = verification._build_lams()
     assert verification._build_lams() is lams
-    assert lams.shape == (27,) and lams[-3:].tolist() == [-7.5, 3.7, 61.3]
+    rng = random.Random(93)
+    assert lams.tolist() == [*(rng.uniform(-20.0, 200.0) for _ in range(24)), -7.5, 3.7, 61.3]
     with pytest.raises(ValueError):
         lams[0] = 0.0
     for sol in verification.VerifyRun(SPECS["s0"]()).builds:
