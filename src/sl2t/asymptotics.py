@@ -99,8 +99,11 @@ def mu_asymptotic(spec: ProblemSpec, n, *, phase_total: Optional[float] = None):
     prediction per entry with the same arithmetic.  ``phase_total``
     overrides the accumulated phase over the whole interval; it exists so
     that negative controls can inject a deliberately wrong denominator; it
-    must be positive and finite.
+    must be positive and finite.  A non-integer index (a float, a bool)
+    raises.
     """
+    if np.asarray(n).dtype.kind not in "iu":
+        raise ValueError(f"index must be an integer, got {n!r}")
     if np.any(np.asarray(n) < 1):
         raise ValueError(f"index must be >= 1, got {n!r}")
     return math.pi * (n + _MU_SHIFT[case_of(spec)]) / _phase_total(spec, phase_total)
@@ -156,8 +159,8 @@ def phi_asymptotic(spec: ProblemSpec, mu: float, x, k: int = 0):
     zero-potential, reflection-free problems the returned value is the
     solution itself.
     """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
     out = _leading_wave(spec, mu, x)[k]
@@ -174,8 +177,8 @@ def delta_leading(spec: ProblemSpec, mu: float) -> float:
     ``beta2' != 0``, else ``beta1' lam u(1)``.  The remainder is O(1/mu)
     relative to the envelope, with or without reflecting interfaces.
     """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     u, v = _leading_wave(spec, mu, 1.0)
     b1p, b2p = spec.beta_prime
     top = -b2p * v if b2p != 0.0 else b1p * u

@@ -53,10 +53,12 @@ def char_grid(spec: ProblemSpec, lams) -> list[CharValue]:
     their node states.  Not at ``+1``: there the right solution is still
     its launch, and the piece-3 value would repeat the boundary form of
     ``char_batch``.  The values equal those of one-``lam`` builds read with
-    ``wronskian`` bit for bit.
+    ``wronskian`` bit for bit.  ``lams`` is a scalar, taken as a batch of
+    one, or a 1-d array of finite values, as the builds take it; an empty
+    one gives ``[]``.
     """
-    arr = np.asarray(lams, dtype=float).reshape(-1)
-    if arr.size == 0:
+    arr = np.atleast_1d(np.asarray(lams, dtype=float))
+    if arr.shape == (0,):
         return []
     arr = _check_lams(arr)
     f, g = _crossings(spec, arr, "left"), _crossings(spec, arr, "right")

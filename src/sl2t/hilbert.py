@@ -42,7 +42,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .problem import NumericalError, ProblemSpec, piece_bounds
-from .shooting import BoundaryData, PiecewiseSolution, State
+from .shooting import BoundaryData, PiecewiseSolution, State, _query
 
 __all__ = [
     "QuadratureGrid",
@@ -180,10 +180,6 @@ class HilbertElement:
         )
 
 
-def _multipliers(spec: ProblemSpec) -> tuple[float, float, float]:
-    return (1.0, spec.m2, spec.m3)
-
-
 def inner_product(spec: ProblemSpec, F: HilbertElement, G: HilbertElement):
     """Weighted inner product of two elements on matching grids.
 
@@ -193,7 +189,7 @@ def inner_product(spec: ProblemSpec, F: HilbertElement, G: HilbertElement):
     """
     if not F.grid.same_nodes(G.grid):
         raise ValueError("elements live on different quadrature grids")
-    mult = _multipliers(spec)
+    mult = (1.0, spec.m2, spec.m3)
     total = 0.0
     for i in (1, 2, 3):
         w2 = spec.omega[i - 1] ** 2
@@ -369,14 +365,14 @@ def element_from_solution(
     ``f'' = (q - lam*omega^2) f``, not from differencing.  A solution built
     for an array of ``lam`` gives a stack with one row per ``lam``.
     ``points`` holds further points, one array per piece; they are evaluated
-    together with the grid nodes, all three pieces in one query
-    (``PiecewiseSolution.eval_pieces``).  Returns ``(element, states)`` with
-    one ``(u, u')`` pair of arrays per piece for ``points``.
+    together with the grid nodes, all three pieces in one ``_query`` call,
+    the one dense query.  Returns ``(element, states)`` with one ``(u, u')``
+    pair of arrays per piece for ``points``.
     """
     lam = sol.lam[:, None] if np.ndim(sol.lam) > 0 else sol.lam
     xs = [np.concatenate(pair) for pair in zip(grid.nodes, points)]
     values, deriv2, states = [], [], []
-    for i, (x, (u, v)) in enumerate(zip(grid.nodes, sol.eval_pieces(xs)), start=1):
+    for i, (x, (u, v)) in enumerate(zip(grid.nodes, _query(sol.pieces, xs)), start=1):
         states.append((u[..., x.size:], v[..., x.size:]))
         u = u[..., : x.size]
         qx = polyval(x, spec.q.pieces[i - 1])

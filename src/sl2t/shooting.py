@@ -354,11 +354,6 @@ def _carry(leg: _Leg, blocks, u, v, nodes: bool = False):
 # solutions with interior queries, for one lambda or an array of them
 
 
-def _batched(lam) -> bool:
-    """Whether ``lam`` holds many spectral parameters; cheap for a float."""
-    return not isinstance(lam, float) and np.ndim(lam) > 0
-
-
 def _check_lams(lams) -> np.ndarray:
     lams = np.ascontiguousarray(lams, dtype=float)
     if lams.ndim != 1 or lams.size == 0:
@@ -435,7 +430,7 @@ def _query(pieces, xs) -> list[tuple[np.ndarray, np.ndarray]]:
         w2 = np.full(h.size, p.w2)
         parts.append((*_gauss_q(p.coeffs, x0, h), w2, h, p.us[..., k], p.vs[..., k]))
     q1, q2, w2, h, u0, v0 = (np.concatenate(col, axis=-1) for col in zip(*parts))
-    a, b, c, d = _step(q1, q2, w2, lam[:, None] if _batched(lam) else lam, h)
+    a, b, c, d = _step(q1, q2, w2, lam[:, None] if np.ndim(lam) > 0 else lam, h)
     u, v = a * u0 + b * v0, c * u0 + d * v0
     out, end = [], 0
     for x, part in zip(xs, parts):
@@ -443,19 +438,6 @@ def _query(pieces, xs) -> list[tuple[np.ndarray, np.ndarray]]:
         shape = np.shape(lam) + np.shape(x)
         out.append((u[..., start:end].reshape(shape), v[..., start:end].reshape(shape)))
     return out
-
-
-def _as_batch(lam) -> tuple[float | np.ndarray, np.ndarray]:
-    """``lam`` as a solution stores it, and as the checked batch to carry.
-
-    A scalar is a batch of one; an array is checked by ``_check_lams``.
-    """
-    if _batched(lam):
-        lams = _check_lams(lam)
-        return lams, lams
-    if not math.isfinite(lam):
-        raise ValueError(f"lam={lam!r} is not finite")
-    return lam, np.array([float(lam)])
 
 
 @dataclass(frozen=True)
@@ -491,21 +473,11 @@ class PiecewiseSolution:
         masks = [index == i for i in (1, 2, 3)]
         u = np.empty(np.shape(self.lam) + xv.shape)
         v = np.empty_like(u)
-        for mask, (pu, pv) in zip(masks, self.eval_pieces([xv[mask] for mask in masks])):
+        for mask, (pu, pv) in zip(masks, _query(self.pieces, [xv[mask] for mask in masks])):
             u[..., mask], v[..., mask] = pu, pv
         if u.ndim == 0:
             return float(u), float(v)
         return u, v
-
-    def eval_pieces(self, xs) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Value and slope at ``xs[i]`` inside piece ``i + 1``, for all three pieces.
-
-        A point at a piece's end is read on that piece, so both sides of an
-        interface can be asked for at once.  One step evaluation serves
-        every point, and each result equals ``self.pieces[i].eval(xs[i])``
-        bit for bit.  Returns one ``(u, u')`` pair of arrays per piece.
-        """
-        return _query(self.pieces, xs)
 
     def take(self, rows) -> "PiecewiseSolution":
         """The solution for the entries ``rows`` of an array ``lam``, as if built for them."""
@@ -552,10 +524,12 @@ def _crossings(
 
 
 def _build(spec: ProblemSpec, lam, kind: Literal["left", "right"]) -> PiecewiseSolution:
-    lam, lams = _as_batch(lam)
+    # the one place where a scalar lam becomes a batch of one; the solution
+    # keeps it as given, with float anchor states and 1-d node arrays
+    batched = np.ndim(lam) > 0
+    lams = _check_lams(lam if batched else [lam])
     ends, paths = _crossings(spec, lams, kind, nodes=True)
-    # a scalar lam squeezes the batch of one to float anchor states and 1-d node arrays
-    row = slice(None) if _batched(lam) else 0
+    lam, row = (lams, slice(None)) if batched else (lam, 0)
     pieces = tuple(
         PieceTrajectory(
             piece=piece, lam=lam, xs=xs, us=us[row], vs=vs[row],
@@ -564,7 +538,7 @@ def _build(spec: ProblemSpec, lam, kind: Literal["left", "right"]) -> PiecewiseS
         for piece, (xs, us, vs) in enumerate(paths, start=1)
     )
     return PiecewiseSolution(
-        lam=lam, spec=spec, pieces=pieces, ends=ends if _batched(lam) else ends.rows()[0]
+        lam=lam, spec=spec, pieces=pieces, ends=ends if batched else ends.rows()[0]
     )
 
 

@@ -74,6 +74,10 @@ def test_mu_asymptotic_accepts_phase_override():
 def test_mu_asymptotic_validation():
     with pytest.raises(ValueError):
         mu_asymptotic(baseline_spec(), 0)
+    for bad in (2.5, 3.0, True, np.array([1.0, 2.0]), np.array([True, False])):
+        with pytest.raises(ValueError, match="index must be an integer"):
+            mu_asymptotic(baseline_spec(), bad)
+    assert mu_asymptotic(baseline_spec(), np.int64(3)) == mu_asymptotic(baseline_spec(), 3)
     for bad in (-2.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="phase_total must be positive and finite"):
             mu_asymptotic(baseline_spec(), 3, phase_total=bad)
@@ -144,6 +148,9 @@ def test_phi_asymptotic_piece3_amplitude():
 def test_phi_asymptotic_validation():
     with pytest.raises(ValueError):
         phi_asymptotic(baseline_spec(), -2.0, 0.0)
+    for bad in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            phi_asymptotic(baseline_spec(), bad, 0.0)
     with pytest.raises(ValueError):
         phi_asymptotic(baseline_spec(), 3.0, 0.0, k=2)
 
@@ -223,6 +230,9 @@ def test_delta_leading_ratio_approaches_one(which):
 def test_delta_leading_validation():
     with pytest.raises(ValueError):
         delta_leading(baseline_spec(), 0.0)
+    for bad in (-2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            delta_leading(baseline_spec(), bad)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,8 @@ def test_grid_evaluation_preserves_order():
     values = char_grid(spec, LAM_GRID)
     assert [cv.lam for cv in values] == LAM_GRID
     assert char_grid(spec, []) == []
+    # a scalar is a batch of one
+    assert char_grid(spec, 5.0) == char_grid(spec, [5.0]) == [char_value(spec, 5.0)]
 
 
 def test_no_kink_across_zero():

@@ -585,7 +585,7 @@ def test_query_over_two_solutions_needs_one_lam():
     left, right = build_left(spec, lams), build_right(spec, lams)
     xs = [np.linspace(*piece_bounds(spec, i), 7) for i in (1, 2, 3)]
     got = shooting._query(left.pieces + right.pieces, xs + xs)
-    for g, w in zip(got, left.eval_pieces(xs) + right.eval_pieces(xs)):
+    for g, w in zip(got, shooting._query(left.pieces, xs) + shooting._query(right.pieces, xs)):
         assert g[0].tobytes() == w[0].tobytes() and g[1].tobytes() == w[1].tobytes()
     other = build_right(spec, np.array([3.7, 61.4]))
     with pytest.raises(ValueError, match="share lam"):
@@ -827,7 +827,7 @@ def test_queries_reject_points_that_are_not_finite():
             with pytest.raises(ValueError, match="outside"):
                 sol.pieces[1].eval(np.array([0.0, bad]))
             with pytest.raises(ValueError, match="outside"):
-                sol.eval_pieces([np.array([-0.5]), np.array([bad]), np.array([0.5])])
+                shooting._query(sol.pieces, [np.array([-0.5]), np.array([bad]), np.array([0.5])])
             with pytest.raises(ValueError, match="outside"):
                 sol.eval(bad)
             with pytest.raises(ValueError, match="outside"):
@@ -860,7 +860,7 @@ def test_fused_piece_query_repeats_each_piece_bit_for_bit(build, make):
     xs[1] = xs[1].reshape(-1, 1)  # each piece keeps its own point shape
     for lam in (3.7, _BUILD_LAMS):
         sol = build(spec, lam)
-        fused = sol.eval_pieces(xs)
+        fused = shooting._query(sol.pieces, xs)
         for i, (piece, x, (u, v)) in enumerate(zip(sol.pieces, xs, fused)):
             want_u, want_v = piece.eval(x)
             assert u.shape == v.shape == np.shape(lam) + x.shape
@@ -904,9 +904,9 @@ def test_fused_query_refuses_points_outside_their_piece():
     sol = build_left(mixed_spec(), 3.7)
     a, b = piece_bounds(sol.spec, 2)
     inside = [np.array([-1.0]), np.array([a, b]), np.array([1.0])]
-    sol.eval_pieces(inside)
+    shooting._query(sol.pieces, inside)
     with pytest.raises(ValueError):
-        sol.eval_pieces([inside[0], np.array([b + 1e-6]), inside[2]])
+        shooting._query(sol.pieces, [inside[0], np.array([b + 1e-6]), inside[2]])
 
 
 def test_batch_input_validation():
@@ -926,6 +926,10 @@ def test_batch_input_validation():
             build(spec, [-math.inf, 2.0])
         with pytest.raises(ValueError):
             build(spec, math.inf)
+    # char_grid takes a batch of lam as the builds do
+    for bad in (np.ones((2, 3)), np.empty((0, 2))):
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            char_grid(spec, bad)
 
 
 @settings(max_examples=25, deadline=None)

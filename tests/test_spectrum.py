@@ -213,6 +213,27 @@ def test_n_max_validated():
         locate_eigenvalues(baseline_spec(), 0)
 
 
+def test_locate_refuses_a_certificate_that_excludes_its_root(monkeypatch):
+    # brackets that lie wholly above their roots
+    monkeypatch.setattr(spectrum, "_certify", lambda spec, r: (r.x + 1.0, r.x + 2.0))
+    with pytest.raises(NumericalError, match="refinement produced an invalid certificate"):
+        locate_eigenvalues(baseline_spec(), 3)
+
+
+def test_locate_refuses_roots_that_do_not_increase(monkeypatch):
+    # the second root repeats the first, with the first's bracket
+    refine = spectrum._refine
+
+    def repeated(*args):
+        r = refine(*args)
+        r.x[1], r.cert_lo[1], r.cert_hi[1] = r.x[0], r.cert_lo[0], r.cert_hi[0]
+        return r
+
+    monkeypatch.setattr(spectrum, "_refine", repeated)
+    with pytest.raises(NumericalError, match="not strictly increasing after refinement"):
+        locate_eigenvalues(baseline_spec(), 3)
+
+
 def test_indefinite_form_is_still_solvable():
     # sign-flipped jump constant: eigenvalues exist and are certified
     res = locate_eigenvalues(indefinite_spec(), 4)
