@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .problem import NumericalError, ProblemSpec, piece_bounds
+from .problem import NumericalError, ProblemSpec, _integer, piece_bounds
 from .shooting import BoundaryData, PiecewiseSolution, State, _query
 
 __all__ = [
@@ -96,7 +96,9 @@ class QuadratureGrid:
 
     @classmethod
     def build(cls, spec: ProblemSpec, nodes_per_piece: Optional[int] = None) -> "QuadratureGrid":
-        n = spec.solver.quad_nodes if nodes_per_piece is None else int(nodes_per_piece)
+        n = spec.solver.quad_nodes
+        if nodes_per_piece is not None:
+            n = _integer("nodes_per_piece", nodes_per_piece)
         if n < 2:
             raise ValueError("need at least 2 nodes per piece")
         ref_x, ref_w = _gauss_rule(n)
@@ -224,7 +226,7 @@ def apply_operator(spec: ProblemSpec, F: HilbertElement) -> HilbertElement:
         raise ValueError("element carries no second-derivative samples")
     values = []
     for i in (1, 2, 3):
-        qx = polyval(F.grid.nodes[i - 1], spec.q.pieces[i - 1])
+        qx = polyval(F.grid.nodes[i - 1], spec.q[i - 1])
         w2 = spec.omega[i - 1] ** 2
         values.append((-F.deriv2[i - 1] + qx * F.values[i - 1]) / w2)
     return HilbertElement(
@@ -305,18 +307,21 @@ def sample_domain_element(
     scalar coordinate is set to its domain-coupled value.  The same seed
     reproduces the same function on any grid.
 
-    ``seed`` is a non-negative int, or a sequence of them for a stack with
-    one row per seed; each row equals the element of its seed alone bit for
-    bit.  A negative seed raises ``ValueError``.  Each seed's parameters are
-    drawn from ``random.Random(seed)`` (``_draw``), and those of a seed tuple
-    once per process (``_seed_table``).
+    ``seed`` is a non-negative int, or a nonempty sequence of them for a
+    stack with one row per seed; each row equals the element of its seed
+    alone bit for bit.  A negative seed, a seed that is not an integer (a
+    bool, a float, a string) and an empty stack raise ``ValueError``.  Each
+    seed's parameters are drawn from ``random.Random(seed)`` (``_draw``),
+    and those of a seed tuple once per process (``_seed_table``).
     """
     stacked = np.ndim(seed) > 0
-    if grid is None:
-        grid = QuadratureGrid.build(spec)
     # an int seed is drawn as a stack of one; each parameter is a (k, 1)
     # column, one row per seed, broadcast against every point
-    seeds = tuple(map(int, seed)) if stacked else (int(seed),)
+    seeds = tuple(_integer("seed", k) for k in seed) if stacked else (_integer("seed", seed),)
+    if not seeds:
+        raise ValueError("seed: the stack of seeds is empty")
+    if grid is None:
+        grid = QuadratureGrid.build(spec)
     freq, amp, b0, b1, b2, p2, s2, p3, s3 = _seed_table(seeds).T[..., None]
     u0, v0 = spec.left_launch
     h1, h2 = spec.h1, spec.h2
@@ -375,7 +380,7 @@ def element_from_solution(
     for i, (x, (u, v)) in enumerate(zip(grid.nodes, _query(sol.pieces, xs)), start=1):
         states.append((u[..., x.size:], v[..., x.size:]))
         u = u[..., : x.size]
-        qx = polyval(x, spec.q.pieces[i - 1])
+        qx = polyval(x, spec.q[i - 1])
         values.append(u)
         deriv2.append((qx - lam * spec.omega[i - 1] ** 2) * u)
     elem = HilbertElement(

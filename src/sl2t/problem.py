@@ -28,15 +28,16 @@ that judges a value: types, list lengths, finiteness, ranges and the standing
 hypotheses.  It reports each violation once, with its path (``omega[1]``,
 ``q.pieces[2][0]``, ``solver.rk_tol``), whether the spec was built directly
 or parsed.  :func:`parse_config` only maps JSON onto the record: it reports
-unknown keys, converts numbers, and hands every value to ``check``.  The
-records keep lists as tuples, so a spec built from lists equals its twin.
+unknown keys and a misshapen ``q``, and hands every value to ``check``.  The
+records convert their own numbers (``_canonical``), so a spec built from ints
+or lists equals, hashes and digests as its parsed float twin.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Literal, Sequence
 
 import numpy as np
@@ -44,7 +45,6 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "NumericalError",
-    "PiecewisePotential",
     "SolverConfig",
     "ProblemSpec",
     "validate",
@@ -79,34 +79,37 @@ class NumericalError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# coefficient data
+# canonical form and value checks
 
 
-def _tuples(value):
-    """Lists as tuples, all the way down; anything else unchanged."""
+def _canonical(value):
+    """Lists as tuples and ints (not bools) as floats, all the way down.
+
+    Anything else is left as it is, for ``check`` to judge.  An int past the
+    float range becomes an infinity of its sign, which ``check`` refuses as
+    not finite.
+    """
     if isinstance(value, (list, tuple)):
-        return tuple(_tuples(v) for v in value)
+        return tuple(_canonical(v) for v in value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
     return value
 
 
-@dataclass(frozen=True)
-class PiecewisePotential:
-    """Polynomial potential coefficients, one tuple per piece.
+class _Record:
+    """The one ``__post_init__`` of the frozen records: every field in canonical form.
 
-    Each entry of ``pieces`` holds coefficients in increasing degree, so
-    ``(c0, c1, c2)`` means ``c0 + c1*x + c2*x**2`` on that piece.  The
-    polynomial is evaluated in the global ``x`` coordinate.  Lists are kept
-    as tuples.
+    A field whose default is an ``int`` (an integer solver setting) is left
+    as given, so ``check`` can refuse a float there.
     """
 
-    pieces: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
-
     def __post_init__(self):
-        object.__setattr__(self, "pieces", _tuples(self.pieces))
-
-    @classmethod
-    def zero(cls) -> "PiecewisePotential":
-        return cls(((0.0,), (0.0,), (0.0,)))
+        for f in fields(self):
+            if not isinstance(f.default, int):
+                object.__setattr__(self, f.name, _canonical(getattr(self, f.name)))
 
 
 #: the numeric fields of a spec, each with its list length (0 for a scalar)
@@ -123,7 +126,7 @@ def _number_errors(path: str, value) -> list[str]:
     """The one message, if any, that says why ``value`` is not a finite number."""
     if value is _MISSING:
         return [f"{path}: missing required key"]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not isinstance(value, float):
         return [f"{path}: expected a number"]
     if not math.isfinite(value):
         return [f"{path}: must be finite"]
@@ -134,23 +137,36 @@ def _list_errors(path: str, value, n: int) -> list[str]:
     """Messages for a list of ``n`` numbers (of any nonempty length when ``n`` is 0)."""
     if value is _MISSING:
         return [f"{path}: missing required key"]
-    if not isinstance(value, (list, tuple)) or (len(value) != n if n else not value):
+    if not isinstance(value, tuple) or (len(value) != n if n else not value):
         return [f"{path}: expected a {f'list of {n}' if n else 'nonempty list of'} numbers"]
     return [e for i, v in enumerate(value) for e in _number_errors(f"{path}[{i}]", v)]
 
 
-#: the admissible range of each solver setting, and the message when it is left
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``: a Python or numpy integer passes, anything else raises.
+
+    A bool, a float or a string raises ``ValueError("<name> must be an
+    integer, ...")`` rather than being truncated or parsed.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+#: the admissible range of each solver setting, and the message when it is left;
+#: the ceilings bound the work: a Gauss rule of n nodes takes an n x n
+#: eigenproblem (128 MiB at 4096), and the scan takes bracket_subdiv samples per gap
 _SOLVER_RANGES = {
     "rk_tol": (lambda v: 0.0 < v <= 1e-4, "must lie in (0, 1e-4]"),
     "root_tol": (lambda v: 0.0 < v <= 1e-4, "must lie in (0, 1e-4]"),
-    "quad_nodes": (lambda v: v >= 2, "must be an integer >= 2"),
-    "bracket_subdiv": (lambda v: v >= 4, "must be an integer >= 4"),
+    "quad_nodes": (lambda v: 2 <= v <= 4096, "must be an integer in [2, 4096]"),
+    "bracket_subdiv": (lambda v: 4 <= v <= 1024, "must be an integer in [4, 1024]"),
     "scan_floor_factor": (lambda v: 1.0 <= v <= 1e6, "must lie in [1, 1e6]"),
 }
 
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Record):
     """Numerical knobs shared by the propagator, scan, and quadrature.
 
     A setting whose default is an ``int`` takes integers only; the others
@@ -183,15 +199,19 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(_Record):
     """Full description of one boundary-value problem.
 
     ``omega`` holds the three weight amplitudes (the equation's weight on
     piece ``i`` is ``omega[i]**2``), ``beta``/``beta_prime`` the constant and
     eigenvalue-proportional parts of the right boundary condition, and
-    ``gamma``/``delta`` the four interface jump pairs.  Instances are frozen;
-    run :func:`validate` once after construction and share freely.  Lists
-    are kept as tuples, so every spec is hashable.
+    ``gamma``/``delta`` the four interface jump pairs.  ``q`` holds the
+    polynomial potential, one coefficient tuple per piece in increasing
+    degree, so ``(c0, c1, c2)`` means ``c0 + c1*x + c2*x**2`` on that piece;
+    the polynomial is evaluated in the global ``x`` coordinate.  Instances
+    are frozen; run :func:`validate` once after construction and share
+    freely.  Every field is kept in canonical form (lists as tuples, ints as
+    floats), so every spec is hashable and equals its parsed twin.
     """
 
     h1: float
@@ -202,12 +222,8 @@ class ProblemSpec:
     beta_prime: tuple[float, float]
     gamma: tuple[float, float, float, float]
     delta: tuple[float, float, float, float]
-    q: PiecewisePotential = field(default_factory=PiecewisePotential.zero)
+    q: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]] = ((0.0,), (0.0,), (0.0,))
     solver: SolverConfig = field(default_factory=SolverConfig)
-
-    def __post_init__(self):
-        for name in _NUMERIC_FIELDS:
-            object.__setattr__(self, name, _tuples(getattr(self, name)))
 
     # -- derived scalars ----------------------------------------------------
 
@@ -301,9 +317,10 @@ class ProblemSpec:
         This is the one validator of problem data: it judges types, lengths
         and finiteness (``omega[1]: expected a number``, ``q.pieces[2][0]:
         must be finite``, ``solver.rk_tol: ...``) and the standing
-        hypotheses.  Relations between fields are checked only when every
-        field is a number, so a wrongly typed value gives one message and no
-        exception.  An empty list means the spec is admissible.
+        hypotheses; ``q`` is judged as the config format's ``pieces``.
+        Relations between fields are checked only when every field is a
+        number, so a wrongly typed value gives one message and no exception.
+        An empty list means the spec is admissible.
         """
         errs: list[str] = []
         for name, n in _NUMERIC_FIELDS.items():
@@ -324,12 +341,10 @@ class ProblemSpec:
                 for k, v in enumerate(getattr(self, name)):
                     if v == 0.0:
                         errs.append(f"{name}[{k}]: jump constants must be nonzero")
-        if not isinstance(self.q, PiecewisePotential):
-            errs.append("q: expected an object with a single 'pieces' key")
-        elif not isinstance(self.q.pieces, (list, tuple)) or len(self.q.pieces) != 3:
+        if not isinstance(self.q, tuple) or len(self.q) != 3:
             errs.append("q.pieces: expected a list of 3 coefficient lists")
         else:
-            for i, coeffs in enumerate(self.q.pieces):
+            for i, coeffs in enumerate(self.q):
                 errs += _list_errors(f"q.pieces[{i}]", coeffs, 0)
         if isinstance(self.solver, SolverConfig):
             errs += self.solver.check()
@@ -430,22 +445,13 @@ def _solver_overrides(pairs: Sequence[str]) -> dict:
     return out
 
 
-def _from_json(value):
-    """Numbers as floats, all the way down into lists; anything else unchanged."""
-    if isinstance(value, list):
-        return [_from_json(v) for v in value]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    return value
-
-
 def parse_config(data) -> ProblemSpec:
     """Map a JSON-style mapping onto a :class:`ProblemSpec` and validate it.
 
     ``data`` may be a dict or a JSON text.  This function only maps the JSON
-    shape onto the record: it reports unknown keys, turns numbers into floats
-    (integer solver settings stay as given), and leaves every other value as
-    it is; the record keeps lists as tuples.  A missing key becomes a
+    shape onto the record: it reports unknown keys and a ``q`` that is not
+    an object with a single ``pieces`` key, and converts no value; the
+    record puts its numbers in canonical form.  A missing key becomes a
     placeholder.
     :meth:`ProblemSpec.check` then judges every value, so each violation is
     reported once, with its path ("gamma[2]", "solver.rk_tol", ...), and all
@@ -458,18 +464,17 @@ def parse_config(data) -> ProblemSpec:
 
     known = {*_NUMERIC_FIELDS, "q", "solver"}
     errs = [f"{key}: unknown key" for key in data if key not in known]
-    kwargs = {name: _from_json(data.get(name, _MISSING)) for name in _NUMERIC_FIELDS}
+    kwargs = {name: data.get(name, _MISSING) for name in _NUMERIC_FIELDS}
     if "q" in data:
         q = data["q"]
-        is_q = isinstance(q, dict) and set(q) == {"pieces"}
-        kwargs["q"] = PiecewisePotential(_from_json(q["pieces"])) if is_q else q
+        if isinstance(q, dict) and set(q) == {"pieces"}:
+            kwargs["q"] = q["pieces"]
+        else:
+            errs.append("q: expected an object with a single 'pieces' key")
     solver = data.get("solver", {})
     if isinstance(solver, dict):
         errs += [f"solver.{key}: unknown key" for key in solver if key not in _SOLVER_DEFAULTS]
-        solver = SolverConfig(**{
-            key: value if isinstance(_SOLVER_DEFAULTS[key], int) else _from_json(value)
-            for key, value in solver.items() if key in _SOLVER_DEFAULTS
-        })
+        solver = SolverConfig(**{key: v for key, v in solver.items() if key in _SOLVER_DEFAULTS})
     spec = ProblemSpec(**kwargs, solver=solver)
     errs += spec.check()
     if errs:
@@ -500,16 +505,8 @@ def load_config(path, overrides: Sequence[str] = ()) -> ProblemSpec:
 
 
 def config_dict(spec: ProblemSpec) -> dict:
-    """Canonical plain-dict form of a spec (JSON round-trippable)."""
-    numbers = {
-        name: list(getattr(spec, name)) if n else getattr(spec, name)
-        for name, n in _NUMERIC_FIELDS.items()
-    }
-    return {
-        **numbers,
-        "q": {"pieces": [list(p) for p in spec.q.pieces]},
-        "solver": {name: getattr(spec.solver, name) for name in _SOLVER_DEFAULTS},
-    }
+    """Plain-dict form of a spec in the config format (tuples dump as JSON lists)."""
+    return {**asdict(spec), "q": {"pieces": spec.q}}
 
 
 def spec_digest(spec: ProblemSpec) -> str:

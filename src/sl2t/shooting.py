@@ -65,7 +65,7 @@ from typing import Literal
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .problem import _BREAK_TOL, ProblemSpec, Side, piece_bounds, piece_index_at
+from .problem import _BREAK_TOL, NumericalError, ProblemSpec, Side, piece_bounds, piece_index_at
 
 __all__ = [
     "State",
@@ -85,6 +85,9 @@ _COMMUTATOR = math.sqrt(3.0) / 12.0
 #: this many steps per block and per group, which one ``_step`` call forms
 #: across pieces
 _BLOCK = 256
+#: most Magnus steps on one piece; ``piece_mesh`` refuses a finer mesh before
+#: allocating it (default settings need at most a few thousand)
+_MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -182,9 +185,10 @@ def piece_mesh(spec: ProblemSpec, piece: int) -> np.ndarray:
     A constant-``q`` piece is one exact step.  Otherwise the fourth-order
     step error scales like ``h^4`` times the size of ``q'`` and ``q''``, and
     the uniform step is chosen so that product stays below ``rk_tol``.
+    A mesh of more than ``_MAX_STEPS`` steps raises ``NumericalError``.
     """
     a, b = piece_bounds(spec, piece)
-    coeffs = spec.q.pieces[piece - 1]
+    coeffs = spec.q[piece - 1]
     if all(c == 0.0 for c in coeffs[1:]):
         return np.array([a, b])
     reach = max(abs(a), abs(b))
@@ -192,8 +196,13 @@ def piece_mesh(spec: ProblemSpec, piece: int) -> np.ndarray:
         float(np.sum(np.abs(polyder(coeffs, m)) * reach ** np.arange(len(coeffs) - m)))
         for m in (1, 2) if len(coeffs) > m
     )
-    n = max(1, math.ceil((b - a) * (size / spec.solver.rk_tol) ** 0.25))
-    return np.linspace(a, b, n + 1)
+    steps = (b - a) * (size / spec.solver.rk_tol) ** 0.25
+    if not steps <= _MAX_STEPS:
+        raise NumericalError(
+            f"piece {piece} needs {steps:.3g} Magnus steps, more than {_MAX_STEPS}; "
+            "raise rk_tol or shrink q"
+        )
+    return np.linspace(a, b, max(1, math.ceil(steps)) + 1)
 
 
 @dataclass(frozen=True)
@@ -260,7 +269,7 @@ class _Sweep:
             jump = spec.jump(min(piece, legs[-1].piece) - 1, 1.0, 1.0, leftward) if legs else None
             w2 = spec.omega[piece - 1] ** 2
             legs.append(_Leg(piece, jump, mesh))
-            coeffs = spec.q.pieces[piece - 1]
+            coeffs = spec.q[piece - 1]
             xs = mesh[::-1] if leftward else mesh
             for j in range(0, xs.size - 1, _BLOCK):
                 x = xs[j : j + _BLOCK + 1]
@@ -533,7 +542,7 @@ def _build(spec: ProblemSpec, lam, kind: Literal["left", "right"]) -> PiecewiseS
     pieces = tuple(
         PieceTrajectory(
             piece=piece, lam=lam, xs=xs, us=us[row], vs=vs[row],
-            coeffs=spec.q.pieces[piece - 1], w2=spec.omega[piece - 1] ** 2,
+            coeffs=spec.q[piece - 1], w2=spec.omega[piece - 1] ** 2,
         )
         for piece, (xs, us, vs) in enumerate(paths, start=1)
     )

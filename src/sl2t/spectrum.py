@@ -28,7 +28,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .charfn import char_batch
 from .hilbert import HilbertElement, QuadratureGrid, element_from_solution, inner_product
-from .problem import NumericalError, ProblemSpec, phase, piece_bounds
+from .problem import NumericalError, ProblemSpec, _integer, phase, piece_bounds
 from .shooting import BoundaryData, build_right
 
 __all__ = [
@@ -126,7 +126,7 @@ def scan_floor(spec: ProblemSpec) -> float:
     for i in (1, 2, 3):
         a, b = piece_bounds(spec, i)
         xs = np.linspace(a, b, 257)
-        max_q = max(max_q, float(np.max(np.abs(polyval(xs, spec.q.pieces[i - 1])))))
+        max_q = max(max_q, float(np.max(np.abs(polyval(xs, spec.q[i - 1])))))
     min_w = min(w * w for w in spec.omega)
     return -spec.solver.scan_floor_factor * (1.0 + max_q / min_w)
 
@@ -327,9 +327,10 @@ def locate_eigenvalues(
     ``nu_budget`` is an absolute ceiling for the scan in the signed
     ``nu = sign(lam)*sqrt|lam|`` coordinate (mainly a testing hook); the
     default comfortably covers ``n_max`` asymptotic gaps.  If the ceiling
-    is reached first, the result is marked exhausted.
+    is reached first, the result is marked exhausted.  ``n_max`` must be an
+    integer (a bool or a float raises ``ValueError``).
     """
-    if n_max < 1:
+    if _integer("n_max", n_max) < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     lo, hi, flo, fhi, exhausted, scanned_to = _scan(spec, n_max, nu_budget)
     table = np.empty(lo.size, dtype=_ROOT_TABLE)
@@ -408,7 +409,7 @@ def eigenfunctions(
     ``1e-6 * (max|u| + max|u'| / (1 + sqrt|lam|))`` over the samples: the
     record is then not an eigenpair.
     """
-    if samples_per_piece < 1:
+    if _integer("samples_per_piece", samples_per_piece) < 1:
         raise ValueError("samples_per_piece must be >= 1")
     if not recs:
         return []

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sl2t.problem import PiecewisePotential, ProblemSpec, SolverConfig, validate
+from sl2t.problem import ProblemSpec, SolverConfig, validate
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -26,9 +26,6 @@ _BASE = dict(
 def build_spec(**overrides) -> ProblemSpec:
     """Unit baseline problem with selected fields overridden."""
     kwargs = dict(_BASE)
-    if "q" in overrides and isinstance(overrides["q"], (list, tuple)):
-        overrides = dict(overrides)
-        overrides["q"] = PiecewisePotential(tuple(tuple(map(float, p)) for p in overrides["q"]))
     kwargs.update(overrides)
     return validate(ProblemSpec(**kwargs))
 
@@ -58,7 +55,7 @@ def mixed_spec(**overrides) -> ProblemSpec:
         beta_prime=(0.9, -0.4),
         gamma=(1.5, 0.8, 1.2, 2.0),
         delta=(1.1, 0.9, 0.7, 1.3),
-        q=PiecewisePotential(((0.3,), (-0.2, 0.1), (0.4, 0.0, -0.3))),
+        q=((0.3,), (-0.2, 0.1), (0.4, 0.0, -0.3)),
     )
     kwargs.update(overrides)
     return build_spec(**kwargs)
@@ -75,7 +72,7 @@ def airy_spec(**overrides) -> ProblemSpec:
         beta_prime=(1.1, -0.3),
         gamma=(1.4, 0.9, 1.2, 0.7),
         delta=(0.8, 1.1, 0.9, 1.5),
-        q=PiecewisePotential(((0.3, 1.5), (-0.2, -2.0), (0.5, 0.8))),
+        q=((0.3, 1.5), (-0.2, -2.0), (0.5, 0.8)),
     )
     kwargs.update(overrides)
     return build_spec(**kwargs)
@@ -102,11 +99,9 @@ def random_spec(rng: np.random.Generator, constant_q: bool = True) -> ProblemSpe
     gamma = tuple(rng.uniform(0.4, 1.8, size=4))
     delta = tuple(rng.uniform(0.4, 1.8, size=4))
     if constant_q:
-        q = PiecewisePotential(tuple((float(c),) for c in rng.uniform(-2.0, 2.0, size=3)))
+        q = tuple((float(c),) for c in rng.uniform(-2.0, 2.0, size=3))
     else:
-        q = PiecewisePotential(
-            tuple(tuple(rng.uniform(-1.0, 1.0, size=rng.integers(1, 4))) for _ in range(3))
-        )
+        q = tuple(tuple(rng.uniform(-1.0, 1.0, size=rng.integers(1, 4))) for _ in range(3))
     return build_spec(
         h1=float(h1), h2=float(h2), omega=tuple(map(float, omega)), alpha=float(alpha),
         beta=tuple(map(float, beta)), beta_prime=tuple(map(float, beta_prime)),

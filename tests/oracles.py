@@ -41,6 +41,15 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-13) -> float:
     return 0.5 * (lo + hi)
 
 
+def q_pieces(spec) -> tuple:
+    """The potential's coefficient tuples, one per piece.
+
+    A ``ProblemSpec`` holds them as ``q``; the raw-config record of
+    ``bench/reference.py`` (``RefProblem``) holds them as ``q.pieces``.
+    """
+    return getattr(spec.q, "pieces", spec.q)
+
+
 def propagate_constant(u: float, v: float, s: float, length: float) -> tuple[float, float]:
     """Advance (u, u') across an interval where u'' = -s*u with constant s."""
     if s > 0.0:
@@ -80,7 +89,7 @@ def transfer_char(spec, lam: float) -> float:
     boundary form, scaled to the left-piece Wronskian normalization.
     """
     qc = []
-    for coeffs in spec.q.pieces:
+    for coeffs in q_pieces(spec):
         if any(c != 0.0 for c in coeffs[1:]):
             raise ValueError("transfer_char needs piecewise-constant q")
         qc.append(coeffs[0])
@@ -129,7 +138,7 @@ def airy_left(spec, lam: float, points=((), (), ()), digits: int = 40):
             elif i == 2:
                 u *= mp.mpf(spec.gamma[2]) / spec.delta[2]
                 v *= mp.mpf(spec.gamma[3]) / spec.delta[3]
-            q0, q1 = (mp.mpf(c) for c in spec.q.pieces[i])
+            q0, q1 = (mp.mpf(c) for c in q_pieces(spec)[i])
             k = mp.sign(q1) * mp.cbrt(abs(q1))
             shift = (q0 - lam * mp.mpf(spec.omega[i]) ** 2) / q1
 

@@ -420,6 +420,17 @@ def test_verify_rejects_inadmissible_config(tmp_path, capsys):
 # config and argument failure modes
 
 
+def test_integer_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "s0.json").read_text())
+    cfg["h1"] = 10**400
+    path = tmp_path / "huge_h1.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert "config error: h1: must be finite" in err.splitlines()
+
+
 def test_malformed_json_is_validation_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -72,6 +72,14 @@ def test_grid_needs_two_nodes_per_piece():
         QuadratureGrid.build(mixed_spec(), 1)
 
 
+@pytest.mark.parametrize("count", [2.7, 3.0, True, "3"])
+def test_grid_refuses_a_node_count_that_is_not_an_integer(count):
+    # int() would truncate 2.7 to a 2-node rule
+    with pytest.raises(ValueError, match="nodes_per_piece must be an integer"):
+        QuadratureGrid.build(baseline_spec(), count)
+    assert QuadratureGrid.build(baseline_spec(), np.int64(3)).nodes_per_piece == 3
+
+
 def test_grid_integrates_smooth_function():
     spec = baseline_spec()
     grid = QuadratureGrid.build(spec, nodes_per_piece=24)
@@ -568,6 +576,24 @@ def test_negative_seeds_are_refused():
             sample_domain_element(spec, seed, grid=grid)
     with pytest.raises(ValueError, match="non-negative"):
         _draw(-1)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (1.9, "seed must be an integer"),
+        (True, "seed must be an integer"),
+        ("7", "seed must be an integer"),
+        ((0, 1.5), "seed must be an integer"),
+        ([], "seed: the stack of seeds is empty"),
+    ],
+)
+def test_seeds_that_are_not_integers_are_refused(seed, message):
+    # int() would draw 1.9 and True as seed 1 and "7" as seed 7
+    spec = baseline_spec()
+    grid = QuadratureGrid.build(spec, nodes_per_piece=8)
+    with pytest.raises(ValueError, match=message):
+        sample_domain_element(spec, seed, grid=grid)
 
 
 def test_seed_table_is_the_draws_read_only_and_drawn_once():

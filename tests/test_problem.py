@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import baseline_spec, build_spec, mixed_spec, random_spec
+from sl2t.shooting import _legs
 from sl2t.problem import (
     ConfigError,
-    PiecewisePotential,
     ProblemSpec,
     SolverConfig,
     config_dict,
@@ -98,7 +98,7 @@ def test_nonfinite_fields_rejected():
     with pytest.raises(ConfigError, match="omega"):
         build_spec(omega=(1.0, math.nan, 1.0))
     with pytest.raises(ConfigError, match="q.pieces"):
-        build_spec(q=PiecewisePotential(((0.0,), (math.inf,), (0.0,))))
+        build_spec(q=((0.0,), (math.inf,), (0.0,)))
 
 
 def test_solver_knobs_checked():
@@ -110,6 +110,17 @@ def test_solver_knobs_checked():
         build_spec(solver=SolverConfig(bracket_subdiv=2))
 
 
+def test_solver_settings_that_size_the_work_have_ceilings():
+    # checked, never built: a 4096-node rule is a 128 MiB eigenproblem
+    assert SolverConfig(quad_nodes=4096, bracket_subdiv=1024).check() == []
+    assert SolverConfig(quad_nodes=4097, bracket_subdiv=1025).check() == [
+        "solver.quad_nodes: must be an integer in [2, 4096]",
+        "solver.bracket_subdiv: must be an integer in [4, 1024]",
+    ]
+    with pytest.raises(ConfigError, match=r"quad_nodes: must be an integer in \[2, 4096\]"):
+        build_spec(solver=SolverConfig(quad_nodes=10**400))
+
+
 @pytest.mark.parametrize(
     "overrides, path",
     [
@@ -117,9 +128,9 @@ def test_solver_knobs_checked():
         ({"solver": SolverConfig(quad_nodes=33.0)}, "solver.quad_nodes: expected an integer"),
         ({"omega": None}, "omega: expected a list of 3 numbers"),
         ({"h2": "0.5"}, "h2: expected a number"),
-        ({"q": PiecewisePotential(((0.0,), None, (0.0,)))}, "q.pieces[1]: expected a nonempty list"),
-        ({"q": PiecewisePotential(((0.0,), (0.0,), (0.0, None)))}, "q.pieces[2][1]: expected a number"),
-        ({"q": None}, "q: expected an object"),
+        ({"q": ((0.0,), None, (0.0,))}, "q.pieces[1]: expected a nonempty list"),
+        ({"q": ((0.0,), (0.0,), (0.0, None))}, "q.pieces[2][1]: expected a number"),
+        ({"q": None}, "q.pieces: expected a list of 3 coefficient lists"),
         ({"solver": None}, "solver: expected an object"),
     ],
 )
@@ -135,7 +146,7 @@ def test_wrongly_typed_fields_of_a_built_spec_are_config_errors(overrides, path)
     [
         ({"omega": [1.0, "x", 2.0]}, ["omega[1]: expected a number"]),
         (
-            {"q": PiecewisePotential([[0.0], [0.0]])},
+            {"q": [[0.0], [0.0]]},
             ["q.pieces: expected a list of 3 coefficient lists"],
         ),
     ],
@@ -143,7 +154,7 @@ def test_wrongly_typed_fields_of_a_built_spec_are_config_errors(overrides, path)
 def test_list_built_specs_report_each_violation_once(overrides, errors):
     # lists are kept as tuples, and check judges them as it judges tuples
     spec = replace(baseline_spec(), **overrides)
-    assert isinstance(spec.omega, tuple) and isinstance(spec.q.pieces, tuple)
+    assert isinstance(spec.omega, tuple) and isinstance(spec.q, tuple)
     assert spec.check() == errors
 
 
@@ -258,7 +269,7 @@ S0_CONFIG = {
 
 def test_parse_minimal_config_applies_defaults():
     spec = parse_config(json.dumps(S0_CONFIG))
-    assert spec.q == PiecewisePotential.zero()
+    assert spec.q == ((0.0,), (0.0,), (0.0,))
     assert spec.solver == SolverConfig()
     assert spec == baseline_spec()
 
@@ -314,6 +325,53 @@ def test_integer_literals_parse_like_their_float_twins():
     assert parse_config(ints) == parse_config(floats)
     assert spec_digest(parse_config(ints)) == spec_digest(parse_config(floats))
     assert all(type(w) is float for w in parse_config(ints).omega)
+
+
+@pytest.mark.parametrize("q", [[[0], [0], [0]], {"pieces": [[0], [0], [0]], "x": 1}, None])
+def test_parse_refuses_a_q_that_is_not_a_pieces_object(q):
+    with pytest.raises(ConfigError) as err:
+        parse_config(dict(S0_CONFIG, q=q))
+    assert err.value.errors == ["q: expected an object with a single 'pieces' key"]
+
+
+def test_an_integer_past_the_float_range_is_not_finite():
+    with pytest.raises(ConfigError) as err:
+        parse_config(dict(S0_CONFIG, h1=10**400, omega=[1, -(10**400), 1]))
+    assert err.value.errors == ["h1: must be finite", "omega[1]: must be finite"]
+
+
+def _as(form, values):
+    """``values`` as a list or a tuple, each integral float as an int when ``form`` says so."""
+    container, ints = form
+    return container(int(v) if ints and v == int(v) else v for v in values)
+
+
+_FORMS = st.tuples(st.sampled_from([list, tuple]), st.booleans())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    omega=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    alpha=st.integers(0, 3),
+    gamma=st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=4, max_size=4),
+    q=st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=3), min_size=3, max_size=3),
+    floor=st.integers(1, 1000),
+    forms=st.lists(_FORMS, min_size=8, max_size=8),
+)
+def test_a_spec_built_from_ints_and_lists_is_its_parsed_float_twin(omega, alpha, gamma, q, floor, forms):
+    raw = dict(S0_CONFIG, h1=-0.5, h2=0.0, omega=omega, alpha=alpha, beta=[0.5, 1], gamma=gamma,
+               q={"pieces": q}, solver={"scan_floor_factor": floor})
+    parsed = parse_config(json.loads(json.dumps(raw), parse_int=float))
+    built = ProblemSpec(
+        h1=-0.5, h2=0 if forms[0][1] else 0.0, omega=_as(forms[1], omega), alpha=alpha,
+        beta=_as(forms[2], [0.5, 1]), beta_prime=_as(forms[3], [1, 0]),
+        gamma=_as(forms[4], gamma), delta=_as(forms[5], [1, 1, 1, 1]),
+        q=_as((forms[6][0], False), [_as(forms[7], c) for c in q]),
+        solver=SolverConfig(scan_floor_factor=floor),
+    )
+    assert built == parsed and hash(built) == hash(parsed)
+    assert spec_digest(built) == spec_digest(parsed)
+    assert _legs(built) is _legs(parsed)
 
 
 def test_parse_rejects_unknown_top_level_keys():

@@ -20,7 +20,7 @@ from conftest import (
 )
 from oracles import airy_left, step_states, transfer_char
 from sl2t.problem import (
-    NumericalError, PiecewisePotential, ProblemSpec, load_config, piece_bounds,
+    NumericalError, ProblemSpec, SolverConfig, load_config, piece_bounds,
 )
 from sl2t.shooting import (
     PiecewiseSolution,
@@ -55,7 +55,7 @@ def carry_piece(spec, lam, piece, init, leftward=False):
     (u, v), (us, vs) = _carry(leg, sweep.blocks(np.array([lam])), u0, v0, nodes=True)
     traj = PieceTrajectory(
         piece=piece, lam=lam, xs=xs, us=us[::order, 0], vs=vs[::order, 0],
-        coeffs=spec.q.pieces[piece - 1], w2=spec.omega[piece - 1] ** 2,
+        coeffs=spec.q[piece - 1], w2=spec.omega[piece - 1] ** 2,
     )
     return State(u.item(), v.item()), traj
 
@@ -340,7 +340,7 @@ def test_carry_node_states_follow_the_step_recurrence(n_steps, forward):
     mesh = np.linspace(a, b, n_steps + 1)
     xs = mesh if forward else mesh[::-1]
     init = (np.array([0.3, -1.0, 0.8, 1.2]), np.array([1.0, 0.5, -2.0, 0.0]))
-    coeffs, w2 = spec.q.pieces[1], spec.omega[1] ** 2
+    coeffs, w2 = spec.q[1], spec.omega[1] ** 2
     sweep = _Sweep.along(spec, [(2, mesh)], leftward=not forward)
     (u, v), (us, vs) = _carry(sweep.legs[0], sweep.blocks(lams), *init, nodes=True)
     (u0, v0), none = _carry(sweep.legs[0], sweep.blocks(lams), *init)
@@ -365,7 +365,7 @@ def test_carry_node_states_follow_the_step_recurrence(n_steps, forward):
 def _per_call_carry(spec, piece, lams, xs, u, v):
     """A carry along ``xs`` that forms ``q`` at the Gauss points and the step
     lengths anew in every call, as each sweep did before the cached legs."""
-    coeffs, w2 = spec.q.pieces[piece - 1], spec.omega[piece - 1] ** 2
+    coeffs, w2 = spec.q[piece - 1], spec.omega[piece - 1] ** 2
     us, vs = np.empty((2, xs.size, lams.size))
     for j in range(0, xs.size - 1, _BLOCK):
         x = xs[j : j + _BLOCK + 1]
@@ -461,6 +461,13 @@ def test_airy_spec_spans_several_blocks_each_way():
         by_legs, _ = _block_steps(sweep)
         assert len(sweep.groups) == 10
         assert [g.cuts for g in sweep.groups] == [(0, n) for n in by_legs]
+
+
+def test_mesh_past_the_step_cap_is_refused_before_it_is_built():
+    # rk_tol = 1e-40 asks for about 7e9 steps on a piece: 60 GB of nodes
+    spec = airy_spec(solver=SolverConfig(rk_tol=1e-40))
+    with pytest.raises(NumericalError, match="Magnus steps, more than 100000"):
+        build_left(spec, 1.0)
 
 
 def test_mixed_spec_leftward_group_spans_two_pieces():
@@ -711,10 +718,10 @@ def test_list_built_spec_is_its_tuple_twin_and_shares_its_legs():
     spec = airy_spec()
     listed = ProblemSpec(**{
         **{name: list(v) if isinstance(v, tuple) else v for name, v in vars(spec).items()},
-        "q": PiecewisePotential([list(c) for c in spec.q.pieces]),
+        "q": [list(c) for c in spec.q],
     })
     assert listed == spec and hash(listed) == hash(spec)
-    assert isinstance(listed.omega, tuple) and isinstance(listed.q.pieces[2], tuple)
+    assert isinstance(listed.omega, tuple) and isinstance(listed.q[2], tuple)
     _legs.cache_clear()
     assert _legs(listed) is _legs(spec)
     info = _legs.cache_info()
@@ -845,7 +852,7 @@ _FUSED_SPECS = pytest.mark.parametrize(
 def test_polynomial_q_spec_mixes_degrees():
     # the fused query must meet pieces whose q have different degrees
     spec = random_spec(np.random.default_rng(3), constant_q=False)
-    assert len({len(c) for c in spec.q.pieces}) == 3
+    assert len({len(c) for c in spec.q}) == 3
 
 
 @pytest.mark.parametrize("build", [build_left, build_right], ids=["left", "right"])

@@ -213,6 +213,14 @@ def test_n_max_validated():
         locate_eigenvalues(baseline_spec(), 0)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 3.0, True, "3"])
+def test_n_max_that_is_not_an_integer_is_refused(n_max):
+    # 2.5 used to fail inside the scan's slicing, and True to find one root
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        locate_eigenvalues(baseline_spec(), n_max)
+    assert len(locate_eigenvalues(baseline_spec(), np.int64(2)).records) == 2
+
+
 def test_locate_refuses_a_certificate_that_excludes_its_root(monkeypatch):
     # brackets that lie wholly above their roots
     monkeypatch.setattr(spectrum, "_certify", lambda spec, r: (r.x + 1.0, r.x + 2.0))
@@ -413,6 +421,17 @@ def test_eigenfunction_rejects_bad_sample_count():
     rec = _first_records(spec, 1)[0]
     with pytest.raises(ValueError):
         eigenfunction(spec, rec, samples_per_piece=0)
+
+
+@pytest.mark.parametrize("samples", [2.5, 1.0, True, "4"])
+def test_eigenfunction_sample_count_that_is_not_an_integer_is_refused(samples):
+    # 2.5 used to fail inside np.linspace, and True to give one interior sample
+    spec = baseline_spec()
+    recs = _first_records(spec, 1)
+    with pytest.raises(ValueError, match="samples_per_piece must be an integer"):
+        eigenfunctions(spec, recs, samples_per_piece=samples)
+    ef = eigenfunctions(spec, recs, samples_per_piece=np.int64(2))[0]
+    assert ef.pieces[0].xs.size == 4
 
 
 @pytest.mark.parametrize("name", ["s0", "case1", "airy_spec"])
