@@ -42,6 +42,14 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+try:  # the interpreter's own SHA-256: hashlib is heavy to load, for it loads OpenSSL
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 __all__ = [
     "ConfigError",
     "NumericalError",
@@ -154,8 +162,8 @@ def _integer(name: str, value) -> int:
 
 
 #: the admissible range of each solver setting, and the message when it is left;
-#: the ceilings bound the work: a Gauss rule of n nodes takes an n x n
-#: eigenproblem (128 MiB at 4096), and the scan takes bracket_subdiv samples per gap
+#: the ceilings bound the work: a Gauss rule of n nodes takes O(n^2) recurrence
+#: work on arrays of length n, and the scan takes bracket_subdiv samples per gap
 _SOLVER_RANGES = {
     "rk_tol": (lambda v: 0.0 < v <= 1e-4, "must lie in (0, 1e-4]"),
     "root_tol": (lambda v: 0.0 < v <= 1e-4, "must lie in (0, 1e-4]"),
@@ -369,6 +377,18 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
 # coefficient evaluation
 
 
+def _polyval(x, c):
+    """``c[0] + c[1]*x + ... + c[-1]*x**(len(c) - 1)`` by Horner's rule.
+
+    The operations are those of ``numpy.polynomial.polynomial.polyval``, in
+    its order, so the value is the same to the bit.
+    """
+    value = c[-1] + x * 0.0
+    for coeff in c[-2::-1]:
+        value = coeff + value * x
+    return value
+
+
 def piece_bounds(spec: ProblemSpec, index: int) -> tuple[float, float]:
     """Closure endpoints of piece ``index`` (1-based, matching reports)."""
     if index not in (1, 2, 3):
@@ -516,8 +536,5 @@ def spec_digest(spec: ProblemSpec) -> str:
     file (whitespace, key order) do not change the digest but any value
     change does.  Used to stamp output tables.
     """
-    # imported here, its one use: hashlib loads OpenSSL, which ``import sl2t`` need not pay for
-    import hashlib
-
     blob = json.dumps(config_dict(spec), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return _sha256(blob.encode("utf-8")).hexdigest()[:16]

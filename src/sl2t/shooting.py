@@ -63,9 +63,10 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 
-from .problem import _BREAK_TOL, NumericalError, ProblemSpec, Side, piece_bounds, piece_index_at
+from .problem import (
+    _BREAK_TOL, NumericalError, ProblemSpec, Side, _polyval, piece_bounds, piece_index_at,
+)
 
 __all__ = [
     "State",
@@ -176,7 +177,7 @@ def _step(q1, q2, w2, lam, h):
 
 def _gauss_q(coeffs, x0, h):
     """``q`` at the two Gauss points of the steps from ``x0`` to ``x0 + h``."""
-    return polyval(x0 + (0.5 - _GAUSS) * h, coeffs), polyval(x0 + (0.5 + _GAUSS) * h, coeffs)
+    return _polyval(x0 + (0.5 - _GAUSS) * h, coeffs), _polyval(x0 + (0.5 + _GAUSS) * h, coeffs)
 
 
 def piece_mesh(spec: ProblemSpec, piece: int) -> np.ndarray:
@@ -192,8 +193,9 @@ def piece_mesh(spec: ProblemSpec, piece: int) -> np.ndarray:
     if all(c == 0.0 for c in coeffs[1:]):
         return np.array([a, b])
     reach = max(abs(a), abs(b))
+    # |q'| and |q''| on the piece are at most those derivatives of sum |c_j| t^j at t = reach
     size = sum(
-        float(np.sum(np.abs(polyder(coeffs, m)) * reach ** np.arange(len(coeffs) - m)))
+        _polyval(reach, [math.perm(j, m) * abs(c) for j, c in enumerate(coeffs)][m:])
         for m in (1, 2) if len(coeffs) > m
     )
     steps = (b - a) * (size / spec.solver.rk_tol) ** 0.25

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .charfn import char_batch
 from .hilbert import HilbertElement, QuadratureGrid, element_from_solution, inner_product
-from .problem import NumericalError, ProblemSpec, _integer, phase, piece_bounds
+from .problem import NumericalError, ProblemSpec, _integer, _polyval, phase, piece_bounds
 from .shooting import BoundaryData, build_right
 
 __all__ = [
@@ -126,7 +125,7 @@ def scan_floor(spec: ProblemSpec) -> float:
     for i in (1, 2, 3):
         a, b = piece_bounds(spec, i)
         xs = np.linspace(a, b, 257)
-        max_q = max(max_q, float(np.max(np.abs(polyval(xs, spec.q[i - 1])))))
+        max_q = max(max_q, float(np.max(np.abs(_polyval(xs, spec.q[i - 1])))))
     min_w = min(w * w for w in spec.omega)
     return -spec.solver.scan_floor_factor * (1.0 + max_q / min_w)
 

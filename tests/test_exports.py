@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import sl2t
+from sl2t.problem import load_config, spec_digest
 
 MODULES = ["sl2t"] + [f"sl2t.{m.name}" for m in pkgutil.iter_modules(sl2t.__path__)]
 SRC = Path(sl2t.__file__).resolve().parents[1]
@@ -42,23 +43,53 @@ def test_package_exports_are_the_submodules_exports():
     assert sorted(sl2t.__all__) == sorted(["__version__", *declared])
 
 
+#: modules an sl2t process never loads: OpenSSL's binding (spec_digest uses the
+#: interpreter's own SHA-256), numpy.random (verify draws its seeded inputs with
+#: random.Random) and numpy.polynomial (problem._polyval, hilbert._legendre_rule)
+_NEVER_LOADED = ("_hashlib", "numpy.random", "numpy.polynomial")
+
+
 def test_import_does_not_load_openssl():
-    # hashlib (and its OpenSSL binding _hashlib) loads only when spec_digest
-    # runs; numpy.random loads at no point (next test)
-    code = ("import sys, sl2t, sl2t.cli; "
-            "print('_hashlib' in sys.modules, 'numpy.random' in sys.modules)")
+    code = f"import sys, sl2t, sl2t.cli; print([m for m in {_NEVER_LOADED!r} if m in sys.modules])"
     run = _python(code, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False False"
+    assert run.stdout.strip() == "[]"
 
 
 def test_verify_does_not_load_numpy_random():
-    # verify draws its seeded inputs with the standard library's random.Random
+    # nor OpenSSL nor numpy.polynomial: a verify run hashes its spec and
+    # builds its Gauss rule too
     code = ("import sys, sl2t.cli; code = sl2t.cli.main(['verify', 'configs/s0.json']); "
-            "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(code)")
+            f"print([m for m in {_NEVER_LOADED!r} if m in sys.modules], file=sys.stderr); "
+            "sys.exit(code)")
     run = _python(code, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stderr.splitlines()[-1] == "False"
+    assert run.stderr.splitlines()[-1] == "[]"
+
+
+def test_digest_without_the_interpreters_sha256_module_falls_back_to_hashlib():
+    # a finder that refuses the lean SHA-256 modules leaves hashlib's, with the same digests
+    code = """
+import sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name in ("_sha2", "_sha256"):
+            raise ModuleNotFoundError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+import hashlib
+from sl2t import problem
+assert problem._sha256 is hashlib.sha256
+for name in ("s0", "case1", "indefinite"):
+    print(problem.spec_digest(problem.load_config(f"configs/{name}.json")))
+"""
+    run = _python(code, text=True)
+    assert run.returncode == 0, run.stderr
+    lean = [spec_digest(load_config(ROOT / "configs" / f"{name}.json"))
+            for name in ("s0", "case1", "indefinite")]
+    assert run.stdout.split() == lean
 
 
 #: installed for the tests, not needed at run time

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,6 +98,60 @@ def test_gauss_rule_is_shared_and_read_only():
     assert np.array_equal(ref_x, np.polynomial.legendre.leggauss(9)[0])
 
 
+def _mp_gauss_upper_half(n, start):
+    """Gauss-Legendre nodes and weights to 40 digits: Newton in mpmath on ``P_n`` from ``start``."""
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for x in map(mpmath.mpf, start):
+            for _ in range(3):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                x -= p1 * (1 - x * x) / (n * (p0 - x * p1))
+            nodes.append(x)
+            weights.append(2 * (1 - x * x) / (n * p0) ** 2)
+    return nodes, weights
+
+
+@pytest.mark.parametrize("n", [2, 9, 64, 257])
+def test_gauss_rule_matches_a_40_digit_reference(n):
+    # the rule is exactly symmetric, so its upper half (the middle node 0 of
+    # an odd rule included) is checked; the reference nodes ascend in [0, 1),
+    # with 0 only for odd n, so with their mirror images they are all n roots
+    x, w = _gauss_rule(n)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    upper = slice(n // 2, None)
+    ref_x, ref_w = _mp_gauss_upper_half(n, x[upper].tolist())
+    assert all(a < b for a, b in zip(ref_x, ref_x[1:])) and ref_x[-1] < 1
+    assert ref_x[0] == 0 if n % 2 else ref_x[0] > 0
+    for xf, wf, xr, wr in zip(x[upper].tolist(), w[upper].tolist(), ref_x, ref_w):
+        assert abs(xf - xr) <= 2 * np.spacing(float(xr)), (n, xf)
+        assert abs(wf - wr) <= 1e-13 * wr, (n, xf)
+
+
+def test_gauss_rule_calls_no_eigensolver(monkeypatch):
+    # the rule comes from a recurrence, not from numpy's LAPACK-backed eigensolvers
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver was called")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    _gauss_rule.cache_clear()
+    try:
+        grid = QuadratureGrid.build(mixed_spec(), nodes_per_piece=257)
+    finally:
+        _gauss_rule.cache_clear()
+    total = sum(grid.integrate(i, np.exp(grid.nodes[i - 1])) for i in (1, 2, 3))
+    assert total == pytest.approx(math.e - 1.0 / math.e, rel=1e-13)
+
+
+def test_largest_rule_passes_its_checks():
+    # quad_nodes' ceiling: the degree-8190 exactness check holds at 1e-12
+    x, w = _gauss_rule(4096)
+    assert x.size == w.size == 4096
+    assert abs(float(np.sum(w * x**8190)) - 2.0 / 8191.0) <= 1e-15
+
+
 def _scaled_weights(x, w):
     return x, 1.01 * w
 
@@ -129,8 +184,8 @@ def _misplaced_node(x, w):
 )
 def test_corrupted_rule_raises_and_is_not_cached(corrupt, message, monkeypatch):
     # the reference rule is checked once per node count, when it is first built
-    good = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: corrupt(*good(n)))
+    good = hilbert._legendre_rule
+    monkeypatch.setattr(hilbert, "_legendre_rule", lambda n: corrupt(*good(n)))
     _gauss_rule.cache_clear()
     try:
         for _ in range(2):

@@ -1,5 +1,6 @@
 """Validation, piece lookup, phase, and config round-trips."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import baseline_spec, build_spec, mixed_spec, random_spec
+from conftest import CONFIG_DIR, baseline_spec, build_spec, mixed_spec, random_spec
 from sl2t.shooting import _legs
 from sl2t.problem import (
     ConfigError,
@@ -445,3 +446,41 @@ def test_digest_is_short_hex():
     d = spec_digest(baseline_spec())
     assert len(d) == 16
     int(d, 16)
+
+
+def _hashlib_digest(spec):
+    """The first 16 hex digits of hashlib's SHA-256 of the spec's canonical JSON blob."""
+    blob = json.dumps(config_dict(spec), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+#: the digest each bundled config has always stamped on its tables
+BUNDLED_DIGESTS = {"s0": "a1966dd9b721d0b7", "case1": "38e5193916893c6a", "indefinite": "94e579c1e95c96cd"}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
+def test_bundled_digests_are_hashlib_sha256_of_the_canonical_blob(name):
+    spec = load_config(CONFIG_DIR / f"{name}.json")
+    assert spec_digest(spec) == _hashlib_digest(spec) == BUNDLED_DIGESTS[name]
+
+
+_ANY_NUMBER = st.floats(allow_nan=False) | st.integers(-10**20, 10**20)
+
+
+def _numbers(n):
+    return st.lists(_ANY_NUMBER, min_size=n, max_size=n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    spec=st.builds(
+        ProblemSpec, h1=_ANY_NUMBER, h2=_ANY_NUMBER, omega=_numbers(3), alpha=_ANY_NUMBER,
+        beta=_numbers(2), beta_prime=_numbers(2), gamma=_numbers(4), delta=_numbers(4),
+        q=st.lists(st.lists(_ANY_NUMBER, min_size=1, max_size=4), min_size=3, max_size=3),
+        solver=st.builds(SolverConfig, rk_tol=_ANY_NUMBER, quad_nodes=st.integers(2, 4096)),
+    )
+)
+def test_digest_is_hashlib_sha256_on_any_built_spec(spec):
+    # the interpreter's own SHA-256 module and hashlib's agree on every blob,
+    # admissible or not
+    assert spec_digest(spec) == _hashlib_digest(spec)
