@@ -32,6 +32,10 @@ from .spectrum import eigenfunction, locate_eigenvalues
 from .verification import verify
 
 
+class _UsageError(Exception):
+    """A usage problem found after parsing, such as an unwritable ``--out``."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage problems; we reserve 2 for
     config validation, so remap to 1."""
@@ -76,7 +80,10 @@ def _write_table(spec: ProblemSpec, args, params: str, columns: str, rows, *,
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     outputs = () if args.out is None else (args.out,)
     _report(digest, args.command, summary or params, outputs, notes=notes)
 
@@ -257,6 +264,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except _UsageError as exc:
+        print(f"sl2t {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     print(f"wall time: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
     return code
 

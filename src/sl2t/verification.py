@@ -10,9 +10,11 @@ wronskian-constancy
     W(φ, χ) is constant across each piece at three λ, with the left and the
     right solution read in one query over their six pieces;
 symmetry
-    ⟨AF, G⟩ = ⟨F, AG⟩ on six seeded pairs of domain elements (definite forms);
+    ⟨AF, G⟩ = ⟨F, AG⟩ on six seeded pairs of domain elements, seeds 0-11 on
+    the quadrature grid (definite forms);
 interface-wronskians
-    the interface Wronskian scaling relations on four seeded pairs;
+    the interface Wronskian scaling relations on four seeded pairs, seeds 1-4
+    against 51-54, whose end data it samples on the 2-node grid;
 orthogonality
     the Gram matrix of the first five eigenfunctions is the identity
     (definite forms); a scan that found fewer than five fails it;
@@ -29,9 +31,9 @@ bound is one module constant, which the stage's check and its message both
 read.
 
 A run pays only for its own numerics.  Its inputs are the same on every run:
-the 27 λ of its builds (``_build_lams``) and the parameters of its seeded
-domain elements (``hilbert``'s seed table) are drawn once per process and
-kept read-only; the first run in a process pays those draws, every later
+the 27 λ of its builds (``_build_lams``) and the parameters of each Hilbert
+stage's seeded elements (``hilbert``'s seed table) are drawn once per process
+and kept read-only; the first run in a process pays those draws, every later
 one reads them.  Both are drawn with the standard library's
 ``random.Random``, so a ``verify`` process never loads ``numpy.random``.
 """
@@ -124,26 +126,19 @@ class VerifyRun:
       wronskian-constancy stage's three.  Consistency reads their anchor
       records; constancy queries its three rows of both solutions with one
       ``shooting._query`` call.
-    * the quadrature grid, and one stack of seeded domain elements on it,
-      whose parameters come from ``hilbert``'s per-process seed table:
-      seeds 0-11 for the symmetry stage's six pairs, then 51-54, which pair
-      with seeds 1-4 in the interface-wronskians stage.  That stage reads
-      only the elements' end data, which no grid changes, so when the
-      symmetry stage is skipped it samples seeds 1-4 and 51-54 alone, on
-      the 2-node grid, and the run builds neither the grid nor the stack.
+    * the quadrature grid of the symmetry and orthogonality stages.
     * the located spectrum and its records: enough roots for the decay window
       when the decay stage will read them and 5 otherwise; the orthogonality
       stage reads the first five, and fails when the scan found fewer.  A
       failed scan is kept and raised again in every stage that reads it.
 
-    Nothing is kept across runs but those fixed inputs: every build, sample
-    and record belongs to its run.
+    Each Hilbert stage samples its own seeded elements and drops them when it
+    returns, so a run keeps no element.  Nothing is kept across runs but the
+    fixed inputs: every build, grid and record belongs to its run.
     """
 
     #: rows of ``builds``: the consistency stage's λ, then the constancy stage's
     CONSISTENCY, CONSTANCY = slice(0, 24), slice(24, 27)
-    #: rows of ``samples``: seeds 0-11, then the interface stage's partners of 1-4
-    SEEDS = (*range(12), 51, 52, 53, 54)
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
@@ -156,19 +151,6 @@ class VerifyRun:
     @functools.cached_property
     def grid(self) -> hilbert.QuadratureGrid:
         return hilbert.QuadratureGrid.build(self.spec)
-
-    @functools.cached_property
-    def samples(self) -> hilbert.HilbertElement:
-        return hilbert.sample_domain_element(self.spec, self.SEEDS, grid=self.grid)
-
-    @functools.cached_property
-    def interface_pairs(self) -> tuple[hilbert.HilbertElement, hilbert.HilbertElement]:
-        """Seeds 1-4 and their partners 51-54, as two stacks of four elements."""
-        if self.spec.is_definite:
-            return self.samples.take(slice(1, 5)), self.samples.take(slice(12, 16))
-        grid = hilbert.QuadratureGrid.build(self.spec, 2)
-        pairs = hilbert.sample_domain_element(self.spec, (1, 2, 3, 4, 51, 52, 53, 54), grid=grid)
-        return pairs.take(slice(0, 4)), pairs.take(slice(4, 8))
 
     @functools.cached_property
     def _scan(self) -> tuple[Optional[spectrum.ScanResult], Optional[Exception]]:
@@ -222,7 +204,7 @@ def _symmetry(run: VerifyRun) -> _Outcome:
     if not spec.is_definite:
         return None, "indefinite form: symmetry certification not applicable"
     # pairs (0, 1), (2, 3), ..., (10, 11): the even rows of seeds 0-11 against the odd ones
-    S = run.samples.take(slice(0, 12))
+    S = hilbert.sample_domain_element(spec, range(12), grid=run.grid)
     AS = hilbert.apply_operator(spec, S)
     F, G, AF, AG = (E.take(slice(j, 12, 2)) for E in (S, AS) for j in (0, 1))
     n, An = hilbert.norm(spec, S), hilbert.norm(spec, AS)
@@ -234,9 +216,13 @@ def _symmetry(run: VerifyRun) -> _Outcome:
 
 
 def _interface_wronskians(run: VerifyRun) -> _Outcome:
-    # pairs (1, 51), ..., (4, 54); the residuals read only end data
-    F, G = run.interface_pairs
-    worst = float(np.max(hilbert.interface_wronskian_residuals(run.spec, F, G)))
+    # pairs (1, 51), ..., (4, 54); the residuals read only end data, which
+    # no grid changes, so the elements are sampled on the 2-node grid
+    spec = run.spec
+    grid = hilbert.QuadratureGrid.build(spec, 2)
+    pairs = hilbert.sample_domain_element(spec, (1, 2, 3, 4, 51, 52, 53, 54), grid=grid)
+    F, G = pairs.take(slice(0, 4)), pairs.take(slice(4, 8))
+    worst = float(np.max(hilbert.interface_wronskian_residuals(spec, F, G)))
     return ((worst, _INTERFACE_TOL),), (
         f"max identity residual {worst:.2e} over 4 seeded pairs (tol {_INTERFACE_TOL:.0e})"
     )

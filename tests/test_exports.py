@@ -1,12 +1,14 @@
 """Every exported name resolves, in the package and in each submodule; importing is cheap.
 
-The runtime needs numpy alone, and the README's library example runs as written.
+The runtime needs numpy alone, the README's library example runs as written,
+and its command-line examples show what the command prints.
 """
 
 import importlib
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import sl2t
+from sl2t import cli
 from sl2t.problem import load_config, spec_digest
 
 MODULES = ["sl2t"] + [f"sl2t.{m.name}" for m in pkgutil.iter_modules(sl2t.__path__)]
@@ -131,3 +134,28 @@ def test_readme_library_example_runs():
     run = _python(block.group(1), text=True)
     assert run.returncode == 0, run.stderr
     assert "PASS" in run.stdout.splitlines()
+
+
+def _readme_cli_blocks():
+    """Each README code block whose first line is ``$ sl2t ...``: its argv and shown lines."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```\n\$ sl2t (.*?)\n(.*?)^```", readme, re.S | re.M)
+    return [pytest.param(shlex.split(cmd), shown.splitlines(), id=cmd) for cmd, shown in blocks]
+
+
+@pytest.mark.parametrize("argv, shown", _readme_cli_blocks())
+def test_readme_cli_example_shows_what_the_command_prints(argv, shown, capsys, monkeypatch):
+    # every shown line is a line of stdout; a line ending in "..." is a prefix of one
+    monkeypatch.chdir(ROOT)
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    for line in shown:
+        if line.endswith("..."):
+            assert any(p.startswith(line[:-3]) for p in printed), line
+        else:
+            assert line in printed, line
+
+
+def test_readme_shows_the_solve_compare_and_verify_examples():
+    commands = [argv[0] for (argv, _) in (p.values for p in _readme_cli_blocks())]
+    assert commands == ["solve", "compare", "verify"]

@@ -1,7 +1,9 @@
 """The verification suite as records: ``verify(spec)`` and its ``StageResult``s."""
 
 import dataclasses
+import gc
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -228,22 +230,49 @@ def test_decay_check_reads_the_decay_report(monkeypatch):
 
 
 @pytest.mark.parametrize("name", list(SPECS))
-def test_interface_pairs_give_the_shared_stack_residuals_bit_for_bit(name):
-    # an indefinite run samples only the interface stage's seeds, on the 2-node grid
+def test_interface_pairs_give_the_shared_stack_residuals_bit_for_bit(name, monkeypatch):
+    # the stage samples seeds 1-4 and 51-54 on the 2-node grid; their end
+    # data are those of rows 1-4 and 12-15 of one default-grid stack of
+    # seeds 0-11 and 51-54
     spec = SPECS[name]()
-    run = verification.VerifyRun(spec)
     stack = hilbert.sample_domain_element(
-        spec, verification.VerifyRun.SEEDS, grid=hilbert.QuadratureGrid.build(spec)
+        spec, (*range(12), 51, 52, 53, 54), grid=hilbert.QuadratureGrid.build(spec)
     )
     want = hilbert.interface_wronskian_residuals(
         spec, stack.take(slice(1, 5)), stack.take(slice(12, 16))
     )
-    F, G = run.interface_pairs
-    got = hilbert.interface_wronskian_residuals(spec, F, G)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert F.grid.nodes_per_piece == G.grid.nodes_per_piece == (257 if spec.is_definite else 2)
+    seen = []
+    original = hilbert.interface_wronskian_residuals
+
+    def spy(spec, F, G):
+        seen.append(((F.grid.nodes_per_piece, G.grid.nodes_per_piece), original(spec, F, G)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(hilbert, "interface_wronskian_residuals", spy)
+    run = verification.VerifyRun(spec)
     for stage in verification._STAGES:
         verification._run_stage(*stage, run)
-    # what no stage reads is never built
-    built = {"grid", "samples"} & set(vars(run))
-    assert built == ({"grid", "samples"} if spec.is_definite else set())
+    [(grids, got)] = seen
+    assert grids == (2, 2)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # only the symmetry and orthogonality stages read the quadrature grid
+    assert ("grid" in vars(run)) == spec.is_definite
+
+
+@pytest.mark.parametrize("name", ["s0", "case1"])
+def test_a_finished_run_keeps_less_than_the_heap_trim_threshold(name):
+    # a run that holds its seeded elements keeps about 350 KiB, which glibc
+    # gives back and takes again on every run past its 128 KiB trim threshold
+    spec = SPECS[name]()
+    verify(spec)  # the per-process draws, the Gauss rule and the imports
+    tracemalloc.start()
+    try:
+        run = verification.VerifyRun(spec)
+        results = [verification._run_stage(*stage, run) for stage in verification._STAGES]
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.status == "PASS" for r in results)
+    assert kept < 128 * 1024
+    assert not any(isinstance(v, hilbert.HilbertElement) for v in vars(run).values())
