@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .problem import ProblemSpec, phase, piece_index_at
+from .problem import ProblemSpec, _integer, phase, piece_index_at
 
 __all__ = [
     "AsymptoticCase",
@@ -262,8 +262,11 @@ def decay_check(
     through to the asymptotic formula for negative controls.  Where the
     interfaces reflect (``phase_coherent`` is false) the formula does not
     apply, and the check raises ``ValueError`` with the reason ``REFLECTING``.
-    It also raises when ``bound`` or ``phase_total`` is not positive and finite.
+    It also raises when ``n_lo`` or ``n_hi`` is not an integer (a bool or a
+    float raises) and when ``bound`` or ``phase_total`` is not positive and
+    finite.
     """
+    n_lo, n_hi = _integer("n_lo", n_lo), _integer("n_hi", n_hi)
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"bad index window [{n_lo}, {n_hi}]")
     if not 0.0 < bound < math.inf:

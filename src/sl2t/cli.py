@@ -210,6 +210,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: most a count flag (``--n-max``, ``--index``, ``--samples``, ``--n-hi``)
+#: may ask for, so a count from outside the program bounds the work and
+#: memory it costs; the same number as the Magnus step cap of one piece
+_MAX_COUNT = 100_000
+
+
 def _flag_problem(args) -> Optional[str]:
     if args.command in ("solve", "asym") and args.n_max < 1:
         return "--n-max must be >= 1"
@@ -227,6 +233,9 @@ def _flag_problem(args) -> Optional[str]:
             return "--bound must be positive and finite"
         if args.phase_override is not None and not 0.0 < args.phase_override < math.inf:
             return "--phase-override must be positive and finite"
+    for name in ("n_max", "index", "samples", "n_hi"):
+        if getattr(args, name, 0) > _MAX_COUNT:
+            return f"--{name.replace('_', '-')} must be <= {_MAX_COUNT}"
     return None
 
 

@@ -40,7 +40,9 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import NumericalError, ProblemSpec, _integer, _polyval, piece_bounds
+from .problem import (
+    _SOLVER_RANGES, NumericalError, ProblemSpec, _integer, _polyval, piece_bounds,
+)
 from .shooting import BoundaryData, PiecewiseSolution, State, _query
 
 __all__ = [
@@ -154,8 +156,10 @@ class QuadratureGrid:
         n = spec.solver.quad_nodes
         if nodes_per_piece is not None:
             n = _integer("nodes_per_piece", nodes_per_piece)
-        if n < 2:
-            raise ValueError("need at least 2 nodes per piece")
+        # the range of the quad_nodes setting, so an argument has the config's ceiling
+        admissible, rule = _SOLVER_RANGES["quad_nodes"]
+        if not admissible(n):
+            raise ValueError(f"nodes_per_piece {rule}, got {n}")
         ref_x, ref_w = _gauss_rule(n)
         nodes, weights = [], []
         for i in (1, 2, 3):

@@ -15,12 +15,12 @@ one) pairwise, block by block, each block at most ``_BLOCK`` steps.
 Everything a step needs besides ``lam`` is built once per spec and sweep
 direction into one frozen record (``_Sweep``; ``_legs`` caches a spec's two
 on the spec's value).  It holds one leg per piece (``_Leg``: the jump
-factors crossed on entering the piece, its ascending mesh and ``omega^2``)
-and the sweep's step groups (``_Group``): its blocks in sweep order, packed
-greedily into runs of at most ``_BLOCK`` steps that may cross pieces, each
-holding ``q`` at the Gauss points, ``omega^2`` and the step lengths of its
-steps.  A sweep forms only the ``lam``-dependent matrices, with one
-``_step`` call per group: on a constant-``q`` spec, one call per sweep.
+factors crossed on entering the piece and its ascending mesh), four step
+columns (``q`` at the two Gauss points, ``omega^2`` and the length of every
+step, in sweep order) and the row cuts of its groups: its blocks, packed
+greedily into runs of at most ``_BLOCK`` rows that may cross pieces.  A
+sweep forms only the ``lam``-dependent matrices, with one ``_step`` call per
+group: on a constant-``q`` spec, one call per sweep.
 
 Two distinguished solutions are built here:
 
@@ -224,38 +224,24 @@ class _Leg:
 
 
 @dataclass(frozen=True)
-class _Group:
-    """Consecutive blocks of one sweep, at most ``_BLOCK`` steps in all.
+class _Sweep:
+    """Everything but ``lam`` that one sweep needs: its legs and its step columns.
 
     ``q1`` and ``q2`` hold ``q`` at the two Gauss points of each step,
     ``w2`` the ``omega^2`` of its piece and ``h`` its length, each a
-    read-only column ``(n, 1)`` that broadcasts against a batch of ``lam``;
-    block ``i`` is rows ``cuts[i]`` to ``cuts[i + 1]``.  The blocks may lie
-    on different pieces.
+    read-only column ``(n_steps, 1)`` in sweep order that broadcasts against
+    a batch of ``lam``.  Each entry ``cuts`` of ``groups`` holds one group's
+    block boundaries as rows of the columns: its block ``i`` is rows
+    ``cuts[i]`` to ``cuts[i + 1]``.  A group spans at most ``_BLOCK`` rows,
+    and its blocks may lie on different pieces.
     """
 
+    legs: tuple[_Leg, ...]
     q1: np.ndarray
     q2: np.ndarray
     w2: np.ndarray
     h: np.ndarray
-    cuts: tuple[int, ...]
-
-    @classmethod
-    def of(cls, blocks) -> "_Group":
-        """The group of ``blocks``, each a ``(q1, q2, w2, h)`` of columns."""
-        cols = [np.concatenate(col) for col in zip(*blocks)]
-        for arr in cols:
-            arr.flags.writeable = False
-        cuts = np.cumsum([0] + [len(block[3]) for block in blocks])
-        return cls(*cols, tuple(cuts.tolist()))
-
-
-@dataclass(frozen=True)
-class _Sweep:
-    """Everything but ``lam`` that one sweep needs: its legs and its step groups."""
-
-    legs: tuple[_Leg, ...]
-    groups: tuple[_Group, ...]
+    groups: tuple[tuple[int, ...], ...]
 
     @classmethod
     def along(cls, spec: ProblemSpec, pieces, leftward: bool) -> "_Sweep":
@@ -265,24 +251,24 @@ class _Sweep:
         blocks of all legs are packed in sweep order, greedily, into groups
         of at most ``_BLOCK`` steps.
         """
-        legs, blocks = [], []
+        legs, steps, groups = [], [], [[0]]
         for piece, mesh in pieces:
             # the interface shared with the piece before, as a jump applied to (1, 1)
             jump = spec.jump(min(piece, legs[-1].piece) - 1, 1.0, 1.0, leftward) if legs else None
-            w2 = spec.omega[piece - 1] ** 2
             legs.append(_Leg(piece, jump, mesh))
-            coeffs = spec.q[piece - 1]
             xs = mesh[::-1] if leftward else mesh
-            for j in range(0, xs.size - 1, _BLOCK):
-                x = xs[j : j + _BLOCK + 1]
-                x0, h = x[:-1, None], np.diff(x)[:, None]
-                blocks.append((*_gauss_q(coeffs, x0, h), np.full_like(h, w2), h))
-        runs = [[]]
-        for block in blocks:
-            if sum(len(b[3]) for b in runs[-1]) + len(block[3]) > _BLOCK:
-                runs.append([])
-            runs[-1].append(block)
-        return cls(tuple(legs), tuple(_Group.of(run) for run in runs))
+            x0, h = xs[:-1, None], np.diff(xs)[:, None]
+            w2 = np.full_like(h, spec.omega[piece - 1] ** 2)
+            steps.append((*_gauss_q(spec.q[piece - 1], x0, h), w2, h))
+            for j in range(0, h.size, _BLOCK):
+                end = groups[-1][-1] + min(_BLOCK, h.size - j)
+                if end - groups[-1][0] > _BLOCK:
+                    groups.append([groups[-1][-1]])
+                groups[-1].append(end)
+        cols = [np.concatenate(col) for col in zip(*steps)]
+        for arr in cols:
+            arr.flags.writeable = False
+        return cls(tuple(legs), *cols, tuple(map(tuple, groups)))
 
     def blocks(self, lams: np.ndarray):
         """Each block's step matrix entries ``(a, b, c, d)``, in sweep order.
@@ -290,10 +276,11 @@ class _Sweep:
         One ``_step`` call forms a whole group's entries, when its first
         block is asked for; a block gets its rows, each ``(n_steps, n_lam)``.
         """
-        for group in self.groups:
-            steps = _step(group.q1, group.q2, group.w2, lams, group.h)
-            for i, j in zip(group.cuts, group.cuts[1:]):
-                yield tuple(x[i:j] for x in steps)
+        for cuts in self.groups:
+            lo, hi = cuts[0], cuts[-1]
+            steps = _step(self.q1[lo:hi], self.q2[lo:hi], self.w2[lo:hi], lams, self.h[lo:hi])
+            for i, j in zip(cuts, cuts[1:]):
+                yield tuple(x[i - lo : j - lo] for x in steps)
 
 
 @functools.lru_cache(maxsize=8)

@@ -326,11 +326,14 @@ def locate_eigenvalues(
     ``nu_budget`` is an absolute ceiling for the scan in the signed
     ``nu = sign(lam)*sqrt|lam|`` coordinate (mainly a testing hook); the
     default comfortably covers ``n_max`` asymptotic gaps.  If the ceiling
-    is reached first, the result is marked exhausted.  ``n_max`` must be an
-    integer (a bool or a float raises ``ValueError``).
+    is reached first, the result is marked exhausted; a ceiling that is not
+    finite raises ``ValueError``.  ``n_max`` must be an integer (a bool or a
+    float raises ``ValueError``).
     """
     if _integer("n_max", n_max) < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    if nu_budget is not None and not math.isfinite(nu_budget):
+        raise ValueError("nu_budget must be finite")
     lo, hi, flo, fhi, exhausted, scanned_to = _scan(spec, n_max, nu_budget)
     table = np.empty(lo.size, dtype=_ROOT_TABLE)
     if lo.size:

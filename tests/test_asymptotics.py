@@ -420,6 +420,16 @@ def test_decay_check_validation():
         decay_check(recs, steep_spec(), 5, 12, -1.0)
 
 
+@pytest.mark.parametrize("window", [(5.0, 12), (True, 12), (5, 12.0), (5, "12")])
+def test_decay_check_window_must_be_integers(window):
+    # a float index would reach mu_asymptotic, and True would count as 1
+    spec = steep_spec()
+    recs = _synthetic_records(spec, range(2, 16))
+    with pytest.raises(ValueError, match=r"n_(lo|hi) must be an integer"):
+        decay_check(recs, spec, *window, 1e-9)
+    assert decay_check(recs, spec, np.int64(5), np.int64(12), 1e-9).ns == tuple(range(5, 13))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_decay_check_rejects_a_bound_or_phase_that_is_not_positive_and_finite(bad):
     spec = steep_spec()

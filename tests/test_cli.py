@@ -282,6 +282,31 @@ def test_eigenfunction_flag_validation(capsys):
 
 
 # ---------------------------------------------------------------------------
+# count ceilings
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("solve", ["--n-max"]), ("asym", ["--n-max"]), ("eigenfunction", ["--index"]),
+     ("eigenfunction", ["--index", "1", "--samples"]), ("compare", ["--n-lo", "5", "--n-hi"])],
+    ids=["solve-n-max", "asym-n-max", "eigenfunction-index", "eigenfunction-samples",
+         "compare-n-hi"],
+)
+def test_count_flag_past_its_ceiling_is_refused_before_the_config_is_read(
+    command, flags, tmp_path, capsys
+):
+    # a config that does not exist: the flag's refusal comes before any read
+    missing = str(tmp_path / "missing.json")
+    code, out, err = _run(capsys, command, missing, *flags, str(cli._MAX_COUNT + 1))
+    assert code == 1
+    assert out == ""
+    assert err == f"sl2t {command}: error: {flags[-1]} must be <= 100000\n"
+    # the ceiling itself passes the flag checks
+    args = cli._build_parser().parse_args([command, missing, *flags, str(cli._MAX_COUNT)])
+    assert cli._flag_problem(args) is None
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 

@@ -69,8 +69,14 @@ def test_grid_nodes_and_weights():
 
 
 def test_grid_needs_two_nodes_per_piece():
-    with pytest.raises(ValueError, match="need at least 2 nodes per piece"):
+    with pytest.raises(ValueError, match=r"nodes_per_piece must be an integer in \[2, 4096\]"):
         QuadratureGrid.build(mixed_spec(), 1)
+
+
+def test_grid_refuses_more_nodes_than_the_quad_nodes_ceiling():
+    # the argument has the ceiling of the quad_nodes setting
+    with pytest.raises(ValueError, match=r"nodes_per_piece must be an integer in \[2, 4096\]"):
+        QuadratureGrid.build(baseline_spec(), 4097)
 
 
 @pytest.mark.parametrize("count", [2.7, 3.0, True, "3"])

@@ -448,7 +448,7 @@ def _block_steps(sweep):
         min(_BLOCK, leg.mesh.size - 1 - j)
         for leg in sweep.legs for j in range(0, leg.mesh.size - 1, _BLOCK)
     ]
-    by_groups = [j - i for g in sweep.groups for i, j in zip(g.cuts, g.cuts[1:])]
+    by_groups = [j - i for cuts in sweep.groups for i, j in zip(cuts, cuts[1:])]
     return by_legs, by_groups
 
 
@@ -459,8 +459,9 @@ def test_airy_spec_spans_several_blocks_each_way():
         assert all(math.ceil((leg.mesh.size - 1) / _BLOCK) == 3 + (leg.piece == 2) for leg in legs)
         # no two blocks fit in one group, so the groups are the blocks
         by_legs, _ = _block_steps(sweep)
+        ends = np.cumsum([0] + by_legs).tolist()
         assert len(sweep.groups) == 10
-        assert [g.cuts for g in sweep.groups] == [(0, n) for n in by_legs]
+        assert list(sweep.groups) == list(zip(ends, ends[1:]))
 
 
 def test_mesh_past_the_step_cap_is_refused_before_it_is_built():
@@ -476,11 +477,11 @@ def test_mixed_spec_leftward_group_spans_two_pieces():
     assert [leg.mesh.size - 1 for leg in leftward.legs] == [785, 366, 1]
     # piece 2's last block of 110 steps and piece 1's single step share one _step call
     last = leftward.groups[-1]
-    assert last.cuts == (0, 110, 111)
+    assert last == (1041, 1151, 1152) and leftward.h.shape == (1152, 1)
     w2 = [spec.omega[1] ** 2] * 110 + [spec.omega[0] ** 2]
-    assert last.w2[:, 0].tolist() == w2
+    assert leftward.w2[last[0] : last[-1], 0].tolist() == w2
     # rightward, piece 1's step cannot join piece 2's first block of 256
-    assert rightward.groups[0].cuts == (0, 1) and rightward.groups[1].cuts == (0, 256)
+    assert rightward.groups[:2] == ((0, 1), (1, 257))
 
 
 @_TABLE_SPECS
@@ -488,10 +489,15 @@ def test_no_group_exceeds_the_block_bound(make):
     for sweep in _legs(make()):
         by_legs, by_groups = _block_steps(sweep)
         assert by_groups == by_legs
-        assert all(0 < g.cuts[-1] <= _BLOCK for g in sweep.groups)
-        for g in sweep.groups:
-            assert all(col.shape == (g.cuts[-1], 1) for col in (g.q1, g.q2, g.w2, g.h))
-            assert not any(col.flags.writeable for col in (g.q1, g.q2, g.w2, g.h))
+        assert all(0 < cuts[-1] - cuts[0] <= _BLOCK for cuts in sweep.groups)
+        # consecutive groups share a boundary, and together they cover every row
+        bounds = [cuts[0] for cuts in sweep.groups] + [sweep.groups[-1][-1]]
+        assert [cuts[-1] for cuts in sweep.groups] == bounds[1:]
+        n_steps = sum(by_legs)
+        assert bounds[0] == 0 and bounds[-1] == n_steps
+        cols = (sweep.q1, sweep.q2, sweep.w2, sweep.h)
+        assert all(col.shape == (n_steps, 1) for col in cols)
+        assert not any(col.flags.writeable for col in cols)
 
 
 def _step_both_branches(q1, q2, w2, lam, h):
@@ -627,7 +633,7 @@ _CONSTANT_Q_SPECS = pytest.mark.parametrize(
 def test_constant_q_sweep_is_one_step_call(make, step_calls):
     spec = make()
     for sweep in _legs(spec):
-        assert [g.cuts for g in sweep.groups] == [(0, 1, 2, 3)]
+        assert sweep.groups == ((0, 1, 2, 3),)
     left_terminal_batch(spec, _TABLE_LAMS)
     assert len(step_calls) == 1
     char_grid(spec, _TABLE_LAMS)

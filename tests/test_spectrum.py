@@ -208,6 +208,13 @@ def test_scan_budget_exhaustion_is_reported():
         assert rec.mu_n == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("budget", [math.inf, -math.inf, math.nan])
+def test_scan_budget_must_be_finite(budget):
+    # an infinite or NaN ceiling has no last scan step
+    with pytest.raises(ValueError, match="nu_budget must be finite"):
+        locate_eigenvalues(baseline_spec(), 3, nu_budget=budget)
+
+
 def test_n_max_validated():
     with pytest.raises(ValueError):
         locate_eigenvalues(baseline_spec(), 0)
