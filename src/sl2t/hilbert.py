@@ -180,6 +180,8 @@ class QuadratureGrid:
         ``values`` may stack rows of samples along leading axes; the result
         then has one integral per row, and a single row gives a ``float``.
         """
+        if piece not in (1, 2, 3):
+            raise ValueError(f"piece index must be 1, 2, or 3, got {piece!r}")
         total = np.sum(self.weights[piece - 1] * values, axis=-1)
         return float(total) if total.ndim == 0 else total
 

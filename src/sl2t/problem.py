@@ -403,15 +403,17 @@ def piece_index_at(spec: ProblemSpec, x, side: Side | None = None):
     The one rule for which piece holds a point: inside a piece, its position;
     within ``_BREAK_TOL`` of an interface, the piece ``side`` names ("left"
     or "right"), and without ``side`` it raises.  Points outside ``[-1, 1]``,
-    NaN included, raise.
+    NaN included, raise, as does any other ``side``, wherever ``x`` lies.
     """
+    if side not in (None, "left", "right"):
+        raise ValueError(f"side must be None, 'left' or 'right', got {side!r}")
     xv = np.asarray(x, dtype=float)
     if not np.all(np.abs(xv) <= 1.0 + _BREAK_TOL):
         raise ValueError(f"x={x!r} lies outside [-1, 1]")
     index = 1 + (xv >= spec.h1) + (xv >= spec.h2)
     for k, b in enumerate((spec.h1, spec.h2)):
         near = np.abs(xv - b) <= _BREAK_TOL
-        if side not in ("left", "right") and np.any(near):
+        if side is None and np.any(near):
             raise ValueError(f"x={x!r} sits on an interface point; pass side='left' or side='right'")
         index = np.where(near, k + 1 if side == "left" else k + 2, index)
     return int(index) if index.ndim == 0 else index

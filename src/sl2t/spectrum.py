@@ -389,10 +389,7 @@ class EigenFunction:
 
 
 def eigenfunctions(
-    spec: ProblemSpec,
-    recs: Sequence[EigenRecord],
-    samples_per_piece: int = 40,
-    grid: Optional[QuadratureGrid] = None,
+    spec: ProblemSpec, recs: Sequence[EigenRecord], samples_per_piece: int = 40
 ) -> list[EigenFunction]:
     """Build the normalized eigenfunctions for located eigenvalues.
 
@@ -403,11 +400,15 @@ def eigenfunctions(
     positive.  For indefinite forms the absolute value of the quadratic form
     is used for scaling.  One build serves every record, with one evaluation
     per piece for the quadrature nodes and the samples together, and one
-    stacked inner product gives every norm; each record gets the values a
-    build for its eigenvalue alone would give.
+    stacked inner product gives every norm.  The norms take one Gauss grid
+    sized for the largest ``|lam|``: its solution's largest turn on a piece
+    plus 16 nodes, rounded up to a multiple of 64, and at least
+    ``quad_nodes``.  Each record gets the values a build for its eigenvalue
+    alone would give on that grid.
 
-    A record whose solution has near-zero norm raises ``NumericalError``, as
-    does one whose solution misses the left condition by more than
+    A batch that needs more than 4096 nodes per piece raises
+    ``NumericalError``, as does a record whose solution has near-zero norm
+    or misses the left condition by more than
     ``1e-6 * (max|u| + max|u'| / (1 + sqrt|lam|))`` over the samples: the
     record is then not an eigenpair.
     """
@@ -415,11 +416,22 @@ def eigenfunctions(
         raise ValueError("samples_per_piece must be >= 1")
     if not recs:
         return []
-    if grid is None:
-        grid = QuadratureGrid.build(spec)
     lams = np.array([rec.lambda_n for rec in recs])
     sol = build_right(spec, lams)
     xs = [np.linspace(*piece_bounds(spec, i), samples_per_piece + 2) for i in (1, 2, 3)]
+    # on piece i the solution turns through at most L_i sqrt(max|lam| omega_i^2 + Q_i)
+    # radians, where Q_i = sum_j |c_ij| r_i^j bounds |q| at the piece's reach r_i
+    lam, bp = float(lams[np.argmax(np.abs(lams))]), spec.breakpoints
+    need = 16.0 + float(np.ceil(max(
+        (b - a) * math.sqrt(abs(lam) * w * w + _polyval(max(abs(a), abs(b)), np.abs(c)))
+        for a, b, w, c in zip(bp, bp[1:], spec.omega, spec.q)
+    )))
+    if not need <= 4096:
+        raise NumericalError(
+            f"the norm at lam={lam!r} needs {need:.0f} quadrature nodes per piece, more than 4096"
+        )
+    # a multiple of 64 nodes keeps the number of distinct Gauss rules small
+    grid = QuadratureGrid.build(spec, max(spec.solver.quad_nodes, 64 * math.ceil(need / 64)))
     stack, raw = element_from_solution(spec, sol, grid, xs)
 
     e = sol.ends
@@ -463,14 +475,9 @@ def eigenfunctions(
     ]
 
 
-def eigenfunction(
-    spec: ProblemSpec,
-    rec: EigenRecord,
-    samples_per_piece: int = 40,
-    grid: Optional[QuadratureGrid] = None,
-) -> EigenFunction:
+def eigenfunction(spec: ProblemSpec, rec: EigenRecord, samples_per_piece: int = 40) -> EigenFunction:
     """Build the normalized eigenfunction for one located eigenvalue (see ``eigenfunctions``)."""
-    return eigenfunctions(spec, [rec], samples_per_piece, grid)[0]
+    return eigenfunctions(spec, [rec], samples_per_piece)[0]
 
 
 def eigenfunction_residuals(spec: ProblemSpec, ef: EigenFunction) -> dict[str, float]:

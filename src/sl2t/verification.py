@@ -11,7 +11,7 @@ wronskian-constancy
     right solution read in one query over their six pieces;
 symmetry
     ⟨AF, G⟩ = ⟨F, AG⟩ on six seeded pairs of domain elements, seeds 0-11 on
-    the quadrature grid (definite forms);
+    the default quadrature grid (definite forms);
 interface-wronskians
     the interface Wronskian scaling relations on four seeded pairs, seeds 1-4
     against 51-54, whose end data it samples on the 2-node grid;
@@ -126,15 +126,15 @@ class VerifyRun:
       wronskian-constancy stage's three.  Consistency reads their anchor
       records; constancy queries its three rows of both solutions with one
       ``shooting._query`` call.
-    * the quadrature grid of the symmetry and orthogonality stages.
     * the located spectrum and its records: enough roots for the decay window
       when the decay stage will read them and 5 otherwise; the orthogonality
       stage reads the first five, and fails when the scan found fewer.  A
       failed scan is kept and raised again in every stage that reads it.
 
-    Each Hilbert stage samples its own seeded elements and drops them when it
-    returns, so a run keeps no element.  Nothing is kept across runs but the
-    fixed inputs: every build, grid and record belongs to its run.
+    Each Hilbert stage builds its own grid and samples its own seeded
+    elements on it, and drops both when it returns, so a run keeps neither.
+    Nothing is kept across runs but the fixed inputs: every build and record
+    belongs to its run.
     """
 
     #: rows of ``builds``: the consistency stage's λ, then the constancy stage's
@@ -147,10 +147,6 @@ class VerifyRun:
     def builds(self) -> tuple[shooting.PiecewiseSolution, shooting.PiecewiseSolution]:
         lams = _build_lams()
         return shooting.build_left(self.spec, lams), shooting.build_right(self.spec, lams)
-
-    @functools.cached_property
-    def grid(self) -> hilbert.QuadratureGrid:
-        return hilbert.QuadratureGrid.build(self.spec)
 
     @functools.cached_property
     def _scan(self) -> tuple[Optional[spectrum.ScanResult], Optional[Exception]]:
@@ -204,7 +200,7 @@ def _symmetry(run: VerifyRun) -> _Outcome:
     if not spec.is_definite:
         return None, "indefinite form: symmetry certification not applicable"
     # pairs (0, 1), (2, 3), ..., (10, 11): the even rows of seeds 0-11 against the odd ones
-    S = hilbert.sample_domain_element(spec, range(12), grid=run.grid)
+    S = hilbert.sample_domain_element(spec, range(12))
     AS = hilbert.apply_operator(spec, S)
     F, G, AF, AG = (E.take(slice(j, 12, 2)) for E in (S, AS) for j in (0, 1))
     n, An = hilbert.norm(spec, S), hilbert.norm(spec, AS)
@@ -235,7 +231,7 @@ def _orthogonality(run: VerifyRun) -> _Outcome:
     records = run.records[:_GRAM_SIZE]
     if len(records) < _GRAM_SIZE:
         raise NumericalError(f"scan found only {len(records)} of {_GRAM_SIZE} eigenvalues")
-    fns = spectrum.eigenfunctions(spec, records, samples_per_piece=4, grid=run.grid)
+    fns = spectrum.eigenfunctions(spec, records, samples_per_piece=4)
     gram = spectrum.orthogonality_matrix(spec, fns)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     diag = float(np.max(np.abs(np.diag(gram) - 1.0)))

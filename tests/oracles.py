@@ -111,6 +111,60 @@ def transfer_char(spec, lam: float) -> float:
     return spec.m3 * d3
 
 
+def square_integral_constant(u: float, v: float, s: float, length: float) -> float:
+    """``integral of u**2`` over an interval where u'' = -s*u, from the start state (u, u').
+
+    With ``k = sqrt|s|`` the solution is ``u cos kt + (v/k) sin kt`` (or its
+    cosh/sinh twin), and each of its three squared terms integrates in closed
+    form.
+    """
+    if s > 0.0:
+        k = math.sqrt(s)
+        half, osc = 0.5 * length, math.sin(2.0 * k * length) / (4.0 * k)
+        cross = (1.0 - math.cos(2.0 * k * length)) / (2.0 * k)
+        return u * u * (half + osc) + (v / k) ** 2 * (half - osc) + u * (v / k) * cross
+    if s < 0.0:
+        k = math.sqrt(-s)
+        half, grow = 0.5 * length, math.sinh(2.0 * k * length) / (4.0 * k)
+        cross = (math.cosh(2.0 * k * length) - 1.0) / (2.0 * k)
+        return u * u * (grow + half) + (v / k) ** 2 * (grow - half) + u * (v / k) * cross
+    return u * u * length + u * v * length**2 + v * v * length**3 / 3.0
+
+
+def right_norm_constant(spec, lam: float) -> float:
+    """H-norm of the right-launched solution, for piecewise-constant ``q``.
+
+    The solution is launched at ``x = 1`` with ``(beta2' lam + beta2,
+    beta1' lam + beta1)``, which makes the right boundary form vanish, and
+    carried leftward piece by piece in closed form, each jump undone on the
+    way.  The norm squared is ``sum of omega_i^2 m_i integral of u**2`` with
+    the jump-product multipliers ``m = (1, m2, m3)``, plus ``(m3/rho) f1**2``
+    for ``f1 = beta1' u(1) - beta2' u'(1)``; the result is the square root of
+    its absolute value.  Reading a piece backward from its right end is the
+    forward formula with the slope's sign flipped.
+    """
+    if any(c != 0.0 for coeffs in q_pieces(spec) for c in coeffs[1:]):
+        raise ValueError("right_norm_constant needs piecewise-constant q")
+    qc = [coeffs[0] for coeffs in q_pieces(spec)]
+    g, d = spec.gamma, spec.delta
+    m2 = d[0] * d[1] / (g[0] * g[1])
+    m3 = m2 * d[2] * d[3] / (g[2] * g[3])
+    (b1, b2), (b1p, b2p) = spec.beta, spec.beta_prime
+    u, v = b2p * lam + b2, b1p * lam + b1
+    total = (m3 / (b1p * b2 - b1 * b2p)) * (b1p * u - b2p * v) ** 2
+    bounds = (-1.0, spec.h1, spec.h2, 1.0)
+    for i, mult in ((2, m3), (1, m2), (0, 1.0)):
+        s = lam * spec.omega[i] ** 2 - qc[i]
+        length = bounds[i + 1] - bounds[i]
+        total += spec.omega[i] ** 2 * mult * square_integral_constant(u, -v, s, length)
+        u, v = propagate_constant(u, -v, s, length)
+        v = -v
+        if i > 0:
+            u *= d[2 * i - 2] / g[2 * i - 2]
+            v *= d[2 * i - 1] / g[2 * i - 1]
+    return math.sqrt(abs(total))
+
+
 # ---------------------------------------------------------------------------
 # linear potential on every piece: Airy functions, evaluated with mpmath
 

@@ -136,8 +136,7 @@ def test_criterion_04_operator_symmetry(announce):
 def test_criterion_05_eigenfunction_orthogonality(announce):
     # Gram matrix of the first 5 normalized eigenfunctions of the baseline
     spec, records = _records("baseline", 20)
-    grid = QuadratureGrid.build(spec)
-    fns = [eigenfunction(spec, rec, samples_per_piece=4, grid=grid) for rec in records[:5]]
+    fns = [eigenfunction(spec, rec, samples_per_piece=4) for rec in records[:5]]
     gram = orthogonality_matrix(spec, fns)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     diag = float(np.max(np.abs(np.diag(gram) - 1.0)))

@@ -128,6 +128,22 @@ def test_eigenfunction_index_past_a_partial_scan_is_a_numerical_failure(monkeypa
     assert "numerical failure: scan found only 3 eigenvalues before exhausting its budget" in err
 
 
+def test_eigenfunction_past_the_quadrature_ceiling_is_a_numerical_failure(capsys):
+    # on s0 the norm of index 3898 needs 4097 Gauss nodes per piece
+    code, out, err = _run(capsys, "eigenfunction", S0, "--index", "3898")
+    assert code == 3
+    assert out == ""
+    assert "needs 4097 quadrature nodes per piece, more than 4096" in err
+
+
+def test_eigenfunction_normalization_at_a_high_index(capsys):
+    # the H-norm needs 1088 nodes per piece, more than the default 257
+    code, out, _ = _run(capsys, "eigenfunction", S0, "--index", "1000")
+    assert code == 0
+    [line] = [ln for ln in out.splitlines() if ln.startswith("# normalization:")]
+    assert float(line.split(":")[1]) == pytest.approx(1569.2263270391, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the table writer, shared by every table command
 

@@ -94,6 +94,14 @@ def test_grid_integrates_smooth_function():
     assert total == pytest.approx(math.e - 1.0 / math.e, rel=1e-13)
 
 
+@pytest.mark.parametrize("piece", [0, -1, 4, 2.5])
+def test_grid_integrate_refuses_a_piece_index_outside_1_to_3(piece):
+    # a negative or zero index would pick a piece counted from the end
+    grid = QuadratureGrid.build(baseline_spec(), nodes_per_piece=4)
+    with pytest.raises(ValueError, match=f"piece index must be 1, 2, or 3, got {piece!r}"):
+        grid.integrate(piece, np.ones(4))
+
+
 def test_gauss_rule_is_shared_and_read_only():
     QuadratureGrid.build(mixed_spec(), nodes_per_piece=9)
     ref_x, ref_w = _gauss_rule(9)
@@ -351,10 +359,9 @@ def test_operator_requires_second_derivatives():
 
 def test_eigenpairs_satisfy_operator_relation():
     for spec in (baseline_spec(), mixed_spec()):
-        grid = QuadratureGrid.build(spec)
         recs = locate_eigenvalues(spec, 3).records
         for rec in recs:
-            ef = eigenfunction(spec, rec, samples_per_piece=4, grid=grid)
+            ef = eigenfunction(spec, rec, samples_per_piece=4)
             F = ef.element
             AF = apply_operator(spec, F)
             diff = _diff_element(AF, F, lam=rec.lambda_n)

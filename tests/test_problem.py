@@ -209,6 +209,15 @@ def test_array_lookups_follow_the_scalar_rule():
             piece_index_at(spec, bad)
 
 
+@pytest.mark.parametrize("side", ["up", "Left", "", 0])
+def test_piece_lookup_refuses_a_side_it_does_not_know(side):
+    # side is checked before x, so a misspelling fails away from an interface too
+    spec = mixed_spec()
+    for x in (0.0, spec.h1, np.array([-0.9, 0.0])):
+        with pytest.raises(ValueError, match=f"side must be None, 'left' or 'right', got {side!r}"):
+            piece_index_at(spec, x, side=side)
+
+
 # ---------------------------------------------------------------------------
 # accumulated phase
 

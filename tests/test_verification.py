@@ -249,14 +249,24 @@ def test_interface_pairs_give_the_shared_stack_residuals_bit_for_bit(name, monke
         return seen[-1][1]
 
     monkeypatch.setattr(hilbert, "interface_wronskian_residuals", spy)
+    built = []
+    build = hilbert.QuadratureGrid.build
+
+    def spy_build(cls, spec, nodes_per_piece=None):
+        grid = build(spec, nodes_per_piece)
+        built.append(grid.nodes_per_piece)
+        return grid
+
+    monkeypatch.setattr(hilbert.QuadratureGrid, "build", classmethod(spy_build))
     run = verification.VerifyRun(spec)
     for stage in verification._STAGES:
         verification._run_stage(*stage, run)
     [(grids, got)] = seen
     assert grids == (2, 2)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    # only the symmetry and orthogonality stages read the quadrature grid
-    assert ("grid" in vars(run)) == spec.is_definite
+    # the symmetry stage and the first five eigenfunctions take the default
+    # grid; an indefinite form skips both
+    assert built == ([257, 2, 257] if spec.is_definite else [2])
 
 
 @pytest.mark.parametrize("name", ["s0", "case1"])
