@@ -157,11 +157,11 @@ def phi_asymptotic(spec: ProblemSpec, mu: float, x, k: int = 0):
     with or without reflecting interfaces; its constant grows like
     ``|cot(alpha)|/omega1`` for a launch close to ``sin(alpha) = 0``.  On
     zero-potential, reflection-free problems the returned value is the
-    solution itself.
+    solution itself.  ``k`` is an integer: a bool or a float raises.
     """
     if not 0.0 < mu < math.inf:
         raise ValueError("mu must be positive and finite")
-    if k not in (0, 1):
+    if _integer("k", k) not in (0, 1):
         raise ValueError("k must be 0 or 1")
     out = _leading_wave(spec, mu, x)[k]
     if np.ndim(x) == 0:
@@ -263,12 +263,14 @@ def decay_check(
     interfaces reflect (``phase_coherent`` is false) the formula does not
     apply, and the check raises ``ValueError`` with the reason ``REFLECTING``.
     It also raises when ``n_lo`` or ``n_hi`` is not an integer (a bool or a
-    float raises) and when ``bound`` or ``phase_total`` is not positive and
-    finite.
+    float raises), when ``bound`` is a bool, and when ``bound`` or
+    ``phase_total`` is not positive and finite.
     """
     n_lo, n_hi = _integer("n_lo", n_lo), _integer("n_hi", n_hi)
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"bad index window [{n_lo}, {n_hi}]")
+    if isinstance(bound, (bool, np.bool_)):
+        raise ValueError(f"bound must be a number, got {bound!r}")
     if not 0.0 < bound < math.inf:
         raise ValueError("bound must be positive and finite")
     total = _phase_total(spec, phase_total)

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .problem import (
-    _SOLVER_RANGES, NumericalError, ProblemSpec, _integer, _polyval, piece_bounds,
+    _SOLVER_RANGES, NumericalError, ProblemSpec, _integer, _piece_index, _polyval, piece_bounds,
 )
 from .shooting import BoundaryData, PiecewiseSolution, State, _query
 
@@ -180,9 +180,7 @@ class QuadratureGrid:
         ``values`` may stack rows of samples along leading axes; the result
         then has one integral per row, and a single row gives a ``float``.
         """
-        if piece not in (1, 2, 3):
-            raise ValueError(f"piece index must be 1, 2, or 3, got {piece!r}")
-        total = np.sum(self.weights[piece - 1] * values, axis=-1)
+        total = np.sum(self.weights[_piece_index(piece) - 1] * values, axis=-1)
         return float(total) if total.ndim == 0 else total
 
     def same_nodes(self, other: "QuadratureGrid") -> bool:

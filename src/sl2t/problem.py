@@ -389,12 +389,17 @@ def _polyval(x, c):
     return value
 
 
+def _piece_index(index) -> int:
+    """``index`` as a piece number: only the integers 1, 2 and 3 pass, numpy ones too."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or index not in (1, 2, 3):
+        raise ValueError(f"piece index must be 1, 2, or 3, got {index!r}")
+    return int(index)
+
+
 def piece_bounds(spec: ProblemSpec, index: int) -> tuple[float, float]:
     """Closure endpoints of piece ``index`` (1-based, matching reports)."""
-    if index not in (1, 2, 3):
-        raise ValueError(f"piece index must be 1, 2, or 3, got {index!r}")
-    bp = spec.breakpoints
-    return bp[index - 1], bp[index]
+    i, bp = _piece_index(index), spec.breakpoints
+    return bp[i - 1], bp[i]
 
 
 def piece_index_at(spec: ProblemSpec, x, side: Side | None = None):
@@ -460,10 +465,12 @@ def _solver_overrides(pairs: Sequence[str]) -> dict:
         key, sep, value = item.partition("=")
         if not sep or key not in _SOLVER_DEFAULTS:
             raise ValueError(f"expects KEY=VALUE with KEY in {tuple(_SOLVER_DEFAULTS)}; got {item!r}")
+        kind = type(_SOLVER_DEFAULTS[key])
         try:
-            out[key] = type(_SOLVER_DEFAULTS[key])(value)
+            out[key] = kind(value)
         except ValueError:
-            raise ValueError(f"value is not numeric: {item!r}") from None
+            need = "an integer" if kind is int else "numeric"
+            raise ValueError(f"value is not {need}: {item!r}") from None
     return out
 
 

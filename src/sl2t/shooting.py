@@ -34,21 +34,20 @@ Two distinguished solutions are built here:
 
 Both follow one sweep: the launch state, then their three legs, the pieces
 in propagation order with the jump crossed before each.  ``_crossings`` is
-the one walk along it and the one source of anchor states: it returns the
-sweep's ``BoundaryData``, each piece's entry and exit state.  The
-characteristic scan (``left_terminal_batch``) and ``charfn.char_grid`` read
-only that record; ``build_left`` and ``build_right`` also keep the state at
-every mesh node from the same product, so their anchor states equal the
-scan's bit for bit.  A piece's node arrays answer every query: at a node the
-stored state, elsewhere one step from the nearest node before it.  The step
-takes only ``lam``-independent inputs besides ``lam`` (``q`` at its two Gauss
-points, its length and ``omega^2``), so one query (``_query``) steps points
-on all three pieces, or on the pieces of several solutions built for one
-``lam``, with one call, each point as a query on its piece alone would.
-``problem.piece_index_at`` places a point: by its position inside a piece,
-and within ``_BREAK_TOL`` of an interface, where the solution is two-valued,
-by ``side``, or it raises.  The conditions themselves are read
-from :class:`ProblemSpec`.
+the one walk along it.  The characteristic scan (``left_terminal_batch``)
+takes only the left solution's state at ``x = 1``; ``build_left`` and
+``build_right`` keep the state at every mesh node from the same product, so
+a build ends where the scan does, bit for bit.  A build's end nodes are the
+one source of its anchor states (``PiecewiseSolution.ends``), and its node
+arrays answer every query: at a node the stored state, elsewhere one step
+from the nearest node before it.  The step takes only ``lam``-independent
+inputs besides ``lam`` (``q`` at its two Gauss points, its length and
+``omega^2``), so one query (``_query``) steps points on all three pieces, or
+on the pieces of several solutions built for one ``lam``, with one call,
+each point as a query on its piece alone would.  ``problem.piece_index_at``
+places a point: by its position inside a piece, and within ``_BREAK_TOL`` of
+an interface, where the solution is two-valued, by ``side``, or it raises.
+The conditions themselves are read from :class:`ProblemSpec`.
 
 An eigenvalue is a value of ``lam`` where the two are proportional, which
 the characteristic-function module detects through their Wronskian.
@@ -442,9 +441,8 @@ def _query(pieces, xs) -> list[tuple[np.ndarray, np.ndarray]]:
 class PiecewiseSolution:
     """A solution of the full problem assembled from three piece trajectories.
 
-    ``ends`` is the sweep's anchor record: the launch, each jump's image and
-    each piece's exit state.  Every query goes to one piece's node arrays,
-    whose end nodes hold those same states, so a query exactly at an anchor
+    Every query goes to one piece's node arrays, and ``ends`` reads the
+    anchor states off their end nodes, so a query exactly at an anchor
     returns its ``ends`` field bit for bit.  When ``lam`` is an array, every
     state and query holds one entry (or row) per ``lam``.
     """
@@ -452,7 +450,14 @@ class PiecewiseSolution:
     lam: float | np.ndarray
     spec: ProblemSpec
     pieces: tuple[PieceTrajectory, PieceTrajectory, PieceTrajectory]
-    ends: BoundaryData
+
+    @functools.cached_property
+    def ends(self) -> BoundaryData:
+        """The anchor states, each piece's first and last node: floats for a scalar ``lam``."""
+        cut = float if np.ndim(self.lam) == 0 else np.asarray
+        return BoundaryData(*(
+            State(cut(p.us[..., k]), cut(p.vs[..., k])) for p in self.pieces for k in (0, -1)
+        ))
 
     def state(self, x, side: Side | None = None) -> State:
         """One-sided solution state at ``x``; at a node, the stored state."""
@@ -483,7 +488,7 @@ class PiecewiseSolution:
         pieces = tuple(
             dataclasses.replace(p, lam=lam, us=p.us[rows], vs=p.vs[rows]) for p in self.pieces
         )
-        return dataclasses.replace(self, lam=lam, pieces=pieces, ends=self.ends.take(rows))
+        return dataclasses.replace(self, lam=lam, pieces=pieces)
 
 
 def _crossings(
@@ -494,10 +499,9 @@ def _crossings(
     Each piece is crossed by ``_carry`` over its whole mesh, from just past
     the jump into it (from the launch, for the first piece), with the step
     entries of the sweep's groups, one ``_step`` call per group.  Returns the
-    sweep's anchor record: each piece's entry and exit state, one entry per
-    ``lam``.  With ``nodes`` it also returns, for pieces 1, 2 and 3, the
-    ascending mesh ``xs`` and the states ``us``/``vs`` there, shaped
-    ``(n_lam, xs.size)``.
+    state ``(u, u')`` where the sweep ends, one entry per ``lam``; with
+    ``nodes``, instead, for pieces 1, 2 and 3 the ascending mesh ``xs`` and
+    the states ``us``/``vs`` there, shaped ``(n_lam, xs.size)``.
     """
     rightward, leftward = _legs(spec)
     if kind == "left":
@@ -508,25 +512,22 @@ def _crossings(
         launch, sweep, order = (c2, c1), leftward, -1
     u, v = (np.full(lams.size, s) for s in launch)
     blocks = sweep.blocks(lams)
-    anchors, paths = {}, {}
+    paths = {}
     for leg in sweep.legs:
         if leg.jump is not None:
             u, v = leg.jump[0] * u, leg.jump[1] * v
-        entry = State(u, v)
         (u, v), (us, vs) = _carry(leg, blocks, u, v, nodes)
-        anchors[leg.piece] = (entry, State(u, v))[::order]
         if nodes:
             paths[leg.piece] = (leg.mesh, us[::order].T, vs[::order].T)
-    ends = BoundaryData(*(st for piece in (1, 2, 3) for st in anchors[piece]))
-    return (ends, tuple(paths[piece] for piece in (1, 2, 3))) if nodes else ends
+    return tuple(paths[piece] for piece in (1, 2, 3)) if nodes else (u, v)
 
 
 def _build(spec: ProblemSpec, lam, kind: Literal["left", "right"]) -> PiecewiseSolution:
     # the one place where a scalar lam becomes a batch of one; the solution
-    # keeps it as given, with float anchor states and 1-d node arrays
+    # keeps it as given, with 1-d node arrays
     batched = np.ndim(lam) > 0
     lams = _check_lams(lam if batched else [lam])
-    ends, paths = _crossings(spec, lams, kind, nodes=True)
+    paths = _crossings(spec, lams, kind, nodes=True)
     lam, row = (lams, slice(None)) if batched else (lam, 0)
     pieces = tuple(
         PieceTrajectory(
@@ -535,9 +536,7 @@ def _build(spec: ProblemSpec, lam, kind: Literal["left", "right"]) -> PiecewiseS
         )
         for piece, (xs, us, vs) in enumerate(paths, start=1)
     )
-    return PiecewiseSolution(
-        lam=lam, spec=spec, pieces=pieces, ends=ends if batched else ends.rows()[0]
-    )
+    return PiecewiseSolution(lam=lam, spec=spec, pieces=pieces)
 
 
 def build_left(spec: ProblemSpec, lam) -> PiecewiseSolution:
@@ -584,5 +583,4 @@ def left_terminal_batch(spec: ProblemSpec, lams: np.ndarray) -> tuple[np.ndarray
     The sweep of ``build_left`` without its node states: each piece is
     crossed by ``_carry`` and the jumps are applied between pieces.
     """
-    right = _crossings(spec, _check_lams(lams), "left").right
-    return right.u, right.v
+    return _crossings(spec, _check_lams(lams), "left")

@@ -4,8 +4,8 @@
 one frozen ``StageResult`` per stage:
 
 consistency
-    the three pieces give one characteristic value at 24 random λ (the
-    scaled consistency residual of ``char_grid``);
+    the three pieces give one characteristic value at 24 random λ, read off
+    the builds' ``ends`` (the scaled consistency residual of ``char_value``);
 wronskian-constancy
     W(φ, χ) is constant across each piece at three λ, with the left and the
     right solution read in one query over their six pieces;

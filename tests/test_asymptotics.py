@@ -155,6 +155,15 @@ def test_phi_asymptotic_validation():
         phi_asymptotic(baseline_spec(), 3.0, 0.0, k=2)
 
 
+@pytest.mark.parametrize("k", [True, False, 1.0])
+def test_phi_asymptotic_takes_an_integer_k(k):
+    # True returned the slope and False the value; 1.0 raised TypeError
+    spec = baseline_spec()
+    with pytest.raises(ValueError, match="k must be an integer"):
+        phi_asymptotic(spec, 10.0, 0.5, k=k)
+    assert phi_asymptotic(spec, 10.0, 0.5, k=np.int64(1)) == phi_asymptotic(spec, 10.0, 0.5, k=1)
+
+
 def test_phi_asymptotic_rejects_points_outside_the_domain():
     # the piece lookup judges the range, NaN included, for scalars and arrays
     spec = mixed_spec()
@@ -428,6 +437,15 @@ def test_decay_check_window_must_be_integers(window):
     with pytest.raises(ValueError, match=r"n_(lo|hi) must be an integer"):
         decay_check(recs, spec, *window, 1e-9)
     assert decay_check(recs, spec, np.int64(5), np.int64(12), 1e-9).ns == tuple(range(5, 13))
+
+
+@pytest.mark.parametrize("bound", [True, np.True_], ids=["bool", "numpy_bool"])
+def test_decay_check_refuses_a_bool_bound(bound):
+    # True ran the check with bound 1
+    spec = steep_spec()
+    recs = _synthetic_records(spec, range(2, 16))
+    with pytest.raises(ValueError, match="bound must be a number"):
+        decay_check(recs, spec, 5, 12, bound)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])

@@ -9,7 +9,7 @@ from conftest import (
     CONFIG_DIR, airy_spec, baseline_spec, build_spec, mixed_spec, random_spec, steep_spec,
 )
 from oracles import airy_left, baseline_char, steep_char, transfer_char
-from sl2t.charfn import char_batch, char_grid, char_value
+from sl2t.charfn import char_batch, char_value
 from sl2t.problem import load_config
 from sl2t.shooting import build_left, build_right, wronskian
 
@@ -105,15 +105,6 @@ def test_char_scales_linearly_with_right_boundary_data():
         )
 
 
-def test_grid_evaluation_preserves_order():
-    spec = baseline_spec()
-    values = char_grid(spec, LAM_GRID)
-    assert [cv.lam for cv in values] == LAM_GRID
-    assert char_grid(spec, []) == []
-    # a scalar is a batch of one
-    assert char_grid(spec, 5.0) == char_grid(spec, [5.0]) == [char_value(spec, 5.0)]
-
-
 def test_no_kink_across_zero():
     # second divided differences of the computed value track the closed form
     # through lam = 0, where the trig/hyperbolic branches meet
@@ -155,16 +146,16 @@ def _two_ended(spec, lam):
 
 @pytest.mark.parametrize("name", ["s0", "case1", "indefinite"])
 def test_batched_grid_repeats_two_ended_builds_bit_for_bit(name):
-    # constant q: one exact step per piece on both routes, same arithmetic
+    # constant q: char_value's ends and the queries at the anchors read the same nodes
     spec = load_config(CONFIG_DIR / f"{name}.json")
-    for lam, cv in zip(WIDE_LAMS, char_grid(spec, WIDE_LAMS)):
-        assert cv.on_piece == _two_ended(spec, float(lam)), lam
+    for lam in WIDE_LAMS.tolist():
+        assert char_value(spec, lam).on_piece == _two_ended(spec, lam), lam
 
 
 @pytest.mark.parametrize("make", [mixed_spec, airy_spec])
 def test_batched_grid_matches_two_ended_builds_on_polynomial_q(make):
-    # Magnus meshes: the batch and the one-lam builds take the same pairwise products
+    # Magnus meshes: char_value's ends and the queries at the anchors read the same nodes
     spec = make()
-    for lam, cv in zip(WIDE_LAMS, char_grid(spec, WIDE_LAMS)):
-        assert cv.on_piece == _two_ended(spec, float(lam)), lam
+    for lam in WIDE_LAMS.tolist():
+        assert char_value(spec, lam).on_piece == _two_ended(spec, lam), lam
 

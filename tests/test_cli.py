@@ -14,7 +14,7 @@ import pytest
 
 from conftest import CONFIG_DIR, airy_spec, mixed_spec
 import sl2t
-from sl2t.charfn import _piece_wronskians, char_grid
+from sl2t.charfn import _piece_wronskians, char_value
 from sl2t import cli, hilbert, spectrum, verification
 from sl2t.asymptotics import REFLECTING
 from sl2t.cli import main
@@ -106,6 +106,14 @@ def test_bad_override_key_is_usage_error(capsys):
     assert "tol-override" in err
     code, _, err = _run(capsys, "solve", S0, "--n-max", "1", "--tol-override", "rk_tol=abc")
     assert code == 1
+
+
+@pytest.mark.parametrize("pair", ["quad_nodes=1e3", "bracket_subdiv=8.0"])
+def test_integer_override_refuses_a_float_and_says_so(capsys, pair):
+    # the message said "not numeric" of a number that the key cannot take
+    code, out, err = _run(capsys, "solve", S0, "--n-max", "2", "--tol-override", pair)
+    assert (code, out) == (1, "")
+    assert err == f"sl2t: error: --tol-override value is not an integer: {pair!r}\n"
 
 
 def test_solve_notes_a_partial_scan_on_stderr(monkeypatch, capsys):
@@ -405,13 +413,13 @@ def test_verify_matches_the_goldens_on_a_first_and_a_later_run_in_one_process(ca
     ids=["s0", "indefinite", "mixed_spec", "airy_spec"],
 )
 def test_verify_consistency_reads_char_grid_values_from_the_builds(make):
-    # the 27-lam builds' anchors give char_grid's Wronskians and residuals on its 24 lam
+    # the 27-lam builds' anchors give char_value's Wronskians and residuals on its 24 lam
     spec = make()
     run = VerifyRun(spec)
     left, right = run.builds
     rows = run.CONSISTENCY
     d, resid = _piece_wronskians(spec, left.ends, right.ends)
-    want = char_grid(spec, left.lam[rows])
+    want = [char_value(spec, lam) for lam in left.lam[rows].tolist()]
     assert len(want) == 24
     assert resid[rows].tolist() == [cv.consistency_residual for cv in want]
     assert [tuple(w[rows].tolist()) for w in d] == [

@@ -102,6 +102,15 @@ def test_grid_integrate_refuses_a_piece_index_outside_1_to_3(piece):
         grid.integrate(piece, np.ones(4))
 
 
+@pytest.mark.parametrize("piece", [True, 3.0, np.float64(1.0)])
+def test_grid_integrate_takes_only_an_integer_piece_index(piece):
+    # True integrated piece 1, and a float index raised TypeError
+    grid = QuadratureGrid.build(baseline_spec(), nodes_per_piece=4)
+    with pytest.raises(ValueError, match="piece index must be 1, 2, or 3, got"):
+        grid.integrate(piece, np.ones(4))
+    assert grid.integrate(np.int64(2), np.ones(4)) == grid.integrate(2, np.ones(4))
+
+
 def test_gauss_rule_is_shared_and_read_only():
     QuadratureGrid.build(mixed_spec(), nodes_per_piece=9)
     ref_x, ref_w = _gauss_rule(9)

@@ -187,6 +187,15 @@ def test_piece_bounds_and_index():
     assert piece_index_at(spec, spec.h1, side="right") == 2
 
 
+@pytest.mark.parametrize("index", [True, 2.0, np.float64(3.0)])
+def test_piece_bounds_take_only_an_integer_index(index):
+    # True was read as piece 1, and a float index reached the breakpoint lookup
+    spec = mixed_spec()
+    with pytest.raises(ValueError, match="piece index must be 1, 2, or 3, got"):
+        piece_bounds(spec, index)
+    assert piece_bounds(spec, np.int64(2)) == (spec.h1, spec.h2)
+
+
 def test_array_lookups_follow_the_scalar_rule():
     # piece_index_at reads each point of an array as a scalar
     spec = build_spec(omega=(1.0, 2.0, 3.0), q=[[1.0, 2.0], [5.0, -1.0], [0.5]])

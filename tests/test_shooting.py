@@ -32,7 +32,7 @@ from sl2t.shooting import (
     piece_mesh,
     wronskian,
 )
-from sl2t.charfn import _piece_wronskians, char_batch, char_grid
+from sl2t.charfn import char_batch, char_value
 from sl2t import shooting, spectrum as sl2t_spectrum
 from sl2t.shooting import _BLOCK, BoundaryData, _carry, _gauss_q, _legs, _step, _Sweep
 from sl2t.spectrum import locate_eigenvalues
@@ -636,7 +636,8 @@ def test_constant_q_sweep_is_one_step_call(make, step_calls):
         assert sweep.groups == ((0, 1, 2, 3),)
     left_terminal_batch(spec, _TABLE_LAMS)
     assert len(step_calls) == 1
-    char_grid(spec, _TABLE_LAMS)
+    # char_value builds once each way, one _step call per build
+    char_value(spec, 3.7)
     assert len(step_calls) == 3
     for build in (build_left, build_right):
         for lam in (3.7, _TABLE_LAMS):
@@ -676,16 +677,6 @@ def test_table_sweeps_repeat_the_per_call_sweep_bit_for_bit(make, kind):
     if kind == "left":
         want = spec.m3 * spec.right_form(_TABLE_LAMS, ends.right.u, ends.right.v)
         assert np.array_equal(char_batch(spec, _TABLE_LAMS), want)
-
-
-@_TABLE_SPECS
-def test_table_char_grid_repeats_the_per_call_sweeps_bit_for_bit(make):
-    spec = make()
-    f, g = (_per_call_sweep(spec, _TABLE_LAMS, kind)[0] for kind in ("left", "right"))
-    d, resid = _piece_wronskians(spec, f, g)
-    got = char_grid(spec, _TABLE_LAMS)
-    assert [cv.on_piece for cv in got] == list(zip(*(w.tolist() for w in d)))
-    assert [cv.consistency_residual for cv in got] == resid.tolist()
 
 
 def test_equal_specs_share_one_step_table():
@@ -913,6 +904,28 @@ def test_taken_rows_are_the_build_for_those_lam(build, make):
         assert np.array_equal(st.u, want_st.u) and np.array_equal(st.v, want_st.v), name
 
 
+@pytest.mark.parametrize("build", [build_left, build_right], ids=["left", "right"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_spec(np.random.default_rng(8)),
+     lambda: random_spec(np.random.default_rng(5), constant_q=False)],
+    ids=["constant_q", "polynomial_q"],
+)
+def test_anchor_states_are_the_end_nodes(build, make):
+    # a solution holds its anchor states once, as its pieces' first and last nodes
+    assert [f.name for f in dataclasses.fields(PiecewiseSolution)] == ["lam", "spec", "pieces"]
+    spec = make()
+    for lam in _BUILD_LAMS.tolist():
+        sol = build(spec, lam)
+        nodes = [(p.us[k], p.vs[k]) for p in sol.pieces for k in (0, -1)]
+        for st, (u, v) in zip(vars(sol.ends).values(), nodes):
+            assert type(st.u) is float and type(st.v) is float
+            assert (st.u, st.v) == (u, v), lam
+    sol = build(spec, _BUILD_LAMS)
+    for rows in (slice(2, 5), np.array([5, 0, 3])):
+        assert _same_ends(sol.take(rows).ends, sol.ends.take(rows))
+
+
 def test_fused_query_refuses_points_outside_their_piece():
     sol = build_left(mixed_spec(), 3.7)
     a, b = piece_bounds(sol.spec, 2)
@@ -939,10 +952,6 @@ def test_batch_input_validation():
             build(spec, [-math.inf, 2.0])
         with pytest.raises(ValueError):
             build(spec, math.inf)
-    # char_grid takes a batch of lam as the builds do
-    for bad in (np.ones((2, 3)), np.empty((0, 2))):
-        with pytest.raises(ValueError, match="nonempty 1-d array"):
-            char_grid(spec, bad)
 
 
 @settings(max_examples=25, deadline=None)
